@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint vet cover bench clean
+.PHONY: build test race crash lint vet cover bench spine clean
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,12 @@ test:
 # simulation suites, which CI runs in full in their dedicated race steps.
 race:
 	$(GO) test -race -short ./...
+
+# The storage crash suites under the race detector: hook-based crash points
+# (including the mid-batch flush threshold) and the batched kill -9 chaos.
+# Run for any change to internal/lsm or to the kvstore write path.
+crash:
+	$(GO) test -race ./internal/lsm -run 'Crash|KillNine'
 
 # c3vet over the whole tree (plus staticcheck/govulncheck when installed).
 lint:
@@ -32,6 +38,12 @@ cover:
 
 bench:
 	$(GO) test ./internal/kvstore -run xxx -bench 'BenchmarkCluster' -benchtime 1000x
+
+# The measurement spine (BENCHMARK.json): all four workloads, untraced and
+# traced, into benchmark/out/latest. Compare two sets with
+# benchmark/bench.sh compare A/result.json B/result.json.
+spine:
+	benchmark/run.sh
 
 clean:
 	rm -rf bin

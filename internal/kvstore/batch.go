@@ -563,7 +563,7 @@ func (n *Node) runWriteSub(sb *subBatch, need int, ver uint64, release func()) {
 			defer n.wg.Done()
 			defer release()
 			if s == n.id {
-				if n.dropWrites.Load() || n.store.PutAllVersioned(sb.keys, sb.wvals, ver) != nil {
+				if n.applyClientBatch(sb.keys, ver, sb.wvals) != nil {
 					acks <- nil
 					return
 				}

@@ -9,11 +9,12 @@ import (
 	"c3/internal/core"
 )
 
-// putBatchAndSettle MultiPuts keys=vals and waits until every key reads back
-// through round-robin coordinators (CL=ONE acks before the fan-out lands).
+// putBatchAndSettle MultiPuts keys=vals at ALL: the ack means every replica
+// of every key holds the batch, so whichever replica a following CL=ONE read
+// lands on, it sees it.
 func putBatchAndSettle(t *testing.T, cl *Client, keys []string, vals [][]byte) {
 	t.Helper()
-	oks, err := cl.MultiPut(keys, vals)
+	oks, err := cl.MultiPutAt(keys, vals, All)
 	if err != nil {
 		t.Fatalf("MultiPut: %v", err)
 	}
@@ -21,27 +22,6 @@ func putBatchAndSettle(t *testing.T, cl *Client, keys []string, vals [][]byte) {
 		if !ok {
 			t.Fatalf("MultiPut did not ack key %q", keys[i])
 		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		got, found, err := cl.MultiGet(keys)
-		if err != nil {
-			t.Fatalf("MultiGet: %v", err)
-		}
-		all := true
-		for i := range keys {
-			if !found[i] || string(got[i]) != string(vals[i]) {
-				all = false
-				break
-			}
-		}
-		if all {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("batch never became readable everywhere")
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -359,7 +359,7 @@ collect:
 func (n *Node) repairReplica(s core.ServerID, key string, ver uint64, val []byte) {
 	n.repairs.Add(1)
 	if s == n.id {
-		n.store.PutVersioned(key, ver, val)
+		n.store.ApplyMulti([]string{key}, []uint64{ver}, [][]byte{val}, nil)
 		return
 	}
 	if p, err := n.peer(s); err == nil {

@@ -134,7 +134,7 @@ func TestRepairNeverClobbersNewerWrite(t *testing.T) {
 	n := c.Nodes[0]
 	newVer := n.stampVersion()
 	oldVer := newVer - (1 << versionNodeBits)
-	if _, err := n.store.PutVersioned("guarded", newVer, []byte("newer")); err != nil {
+	if err := n.store.ApplyMulti([]string{"guarded"}, []uint64{newVer}, [][]byte{[]byte("newer")}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Local repair with a stale version.

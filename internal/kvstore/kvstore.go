@@ -873,54 +873,51 @@ func (n *Node) finishBatchRead(sh int, start time.Time, count int) wire.Feedback
 	return n.feedbackAt(sh)
 }
 
-// respondStreamPush applies one re-homing page from a decommissioning peer:
-// every pair carries the raw version-prefixed value it had on the pusher and
-// lands only when it is newer than what this replica holds (lsm.PutRawIfNewer
-// — the check and write are one critical section), so a streamed pre-move
-// value can never clobber a newer dual-routed write that arrived first. Every
-// key acks OK either way: "skipped because newer data exists" is success.
-func (n *Node) respondStreamPush(cw *connWriter, id uint64, keys []string, vals [][]byte, arena *[]byte) {
-	oks := allOK
-	for i := range keys {
-		if _, err := n.store.PutRawIfNewer(keys[i], vals[i]); err != nil {
-			oks = allFail // storage wedged: the pusher must not count this page
-			break
-		}
+// applyStreamed lands one streamed page — keys with the raw version-prefixed
+// values they had on the sender — as one batch: one commit group per page.
+// Each value is split back into its version and payload and applied under
+// the store's last-write-wins guard (the check and the write are one critical
+// section), so a streamed pre-move value can never clobber a newer dual-routed
+// write that arrived first; a record the guard skips is still a success.
+func (n *Node) applyStreamed(keys []string, raws [][]byte) error {
+	vers := make([]uint64, len(keys))
+	vals := make([][]byte, len(keys))
+	for i, raw := range raws {
+		vers[i], vals[i] = lsm.SplitVersioned(raw)
 	}
-	putBuf(arena)
-	fb := getBuf()
-	b, err := wire.AppendBatchWriteResp((*fb)[:0], wire.BatchWriteResp{
-		ID: id, OK: oks[:len(keys)], FB: n.feedback()})
-	if err != nil {
-		putBuf(fb)
-		cw.sever(err)
-		return
-	}
-	*fb = b
-	cw.enqueue(fb)
+	return n.store.ApplyMulti(keys, vers, vals, nil)
 }
 
-// respondLocalBatchWrite applies a write sub-batch and enqueues the per-key
-// acks. arena is the pooled buffer backing vals, recycled here (the store
-// copies). The batch lands through one WAL commit group — one fsync for the
-// whole sub-batch — so it acks or fails as a unit. A non-zero ver is the
-// coordinator's stamp shared by the whole sub-batch and applies each key
-// under the last-write-wins guard; ver zero is the legacy unversioned path.
+// respondStreamPush applies one re-homing page from a decommissioning peer
+// (see applyStreamed). Every key acks OK whether it landed or lost to newer
+// data; only a storage failure fails the page, as a unit.
+func (n *Node) respondStreamPush(cw *connWriter, id uint64, keys []string, vals [][]byte, arena *[]byte) {
+	oks := allOK
+	if n.applyStreamed(keys, vals) != nil {
+		oks = allFail // storage wedged: the pusher must not count this page
+	}
+	n.respondBatchWriteAcks(cw, id, oks[:len(keys)], arena)
+}
+
+// respondLocalBatchWrite applies a write sub-batch under the coordinator's
+// stamp ver, shared by every record, and enqueues the per-key acks. The batch
+// lands through one WAL commit group — one fsync for the whole sub-batch — so
+// it acks or fails as a unit.
 func (n *Node) respondLocalBatchWrite(cw *connWriter, id uint64, ver uint64, keys []string, vals [][]byte, arena *[]byte) {
 	oks := allOK
-	if n.dropWrites.Load() {
-		oks = allFail
-	} else if ver != 0 {
-		if err := n.store.PutAllVersioned(keys, vals, ver); err != nil {
-			oks = allFail
-		}
-	} else if err := n.store.PutAll(keys, vals); err != nil {
+	if n.applyClientBatch(keys, ver, vals) != nil {
 		oks = allFail
 	}
+	n.respondBatchWriteAcks(cw, id, oks[:len(keys)], arena)
+}
+
+// respondBatchWriteAcks recycles arena — the pooled buffer that backed the
+// applied values (the store copied them) — and enqueues the per-key acks.
+func (n *Node) respondBatchWriteAcks(cw *connWriter, id uint64, oks []bool, arena *[]byte) {
 	putBuf(arena)
 	fb := getBuf()
 	b, err := wire.AppendBatchWriteResp((*fb)[:0], wire.BatchWriteResp{
-		ID: id, OK: oks[:len(keys)], FB: n.feedback()})
+		ID: id, OK: oks, FB: n.feedback()})
 	if err != nil {
 		putBuf(fb)
 		cw.sever(err)

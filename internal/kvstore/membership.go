@@ -491,10 +491,8 @@ func (n *Node) pullRange(c ring.Change, epoch uint64) error {
 		// Only older-or-absent keys land: the version check and write are
 		// atomic in the store, so a dual-routed write racing this page
 		// always wins.
-		for i, k := range page.keys {
-			if _, err := n.store.PutRawIfNewer(k, page.vals[i]); err != nil {
-				return fmt.Errorf("kvstore: applying streamed page: %w", err)
-			}
+		if err := n.applyStreamed(page.keys, page.vals); err != nil {
+			return fmt.Errorf("kvstore: applying streamed page: %w", err)
 		}
 		if len(page.keys) > 0 {
 			cursor = page.keys[len(page.keys)-1]

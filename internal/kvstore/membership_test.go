@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"c3/internal/core"
+	"c3/internal/lsm"
 	"c3/internal/wire"
 )
 
@@ -269,22 +270,25 @@ func TestAbortedJoinUnblocksMembership(t *testing.T) {
 func TestStreamPushDoesNotClobberNewerValue(t *testing.T) {
 	c, _ := startTestCluster(t, 3, Config{Seed: 73})
 	target := c.Nodes[1]
-	target.store.Put("hot", []byte("new"))
+	if err := target.store.ApplyMulti([]string{"hot"}, []uint64{20}, [][]byte{[]byte("new")}, nil); err != nil {
+		t.Fatal(err)
+	}
 
 	p, err := c.Nodes[0].peer(target.id)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The page carries raw stored values: version prefix, then payload.
 	oks, _, _, err := p.batchWrite(wire.MsgStreamPush, 0, 0, []string{"hot", "cold"},
-		[][]byte{[]byte("stale"), []byte("cold-v")}, nil)
+		[][]byte{lsm.AppendVersioned(nil, 19, []byte("stale")), lsm.AppendVersioned(nil, 5, []byte("cold-v"))}, nil)
 	if err != nil || len(oks) != 2 || !oks[0] || !oks[1] {
 		t.Fatalf("stream push: oks=%v err=%v", oks, err)
 	}
-	if v, _ := target.store.Get("hot"); string(v) != "new" {
-		t.Fatalf("stream push clobbered newer value: %q", v)
+	if v, ver, _ := target.store.GetVersioned(nil, "hot"); string(v) != "new" || ver != 20 {
+		t.Fatalf("stream push clobbered newer value: %q at %d", v, ver)
 	}
-	if v, ok := target.store.Get("cold"); !ok || string(v) != "cold-v" {
-		t.Fatalf("stream push dropped an absent key: %q ok=%v", v, ok)
+	if v, ver, ok := target.store.GetVersioned(nil, "cold"); !ok || string(v) != "cold-v" || ver != 5 {
+		t.Fatalf("stream push dropped an absent key: %q at %d ok=%v", v, ver, ok)
 	}
 }
 

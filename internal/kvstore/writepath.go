@@ -23,7 +23,7 @@ import (
 //     moment the consistency level is met, from whichever goroutine
 //     delivered the deciding leg.
 //   - Each shard runs one writer goroutine draining a queue of writeTasks.
-//     The writer batches whatever is pending into a single PutMulti — one
+//     The writer batches whatever is pending into a single ApplyMulti — one
 //     memtable lock, one WAL commit group per drain — so pipelined writes
 //     against one shard share a group commit while never contending with
 //     sibling shards' locks or fsyncs.
@@ -270,7 +270,7 @@ func putWriteTask(t *writeTask) {
 }
 
 // writeQueueDepth bounds each shard's pending writeTasks; maxApplyBatch
-// bounds how many a writer folds into one PutMulti (one WAL commit group).
+// bounds how many a writer folds into one ApplyMulti (one WAL commit group).
 const (
 	writeQueueDepth = 256
 	maxApplyBatch   = 64
@@ -291,24 +291,52 @@ func (n *Node) enqueueWriteTask(sh int, t *writeTask) {
 	}
 }
 
-// applyDirect applies one task bypassing the shard writer (queue-overflow
-// fallback): same store, same version guard, just without the batch fold.
-func (n *Node) applyDirect(sh int, t *writeTask) {
-	var err error
+// applier is local storage's one write entry, as the whole sharded store or
+// as a single shard of it.
+type applier interface {
+	ApplyMulti(keys []string, vers []uint64, vals [][]byte, dels []bool) error
+}
+
+// applyClient lands a batch of client writes in local storage. Every
+// replica-side apply of a coordinated write — shard writer drain, queue
+// overflow, internal batch write, the batch coordinator's own leg — comes
+// through here, which makes it the one place the drop-writes fault injection
+// has to look. Repair and streaming call the store directly: they heal what
+// an injected drop broke.
+func (n *Node) applyClient(st applier, keys []string, vers []uint64, vals [][]byte, dels []bool) error {
 	if n.dropWrites.Load() {
-		err = errWriteDropped
-	} else if t.del {
-		_, err = n.store.Shard(sh).DeleteVersioned(t.key, t.ver)
-	} else if t.ver != 0 {
-		_, err = n.store.Shard(sh).PutVersioned(t.key, t.ver, t.val)
-	} else {
-		err = n.store.Shard(sh).Put(t.key, t.val)
+		return errWriteDropped
 	}
+	return st.ApplyMulti(keys, vers, vals, dels)
+}
+
+var sharedVersPool = sync.Pool{New: func() any { return new([]uint64) }}
+
+// applyClientBatch is applyClient for a batch write's sub-batch, whose
+// records all carry the coordinator's one stamp: the per-record version
+// column the store takes is filled from a pooled scratch.
+func (n *Node) applyClientBatch(keys []string, ver uint64, vals [][]byte) error {
+	vp := sharedVersPool.Get().(*[]uint64)
+	vers := (*vp)[:0]
+	for range keys {
+		vers = append(vers, ver)
+	}
+	err := n.applyClient(n.store, keys, vers, vals, nil)
+	*vp = vers
+	sharedVersPool.Put(vp)
+	return err
+}
+
+// applyDirect applies one task bypassing the shard writer (queue-overflow
+// fallback): same store, same version guard, just a batch of one.
+func (n *Node) applyDirect(sh int, t *writeTask) {
+	err := n.applyClient(n.store.Shard(sh),
+		[]string{t.key}, []uint64{t.ver}, [][]byte{t.val}, []bool{t.del})
 	n.finishWriteTask(sh, t, err)
 }
 
 // writeWorker is shard sh's writer goroutine: it drains pending tasks and
-// applies them as one PutMulti — a single memtable lock acquisition and one
+// applies them as one ApplyMulti — a single memtable lock acquisition and one
 // WAL commit group per drain — then completes each task. Unrelated shards'
 // writers never share a lock or an fsync group.
 func (n *Node) writeWorker(sh int) {
@@ -355,22 +383,13 @@ func (n *Node) writeWorker(sh int) {
 			}
 		}
 		keys, vers, vals, dels = keys[:0], vers[:0], vals[:0], dels[:0]
-		anyDel := false
 		for _, t := range tasks {
 			keys = append(keys, t.key)
 			vers = append(vers, t.ver)
 			vals = append(vals, t.val)
 			dels = append(dels, t.del)
-			anyDel = anyDel || t.del
 		}
-		var err error
-		if n.dropWrites.Load() {
-			err = errWriteDropped
-		} else if anyDel {
-			err = shard.ApplyMulti(keys, vers, vals, dels)
-		} else {
-			err = shard.PutMulti(keys, vers, vals)
-		}
+		err := n.applyClient(shard, keys, vers, vals, dels)
 		for i, t := range tasks {
 			n.finishWriteTask(sh, t, err)
 			tasks[i] = nil

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,15 +16,16 @@ import (
 
 // kill -9 chaos: the test re-execs its own binary as a child process that
 // opens the store and hammers it with a deterministic per-writer op stream,
-// printing an ack line only after each op's group fsync returns. The parent
-// SIGKILLs the child at a random moment — tiny FlushBytes/MaxRuns keep the
-// child almost permanently mid-flush or mid-compaction — drains the stdout
-// pipe (the pipe outlives the process, so every drained ack is by
-// construction a durable op), reopens the directory, and checks that every
-// acked op survived and no deleted key resurrected. Because each writer's
-// stream is deterministic, the parent can regenerate it and knows exactly
-// which op, if any, was in flight but unacked at the kill — the only op
-// whose outcome is legitimately ambiguous.
+// applied in small random-sized ApplyMulti batches, printing an ack line only
+// after each batch's group fsync returns. The parent SIGKILLs the child at a
+// random moment — tiny FlushBytes/MaxRuns keep the child almost permanently
+// mid-flush or mid-compaction, and most flushes are triggered by a record in
+// the middle of a batch — drains the stdout pipe (the pipe outlives the
+// process, so every drained ack is by construction a durable batch), reopens
+// the directory, and checks that every acked op survived and no deleted key
+// resurrected. Because each writer's stream is deterministic, the parent can
+// regenerate it and knows exactly which batch, if any, was in flight but
+// unacked at the kill — the only ops whose outcome is legitimately ambiguous.
 
 const (
 	crashChildEnvDir    = "LSM_CRASH_CHILD_DIR"
@@ -32,6 +34,7 @@ const (
 	crashChildEnvShards = "LSM_CRASH_CHILD_SHARDS" // >1 opens a sharded store
 	crashWriters        = 3
 	crashKeysPerW       = 40
+	crashMaxBatch       = 16
 )
 
 func TestMain(m *testing.M) {
@@ -87,13 +90,31 @@ func (g *crashGen) next() crashOp {
 		return crashOp{del: true, key: key}
 	}
 	g.version[id]++
-	return crashOp{key: key, val: fmt.Sprintf("%s#%d", key, g.version[id])}
+	return crashOp{key: key, val: fmt.Sprintf("%s#%d%s", key, g.version[id], crashValPad)}
 }
 
-// crashChild runs until SIGKILLed: writers apply their streams and ack each
-// op on stdout only after it is durable. In periodic mode "durable" means
-// written to the OS — still kill-proof, since the page cache outlives the
-// process — which is exactly the claim that mode makes.
+// crashValPad fattens every value so the writers' ~120 live keys outweigh
+// the child's 4 KiB FlushBytes several times over: the memtable counts live
+// payload, and without the padding the whole keyspace fits under the
+// threshold and the child never flushes at all.
+var crashValPad = strings.Repeat("-", 100)
+
+func crashUnpad(s string) string { return strings.ReplaceAll(s, crashValPad, "") }
+
+// nextBatch yields the writer's next batch: 1 to crashMaxBatch consecutive
+// ops of its stream. A key may recur inside a batch; batch order decides.
+func (g *crashGen) nextBatch() []crashOp {
+	ops := make([]crashOp, 1+g.rng.intN(crashMaxBatch))
+	for i := range ops {
+		ops[i] = g.next()
+	}
+	return ops
+}
+
+// crashChild runs until SIGKILLed: writers apply their streams batch by batch
+// and ack each batch on stdout only after it is durable. In periodic mode
+// "durable" means written to the OS — still kill-proof, since the page cache
+// outlives the process — which is exactly the claim that mode makes.
 func crashChild(dir string, seed uint64) {
 	opts := Options{Dir: dir, FlushBytes: 4 << 10, MaxRuns: 3}
 	if os.Getenv(crashChildEnvSync) == "periodic" {
@@ -101,8 +122,7 @@ func crashChild(dir string, seed uint64) {
 	}
 	shards, _ := strconv.Atoi(os.Getenv(crashChildEnvShards))
 	var s interface {
-		Put(key string, val []byte) error
-		Delete(key string) error
+		ApplyMulti(keys []string, vers []uint64, vals [][]byte, dels []bool) error
 	}
 	var err error
 	if shards > 0 {
@@ -122,15 +142,15 @@ func crashChild(dir string, seed uint64) {
 			defer wg.Done()
 			g := newCrashGen(seed, w)
 			for {
-				op := g.next()
-				var err error
-				if op.del {
-					err = s.Delete(op.key)
-				} else {
-					err = s.Put(op.key, []byte(op.val))
+				ops := g.nextBatch()
+				keys := make([]string, len(ops))
+				vals := make([][]byte, len(ops))
+				dels := make([]bool, len(ops))
+				for i, op := range ops {
+					keys[i], vals[i], dels[i] = op.key, []byte(op.val), op.del
 				}
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "child op:", err)
+				if err := s.ApplyMulti(keys, make([]uint64, len(ops)), vals, dels); err != nil {
+					fmt.Fprintln(os.Stderr, "child batch:", err)
 					os.Exit(2)
 				}
 				outMu.Lock()
@@ -142,6 +162,53 @@ func crashChild(dir string, seed uint64) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// crashModel is the parent's view of what the store must hold: the last
+// acked value per key ("" = deleted).
+type crashModel map[string]string
+
+// verify folds one killed round into the model and checks the reopened store
+// against it. Each writer's first acks[w] batches were acked and must be
+// durable. Its next batch was in flight at the kill: the kill can land
+// between any two of its records (a torn WAL tail keeps a prefix; a sharded
+// batch is one commit group per shard), so for each key the batch touches,
+// the state after any of its ops on that key is as legitimate as the acked
+// one — and whichever the store shows becomes the model's truth.
+func (m crashModel) verify(t *testing.T, round int, roundSeed uint64, acks []int, get func(string) ([]byte, bool)) {
+	t.Helper()
+	maybe := map[string][]string{}
+	for w := 0; w < crashWriters; w++ {
+		g := newCrashGen(roundSeed, w)
+		for i := 0; i < acks[w]; i++ {
+			for _, op := range g.nextBatch() {
+				m[op.key] = op.val // a delete's val is ""
+			}
+		}
+		for _, op := range g.nextBatch() {
+			maybe[op.key] = append(maybe[op.key], op.val)
+			if _, known := m[op.key]; !known {
+				m[op.key] = ""
+			}
+		}
+	}
+	for key, want := range m {
+		got, ok := get(key)
+		if matchState(want, string(got), ok) {
+			continue
+		}
+		landed := false
+		for _, alt := range maybe[key] {
+			if matchState(alt, string(got), ok) {
+				m[key], landed = alt, true // durable, ack lost to the kill
+				break
+			}
+		}
+		if !landed {
+			t.Fatalf("round %d: key %s = %q,%v; want %q (acked) or an in-flight op %q (padding elided)",
+				round, key, crashUnpad(string(got)), ok, crashUnpad(want), crashUnpad(strings.Join(maybe[key], " | ")))
+		}
+	}
 }
 
 func TestKillNineChaos(t *testing.T) {
@@ -160,52 +227,14 @@ func TestKillNineChaos(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d,sync=%s", seed, sync), func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
-			// expected is the last verified/acked value per key ("" = deleted).
-			expected := map[string]string{}
+			expected := crashModel{}
 			kills := sim.RNG(seed, 999)
 			for round := 0; round < 3; round++ {
 				roundSeed := seed*1000 + uint64(round)
 				acks := runCrashChild(t, dir, roundSeed, 60+kills.IntN(240), sync, 0)
 
-				// Regenerate each writer's stream: ops [0, acks[w]) are
-				// acked and must be durable; op acks[w] may or may not have
-				// landed (in flight at the kill).
-				maybe := map[string]crashOp{}
-				for w := 0; w < crashWriters; w++ {
-					g := newCrashGen(roundSeed, w)
-					for i := 0; i < acks[w]; i++ {
-						op := g.next()
-						if op.del {
-							expected[op.key] = ""
-						} else {
-							expected[op.key] = op.val
-						}
-					}
-					in := g.next()
-					maybe[in.key] = in
-				}
-
 				s := mustOpen(t, Options{Dir: dir})
-				for key, want := range expected {
-					got, ok := s.Get(key)
-					if matchState(want, string(got), ok) {
-						continue
-					}
-					if in, ambiguous := maybe[key]; ambiguous {
-						alt := ""
-						if !in.del {
-							alt = in.val
-						}
-						if matchState(alt, string(got), ok) {
-							// The in-flight op landed (fsynced, ack lost to
-							// the kill). Fold reality into the model.
-							expected[key] = alt
-							continue
-						}
-					}
-					t.Fatalf("round %d: key %s = %q,%v; want %q (acked) or the in-flight op",
-						round, key, got, ok, want)
-				}
+				expected.verify(t, round, roundSeed, acks, s.Get)
 				if err := s.Close(); err != nil {
 					t.Fatalf("round %d: Close: %v", round, err)
 				}
@@ -237,26 +266,11 @@ func TestKillNineChaosSharded(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d,sync=%s", shards, sync), func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
-			expected := map[string]string{}
+			expected := crashModel{}
 			kills := sim.RNG(uint64(shards), 777)
 			for round := 0; round < 2; round++ {
 				roundSeed := uint64(shards)*10000 + uint64(round)
 				acks := runCrashChild(t, dir, roundSeed, 60+kills.IntN(240), sync, shards)
-
-				maybe := map[string]crashOp{}
-				for w := 0; w < crashWriters; w++ {
-					g := newCrashGen(roundSeed, w)
-					for i := 0; i < acks[w]; i++ {
-						op := g.next()
-						if op.del {
-							expected[op.key] = ""
-						} else {
-							expected[op.key] = op.val
-						}
-					}
-					in := g.next()
-					maybe[in.key] = in
-				}
 
 				s, err := OpenSharded(Options{Dir: dir}, shards)
 				if err != nil {
@@ -265,24 +279,7 @@ func TestKillNineChaosSharded(t *testing.T) {
 				if got := s.ShardCount(); got != shards {
 					t.Fatalf("round %d: recovered %d shards, want %d", round, got, shards)
 				}
-				for key, want := range expected {
-					got, ok := s.Get(key)
-					if matchState(want, string(got), ok) {
-						continue
-					}
-					if in, ambiguous := maybe[key]; ambiguous {
-						alt := ""
-						if !in.del {
-							alt = in.val
-						}
-						if matchState(alt, string(got), ok) {
-							expected[key] = alt
-							continue
-						}
-					}
-					t.Fatalf("round %d: key %s = %q,%v; want %q (acked) or the in-flight op",
-						round, key, got, ok, want)
-				}
+				expected.verify(t, round, roundSeed, acks, s.Get)
 				if err := s.Close(); err != nil {
 					t.Fatalf("round %d: Close: %v", round, err)
 				}

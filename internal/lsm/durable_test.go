@@ -318,6 +318,79 @@ func TestCrashPointRecovery(t *testing.T) {
 	}
 }
 
+// One batch, one WAL group, one memtable generation: an acked batch whose
+// cumulative size crosses FlushBytes at record k < n must survive a crash
+// whole. A flush fired at record k would write records 0..k to an SST,
+// retire the WAL that holds the entire batch, and leave records k+1..n in a
+// fresh memtable with no log behind them — acked and gone.
+func TestCrashPointMidBatch(t *testing.T) {
+	type store interface {
+		ApplyMulti(keys []string, vers []uint64, vals [][]byte, dels []bool) error
+		Get(key string) ([]byte, bool)
+		Flush()
+		Stats() Stats
+		Crash()
+		Close() error
+	}
+	layouts := map[string]func(Options) (store, error){
+		"store":     func(o Options) (store, error) { return Open(o) },
+		"sharded=2": func(o Options) (store, error) { return OpenSharded(o, 2) },
+		"sharded=4": func(o Options) (store, error) { return OpenSharded(o, 4) },
+	}
+	for name, open := range layouts {
+		t.Run(name, func(t *testing.T) {
+			// 2 KiB per node: a shard's share is crossed a few records into
+			// its slice of the ~8 KiB batch below.
+			opts := Options{Dir: t.TempDir(), FlushBytes: 2 << 10}
+			s, err := open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 64
+			keys := make([]string, 0, n+1)
+			vers := make([]uint64, 0, n+1)
+			vals := make([][]byte, 0, n+1)
+			dels := make([]bool, 0, n+1)
+			for i := 0; i < n; i++ {
+				keys = append(keys, fmt.Sprintf("batch-%02d", i))
+				vers = append(vers, 7)
+				vals = append(vals, []byte(strings.Repeat("x", 100)+keys[i]))
+				dels = append(dels, false)
+			}
+			// A victim flushed into an SST beforehand, deleted by the batch's
+			// last record: a lost tombstone shows as a resurrection.
+			if err := s.ApplyMulti([]string{"victim"}, []uint64{1}, [][]byte{[]byte("v")}, nil); err != nil {
+				t.Fatal(err)
+			}
+			s.Flush()
+			flushed := s.Stats().Flushes
+			keys, vers, vals, dels = append(keys, "victim"), append(vers, 7), append(vals, nil), append(dels, true)
+
+			if err := s.ApplyMulti(keys, vers, vals, dels); err != nil { // acked
+				t.Fatal(err)
+			}
+			if s.Stats().Flushes == flushed {
+				t.Fatal("batch never crossed the flush threshold: the test is not exercising the crash point")
+			}
+			s.Crash()
+
+			r, err := open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			for i := 0; i < n; i++ {
+				if v, ok := r.Get(keys[i]); !ok || string(v[VersionLen:]) != string(vals[i]) {
+					t.Fatalf("acked record %d/%d (%s) = %q,%v after crash", i, n, keys[i], v, ok)
+				}
+			}
+			if v, ok := r.Get("victim"); ok {
+				t.Fatalf("acked delete lost: victim = %q after crash", v)
+			}
+		})
+	}
+}
+
 // PutAll batches every record into one commit group: one fsync for the whole
 // batch, not one per key.
 func TestPutAllGroupCommits(t *testing.T) {

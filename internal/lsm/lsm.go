@@ -6,8 +6,14 @@
 // the paper discusses: read amplification growing with the number of runs,
 // and compaction as a period of concentrated work.
 //
+// There is one write path. Every mutation is a batch through ApplyMulti
+// (versioned.go), and one batch is one WAL commit group is one memtable
+// generation: the flush threshold is checked between batches, never inside
+// one, so a flush can only retire WAL files whose every record it persisted.
+// Put, PutAll and Delete are one-line wrappers over it.
+//
 // With Options.Dir set the store is durable and crash-recoverable: every
-// mutation is appended to a group-committed write-ahead log before it is
+// batch is appended to a group-committed write-ahead log before it is
 // acknowledged, memtable flushes persist runs as SST files installed by
 // atomic rename, and a manifest names the live SST set plus the WAL
 // watermark so Open replays exactly the unflushed WAL suffix. With Dir empty
@@ -216,11 +222,7 @@ func Open(opts Options) (*Store, error) {
 			if op == walDel {
 				val = nil
 			}
-			if old, ok := s.mem[key]; ok {
-				s.memB -= len(key) + len(old)
-			}
-			s.mem[key] = val
-			s.memB += len(key) + len(val)
+			s.putLocked(key, val)
 		})
 		if err != nil {
 			s.releaseRuns()
@@ -275,158 +277,33 @@ func (s *Store) hook(event string) {
 	}
 }
 
-// Put stores a copy of val under key. In durable mode it returns once the
-// write's WAL commit group is fsynced — the write survives any crash after
-// Put returns nil.
+// Put stores a copy of val under key, unconditionally and without a version
+// prefix. In durable mode it returns once the write's WAL commit group is
+// fsynced — the write survives any crash after Put returns nil.
 func (s *Store) Put(key string, val []byte) error {
-	cp := make([]byte, len(val))
-	copy(cp, val)
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	var cw *walCommit
-	if s.wal != nil {
-		var err error
-		if cw, err = s.wal.add(walPut, key, cp); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-	}
-	s.c.puts.Add(1)
-	s.putLocked(key, cp)
-	s.mu.Unlock()
-	return waitCommit(cw)
+	return s.ApplyMulti([]string{key}, []uint64{0}, [][]byte{val}, nil)
 }
 
-// PutAll stores copies of vals under keys as one batch: every record joins a
-// single WAL commit group, so a replica-side MultiPut pays one fsync
-// regardless of batch size.
+// PutAll is Put for a batch: one WAL commit group, one fsync, whatever the
+// batch size.
 func (s *Store) PutAll(keys []string, vals [][]byte) error {
-	cw, err := s.putAllStart(keys, vals)
-	if err != nil {
-		return err
-	}
-	return waitCommit(cw)
+	return s.ApplyMulti(keys, make([]uint64, len(keys)), vals, nil)
 }
 
-// putAllStart is PutAll up to (not including) the commit wait: the batch is
-// in the memtable and its WAL commit group is enqueued. A sharded store
-// starts every touched shard's sub-batch before waiting on any of them, so
-// the shards' group commits overlap.
-func (s *Store) putAllStart(keys []string, vals [][]byte) (*walCommit, error) {
-	if len(keys) == 0 {
-		return nil, nil
-	}
-	total := 0
-	for _, v := range vals {
-		total += len(v)
-	}
-	arena := make([]byte, 0, total)
-	cps := make([][]byte, len(keys))
-	for i, v := range vals {
-		at := len(arena)
-		arena = append(arena, v...)
-		cps[i] = arena[at:len(arena):len(arena)]
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
-	}
-	var cw *walCommit
-	if s.wal != nil {
-		var err error
-		if cw, err = s.wal.addBatch(keys, cps, nil); err != nil {
-			s.mu.Unlock()
-			return nil, err
-		}
-	}
-	for i := range keys {
-		s.c.puts.Add(1)
-		s.putLocked(keys[i], cps[i])
-	}
-	s.mu.Unlock()
-	return cw, nil
-}
-
-// PutIfAbsent stores a copy of val under key only when the key has no live
-// value, reporting whether it stored. The check and the write share one
-// critical section — the atomic guard membership streaming relies on so a
-// streamed pre-move value can never clobber a newer concurrent write.
-func (s *Store) PutIfAbsent(key string, val []byte) (bool, error) {
-	cp := make([]byte, len(val))
-	copy(cp, val)
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return false, ErrClosed
-	}
-	if v, ok := s.mem[key]; ok {
-		if v != nil {
-			s.mu.Unlock()
-			return false, nil
-		}
-	} else {
-		for _, r := range s.runs {
-			if !r.bloom.MayContain(key) {
-				continue
-			}
-			if i := r.find(key); i >= 0 {
-				if !r.tombstone(i) {
-					s.mu.Unlock()
-					return false, nil
-				}
-				break // newest version is a tombstone: absent
-			}
-		}
-	}
-	var cw *walCommit
-	if s.wal != nil {
-		var err error
-		if cw, err = s.wal.add(walPut, key, cp); err != nil {
-			s.mu.Unlock()
-			return false, err
-		}
-	}
-	s.c.puts.Add(1)
-	s.putLocked(key, cp)
-	s.mu.Unlock()
-	return true, waitCommit(cw)
-}
-
-// Delete removes key (writes a tombstone). Like Put, a nil return in durable
-// mode means the tombstone is fsynced and survives crashes.
+// Delete removes key unconditionally (writes a tombstone). Like Put, a nil
+// return in durable mode means the tombstone is fsynced and survives crashes.
 func (s *Store) Delete(key string) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	var cw *walCommit
-	if s.wal != nil {
-		var err error
-		if cw, err = s.wal.add(walDel, key, nil); err != nil {
-			s.mu.Unlock()
-			return err
-		}
-	}
-	s.c.deletes.Add(1)
-	s.putLocked(key, nil)
-	s.mu.Unlock()
-	return waitCommit(cw)
+	return s.ApplyMulti([]string{key}, []uint64{0}, [][]byte{nil}, []bool{true})
 }
 
+// putLocked inserts one record (nil val = tombstone) into the memtable. It
+// never flushes: apply decides that once, after the whole batch is in.
 func (s *Store) putLocked(key string, val []byte) {
 	if old, ok := s.mem[key]; ok {
 		s.memB -= len(key) + len(old)
 	}
 	s.mem[key] = val
 	s.memB += len(key) + len(val)
-	if s.memB >= s.opts.FlushBytes {
-		s.flushLocked()
-	}
 }
 
 // Get reads the newest value of key into a fresh buffer, consulting the

@@ -325,42 +325,3 @@ func TestGetAppend(t *testing.T) {
 		t.Fatalf("stored value corrupted: %q, %v", v, ok)
 	}
 }
-
-func TestPutIfAbsent(t *testing.T) {
-	s := mustOpen(t, Options{})
-	pia := func(k, v string) bool {
-		t.Helper()
-		ok, err := s.PutIfAbsent(k, []byte(v))
-		if err != nil {
-			t.Fatalf("PutIfAbsent(%s): %v", k, err)
-		}
-		return ok
-	}
-	if !pia("k", "v1") {
-		t.Fatal("first PutIfAbsent must store")
-	}
-	if pia("k", "v2") {
-		t.Fatal("PutIfAbsent over a live key must not store")
-	}
-	if v, _ := s.Get("k"); string(v) != "v1" {
-		t.Fatalf("value clobbered: %q", v)
-	}
-	// A flushed (run-resident) value still blocks the write.
-	s.Flush()
-	if pia("k", "v3") {
-		t.Fatal("PutIfAbsent over a flushed key must not store")
-	}
-	// A tombstone counts as absent, in the memtable and in runs.
-	s.Delete("k")
-	if !pia("k", "v4") {
-		t.Fatal("PutIfAbsent over a memtable tombstone must store")
-	}
-	s.Delete("k")
-	s.Flush()
-	if !pia("k", "v5") {
-		t.Fatal("PutIfAbsent over a flushed tombstone must store")
-	}
-	if v, ok := s.Get("k"); !ok || string(v) != "v5" {
-		t.Fatalf("got %q ok=%v, want v5", v, ok)
-	}
-}

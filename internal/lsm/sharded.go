@@ -208,119 +208,29 @@ func (t *Sharded) Put(key string, val []byte) error { return t.shard(key).Put(ke
 // Delete delegates to the key's shard.
 func (t *Sharded) Delete(key string) error { return t.shard(key).Delete(key) }
 
-// PutVersioned delegates to the key's shard.
-func (t *Sharded) PutVersioned(key string, ver uint64, val []byte) (bool, error) {
-	return t.shard(key).PutVersioned(key, ver, val)
-}
-
-// PutRawIfNewer delegates to the key's shard.
-func (t *Sharded) PutRawIfNewer(key string, raw []byte) (bool, error) {
-	return t.shard(key).PutRawIfNewer(key, raw)
-}
-
-// PutMulti applies a heterogeneous write batch routed by shard: each record
-// lands in its key's shard, records sharing a shard share one WAL commit
-// group, and the per-shard groups commit concurrently — the batch waits for
-// the slowest shard, not the sum. Record i applies under the last-write-wins
-// guard when vers[i] is non-zero and unconditionally otherwise.
-func (t *Sharded) PutMulti(keys []string, vers []uint64, vals [][]byte) error {
-	if t.n == 1 {
-		return t.shards[0].PutMulti(keys, vers, vals)
-	}
-	return t.partitioned(keys, vals, func(s *Store, keys []string, vals [][]byte, idx []int) (*walCommit, error) {
-		sc := scratchVers(len(idx))
-		defer putScratchVers(sc)
-		for j, i := range idx {
-			(*sc)[j] = vers[i]
-		}
-		return s.applyMultiStart(keys, *sc, vals, nil)
-	})
-}
-
-// ApplyMulti is PutMulti extended with per-record deletes (dels[i] marks a
-// version-guarded tombstone), routed by shard like PutMulti. dels may be nil.
-func (t *Sharded) ApplyMulti(keys []string, vers []uint64, vals [][]byte, dels []bool) error {
-	if t.n == 1 {
-		return t.shards[0].ApplyMulti(keys, vers, vals, dels)
-	}
-	return t.partitioned(keys, vals, func(s *Store, keys []string, vals [][]byte, idx []int) (*walCommit, error) {
-		sc := scratchVers(len(idx))
-		defer putScratchVers(sc)
-		var sd []bool
-		if dels != nil {
-			sd = make([]bool, len(idx))
-		}
-		for j, i := range idx {
-			(*sc)[j] = vers[i]
-			if sd != nil {
-				sd[j] = dels[i]
-			}
-		}
-		return s.applyMultiStart(keys, *sc, vals, sd)
-	})
-}
-
-// DeleteVersioned delegates to the key's shard.
-func (t *Sharded) DeleteVersioned(key string, ver uint64) (bool, error) {
-	return t.shard(key).DeleteVersioned(key, ver)
-}
-
-// PutAll partitions the batch by shard; per-shard sub-batches commit
-// concurrently (one WAL group each).
-func (t *Sharded) PutAll(keys []string, vals [][]byte) error {
-	if t.n == 1 {
-		return t.shards[0].PutAll(keys, vals)
-	}
-	return t.partitioned(keys, vals, func(s *Store, keys []string, vals [][]byte, _ []int) (*walCommit, error) {
-		return s.putAllStart(keys, vals)
-	})
-}
-
-// PutAllVersioned partitions the batch by shard under the shared version;
-// per-shard sub-batches commit concurrently.
-func (t *Sharded) PutAllVersioned(keys []string, vals [][]byte, ver uint64) error {
-	if t.n == 1 {
-		return t.shards[0].PutAllVersioned(keys, vals, ver)
-	}
-	return t.partitioned(keys, vals, func(s *Store, keys []string, vals [][]byte, _ []int) (*walCommit, error) {
-		return s.putAllVersionedStart(keys, vals, ver)
-	})
-}
-
-// batchScratch is the reusable partition buffer behind sharded batch writes:
-// one pass groups the batch's indices by shard, a second slices out each
-// shard's keys/vals views. Pooled so the batch hot path allocates only when
-// a batch outgrows every previous one.
+// batchScratch is the reusable partition buffer behind a sharded batch
+// write: the batch's records regrouped shard by shard. Pooled so the batch
+// hot path allocates only when a batch outgrows every previous one.
 type batchScratch struct {
 	keys []string
+	vers []uint64
 	vals [][]byte
-	idx  []int
+	dels []bool
 	offs []int        // per-shard [start,end) offsets, len n+1
 	cws  []*walCommit // started commit groups awaiting waitCommit
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-var versScratchPool = sync.Pool{New: func() any { return new([]uint64) }}
-
-func scratchVers(n int) *[]uint64 {
-	p := versScratchPool.Get().(*[]uint64)
-	if cap(*p) < n {
-		*p = make([]uint64, n)
+// ApplyMulti is Store.ApplyMulti routed by shard: the batch is grouped by
+// shard (a counting sort over the pooled scratch), each touched shard's
+// sub-batch is applied as one WAL commit group of that shard, and every group
+// is started before any is waited on — the batch waits for the slowest
+// shard's fsync, not the sum. dels may be nil.
+func (t *Sharded) ApplyMulti(keys []string, vers []uint64, vals [][]byte, dels []bool) error {
+	if t.n == 1 {
+		return t.shards[0].ApplyMulti(keys, vers, vals, dels)
 	}
-	*p = (*p)[:n]
-	return p
-}
-
-func putScratchVers(p *[]uint64) { versScratchPool.Put(p) }
-
-// partitioned groups keys/vals by shard (a counting sort over the pooled
-// scratch) and starts each touched shard's sub-batch through start — which
-// must enqueue the shard's WAL commit group without waiting on it — then
-// waits for every group, so the shards' fsyncs overlap. Each shard's writer
-// is touched exactly once per batch.
-func (t *Sharded) partitioned(keys []string, vals [][]byte,
-	start func(s *Store, keys []string, vals [][]byte, idx []int) (*walCommit, error)) error {
 	if len(keys) == 0 {
 		return nil
 	}
@@ -341,19 +251,18 @@ func (t *Sharded) partitioned(keys []string, vals [][]byte,
 	for i := 1; i <= n; i++ {
 		offs[i] += offs[i-1]
 	}
-	if cap(sc.idx) < len(keys) {
-		sc.idx = make([]int, len(keys))
+	if cap(sc.keys) < len(keys) {
 		sc.keys = make([]string, len(keys))
+		sc.vers = make([]uint64, len(keys))
 		sc.vals = make([][]byte, len(keys))
+		sc.dels = make([]bool, len(keys))
 	}
-	idx, skeys, svals := sc.idx[:len(keys)], sc.keys[:len(keys)], sc.vals[:len(keys)]
+	skeys, svers, svals, sdels := sc.keys[:len(keys)], sc.vers[:len(keys)], sc.vals[:len(keys)], sc.dels[:len(keys)]
 	for i, k := range keys {
 		sh := t.ShardFor(k)
 		at := offs[sh]
 		offs[sh]++
-		idx[at] = i
-		skeys[at] = k
-		svals[at] = vals[i]
+		skeys[at], svers[at], svals[at], sdels[at] = k, vers[i], vals[i], dels != nil && dels[i]
 	}
 	// The fill pass advanced each cursor to its shard's end; offs[sh-1] is
 	// now shard sh's start.
@@ -368,7 +277,7 @@ func (t *Sharded) partitioned(keys []string, vals [][]byte,
 		if lo == hi {
 			continue
 		}
-		cw, err := start(t.shards[sh], skeys[lo:hi], svals[lo:hi], idx[lo:hi])
+		cw, err := t.shards[sh].apply(skeys[lo:hi], svers[lo:hi], svals[lo:hi], sdels[lo:hi])
 		if err != nil {
 			firstErr = err
 			break

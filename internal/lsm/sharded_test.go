@@ -111,10 +111,10 @@ func TestShardedLayoutPersists(t *testing.T) {
 	}
 }
 
-// PutMulti splits a heterogeneous batch by shard — versioned records keep
-// their last-write-wins guard, raw records overwrite — and PutAll/
-// PutAllVersioned ride the same partitioned path.
-func TestShardedBatchPrimitives(t *testing.T) {
+// ApplyMulti splits a heterogeneous batch by shard: versioned records keep
+// their last-write-wins guard, version-0 records overwrite raw, and deletes
+// travel with their own record's shard.
+func TestShardedApplyMulti(t *testing.T) {
 	s := mustOpenSharded(t, Options{Dir: t.TempDir()}, 4)
 	defer s.Close()
 
@@ -125,63 +125,67 @@ func TestShardedBatchPrimitives(t *testing.T) {
 		vers[i] = uint64(100 + i)
 		vals[i] = []byte("m1-" + keys[i])
 	}
-	if err := s.PutMulti(keys, vers, vals); err != nil {
+	if err := s.ApplyMulti(keys, vers, vals, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i, k := range keys {
 		got, v, ok := s.GetVersioned(nil, k)
 		if !ok || string(got) != "m1-"+k || v != vers[i] {
-			t.Fatalf("key %s = %q,ver=%d,%v after PutMulti, want %q at %d",
+			t.Fatalf("key %s = %q,ver=%d,%v after ApplyMulti, want %q at %d",
 				k, got, v, ok, "m1-"+k, vers[i])
 		}
 	}
 
-	// A second PutMulti with stale versions: the per-key last-write-wins
+	// A second batch with stale versions, half of them deletes: the per-key
 	// guard must reject every record without failing the batch.
 	stale := make([]uint64, len(keys))
 	staleVals := make([][]byte, len(keys))
+	dels := make([]bool, len(keys))
 	for i := range keys {
 		stale[i] = 1 // below the installed 100+i
 		staleVals[i] = []byte("stale-" + keys[i])
+		dels[i] = i%2 == 0
 	}
-	if err := s.PutMulti(keys, stale, staleVals); err != nil {
+	if err := s.ApplyMulti(keys, stale, staleVals, dels); err != nil {
 		t.Fatal(err)
 	}
 	for i, k := range keys {
 		if got, v, ok := s.GetVersioned(nil, k); !ok || string(got) != "m1-"+k || v != vers[i] {
-			t.Fatalf("stale PutMulti clobbered key %s: %q,ver=%d,%v", k, got, v, ok)
+			t.Fatalf("stale batch clobbered key %s: %q,ver=%d,%v", k, got, v, ok)
 		}
 	}
 
-	// ver==0 records in a PutMulti batch are raw overwrites: no guard, no
-	// version prefix — the path internal fan-out writes take.
+	// The same delete pattern at a winning version: exactly the marked
+	// records die, each on its own shard; their neighbours are rewritten.
+	for i := range stale {
+		stale[i] = 10_000
+	}
+	if err := s.ApplyMulti(keys, stale, staleVals, dels); err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range keys {
+		got, v, ok := s.GetVersioned(nil, k)
+		if dels[i] {
+			if ok {
+				t.Fatalf("deleted key %s still readable: %q", k, got)
+			}
+		} else if !ok || string(got) != "stale-"+k || v != 10_000 {
+			t.Fatalf("key %s = %q,ver=%d,%v after winning batch", k, got, v, ok)
+		}
+	}
+
+	// ver==0 records are raw overwrites: no guard, no version prefix.
 	zeros := make([]uint64, len(keys))
 	rawVals := make([][]byte, len(keys))
 	for i := range keys {
 		rawVals[i] = []byte("m2-" + keys[i])
 	}
-	if err := s.PutMulti(keys, zeros, rawVals); err != nil {
+	if err := s.ApplyMulti(keys, zeros, rawVals, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range keys {
 		if got, ok := s.Get(k); !ok || string(got) != "m2-"+k {
-			t.Fatalf("key %s = %q,%v after raw PutMulti", k, got, ok)
-		}
-	}
-
-	// PutAllVersioned shares the guard and the commit group across shards.
-	fresh := make([]string, 16)
-	freshVals := make([][]byte, 16)
-	for i := range fresh {
-		fresh[i] = fmt.Sprintf("fresh-key-%03d", i)
-		freshVals[i] = []byte("f-" + fresh[i])
-	}
-	if err := s.PutAllVersioned(fresh, freshVals, 10_000); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range fresh {
-		if got, v, ok := s.GetVersioned(nil, k); !ok || string(got) != "f-"+k || v != 10_000 {
-			t.Fatalf("key %s = %q,ver=%d,%v after PutAllVersioned", k, got, v, ok)
+			t.Fatalf("key %s = %q,%v after raw batch", k, got, ok)
 		}
 	}
 }

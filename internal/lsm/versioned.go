@@ -5,14 +5,32 @@ import (
 	"errors"
 )
 
-// Versioned values. The kvstore coordinator stamps every write with a 64-bit
+// The write path. Every mutation — a single Put, a streamed membership page,
+// a shard writer's folded drain of 64 pipelined writes — is one batch through
+// one body, apply, and the engine's durability argument is a single
+// invariant:
+//
+//	one batch = one WAL commit group = one memtable generation
+//
+// apply runs the version guard, appends the surviving records to the WAL as
+// one commit group, inserts them into the memtable, and only then asks
+// whether the memtable has outgrown FlushBytes. Flush is therefore decided
+// between batches, never inside one: a flush retires exactly the WAL files
+// whose every record sits in the SST it wrote, so no acknowledged record can
+// be left in a fresh memtable with its log already deleted.
+//
+// Versions. The kvstore coordinator stamps every write with a 64-bit
 // HLC-style version and the engine stores it as an 8-byte little-endian
 // prefix of the value bytes, so the WAL, SST, and manifest formats carry
 // versions without any change: a versioned record is an ordinary record
-// whose value happens to start with its version. PutVersioned applies a
-// last-write-wins guard — the check and the write share one critical
-// section, the same atomicity PutIfAbsent gives membership streaming — so a
-// read-repair write-back or a replayed hint can never clobber a newer value.
+// whose value happens to start with its version. A record with a non-zero
+// version lands only if the key's stored version is lower (last write wins;
+// absent and tombstoned keys always lose) — the check and the write share
+// one critical section, so a read-repair write-back, a replayed hint, or a
+// streamed pre-move value can never clobber a newer value. Version 0 means
+// unconditional: the record is stored without a prefix and without a guard.
+// The kvstore never sends it (every coordinated write is stamped); it serves
+// the engine's own unversioned API (Put, PutAll, Delete).
 //
 // Because the guard holds s.mu, a key's stored version is non-decreasing
 // over time, which means newest-run-wins (the engine's native shadowing
@@ -43,126 +61,31 @@ func SplitVersioned(raw []byte) (ver uint64, val []byte) {
 	return binary.LittleEndian.Uint64(raw), raw[VersionLen:]
 }
 
-// PutVersioned stores val under key at version ver if and only if the key's
-// current version is lower (absent and tombstoned keys always lose).
-// applied=false with a nil error means a value at ver or newer already
-// exists — success for idempotent writers like hint replay and read repair.
-// Durability semantics match Put: a nil return means the record's commit
-// group is on disk.
-func (s *Store) PutVersioned(key string, ver uint64, val []byte) (applied bool, err error) {
-	raw := make([]byte, 0, VersionLen+len(val))
-	raw = AppendVersioned(raw, ver, val)
-	return s.putRawNewer(key, ver, raw)
-}
-
-// PutRawIfNewer stores a raw version-prefixed value (as read back via
-// GetAppend or Get) under the same last-write-wins guard as PutVersioned.
-// Membership streaming and rebuild apply received values with it, so a
-// streamed pre-move value can never shadow a newer concurrent write. Raw
-// values without a prefix carry version 0: they apply only when the key is
-// absent, which is exactly the old PutIfAbsent contract.
-func (s *Store) PutRawIfNewer(key string, raw []byte) (applied bool, err error) {
-	ver, _ := SplitVersioned(raw)
-	cp := make([]byte, len(raw))
-	copy(cp, raw)
-	return s.putRawNewer(key, ver, cp)
-}
-
-// PutAllVersioned stores vals under keys at one shared version, applying the
-// same last-write-wins guard as PutVersioned per key. Winning records join a
-// single WAL commit group (one fsync for the whole batch, like PutAll); keys
-// whose stored version is already >= ver are skipped silently — idempotent
-// success, the contract batch hint replay and quorum batch writes rely on.
-func (s *Store) PutAllVersioned(keys []string, vals [][]byte, ver uint64) error {
-	cw, err := s.putAllVersionedStart(keys, vals, ver)
-	if err != nil {
-		return err
-	}
-	return waitCommit(cw)
-}
-
-// putAllVersionedStart is PutAllVersioned up to (not including) the commit
-// wait — the sharded store's overlap point, like putAllStart.
-func (s *Store) putAllVersionedStart(keys []string, vals [][]byte, ver uint64) (*walCommit, error) {
-	if len(keys) == 0 {
-		return nil, nil
-	}
-	total := 0
-	for _, v := range vals {
-		total += VersionLen + len(v)
-	}
-	arena := make([]byte, 0, total)
-	cps := make([][]byte, 0, len(keys))
-	wk := make([]string, 0, len(keys))
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
-	}
-	for i, k := range keys {
-		cur, present, err := s.versionLocked(k)
-		if err != nil {
-			s.mu.Unlock()
-			return nil, err
-		}
-		if present && cur >= ver {
-			continue
-		}
-		at := len(arena)
-		arena = AppendVersioned(arena, ver, vals[i])
-		cps = append(cps, arena[at:len(arena):len(arena)])
-		wk = append(wk, k)
-	}
-	if len(wk) == 0 {
-		s.mu.Unlock()
-		return nil, nil
-	}
-	var cw *walCommit
-	if s.wal != nil {
-		var err error
-		if cw, err = s.wal.addBatch(wk, cps, nil); err != nil {
-			s.mu.Unlock()
-			return nil, err
-		}
-	}
-	for i := range wk {
-		s.c.puts.Add(1)
-		s.putLocked(wk[i], cps[i])
-	}
-	s.mu.Unlock()
-	return cw, nil
-}
-
-// PutMulti applies a heterogeneous write batch in one WAL commit group:
-// record i lands under the last-write-wins guard at version vers[i] when
-// non-zero (stored version-prefixed, exactly PutVersioned) and
-// unconditionally raw when zero (exactly Put). Guard-skipped records are
-// silent idempotent successes. This is the per-shard writer's batch-apply
-// primitive: pipelined single-key writes drained from a shard's queue share
-// one group commit here instead of paying one each.
-func (s *Store) PutMulti(keys []string, vers []uint64, vals [][]byte) error {
-	cw, err := s.applyMultiStart(keys, vers, vals, nil)
-	if err != nil {
-		return err
-	}
-	return waitCommit(cw)
-}
-
-// ApplyMulti is PutMulti extended with deletes: record i with dels[i] set is
-// a version-guarded tombstone (vals[i] ignored) instead of a put, sharing the
-// batch's single WAL commit group. A guarded delete whose key already stores
-// a version >= vers[i] is skipped silently — the same idempotent contract as
-// guarded puts, so a replayed delete hint can never clobber a newer value.
+// ApplyMulti applies a write batch as one WAL commit group: record i is a put
+// of vals[i], or a tombstone when dels[i] is set (vals[i] ignored; dels may
+// be nil for all puts). A non-zero vers[i] stores the record version-prefixed
+// under the last-write-wins guard, and a record the guard rejects is skipped
+// silently — idempotent success, the contract hint replay, read repair and
+// membership streaming rely on. vers[i] == 0 applies unconditionally and
+// raw. A nil return in durable mode means the whole batch is on disk.
+//
+// A tombstone stores no version (versionLocked reports tombstoned keys
+// absent), so any later versioned write may land; the window this opens for
+// a delayed pre-delete write is documented in DESIGN.md.
 func (s *Store) ApplyMulti(keys []string, vers []uint64, vals [][]byte, dels []bool) error {
-	cw, err := s.applyMultiStart(keys, vers, vals, dels)
+	cw, err := s.apply(keys, vers, vals, dels)
 	if err != nil {
 		return err
 	}
 	return waitCommit(cw)
 }
 
-// applyMultiStart is ApplyMulti up to (not including) the commit wait.
-func (s *Store) applyMultiStart(keys []string, vers []uint64, vals [][]byte, dels []bool) (*walCommit, error) {
+// apply is ApplyMulti up to (not including) the commit wait, and the only
+// place the store is mutated: guard, WAL append, memtable insert, then the
+// flush decision, all in one critical section. A sharded store starts every
+// touched shard's sub-batch here before waiting on any of them, so the
+// shards' group commits overlap.
+func (s *Store) apply(keys []string, vers []uint64, vals [][]byte, dels []bool) (*walCommit, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
@@ -170,19 +93,20 @@ func (s *Store) applyMultiStart(keys []string, vers []uint64, vals [][]byte, del
 	for _, v := range vals {
 		total += VersionLen + len(v)
 	}
+	// Private copies of the surviving values, carved from one arena sized for
+	// the worst case so it never regrows under the slices handed out below.
+	// A nil copy is a tombstone — the memtable's and the WAL's convention.
 	arena := make([]byte, 0, total)
 	cps := make([][]byte, 0, len(keys))
 	wk := make([]string, 0, len(keys))
-	var wdel []bool
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
 	for i, k := range keys {
-		at := len(arena)
-		del := dels != nil && dels[i]
-		if ver := vers[i]; ver != 0 {
+		ver := vers[i]
+		if ver != 0 {
 			cur, present, err := s.versionLocked(k)
 			if err != nil {
 				s.mu.Unlock()
@@ -191,24 +115,18 @@ func (s *Store) applyMultiStart(keys []string, vers []uint64, vals [][]byte, del
 			if present && cur >= ver {
 				continue
 			}
-			if !del {
-				arena = AppendVersioned(arena, ver, vals[i])
-			}
-		} else if !del {
-			arena = append(arena, vals[i]...)
 		}
-		if del {
-			cps = append(cps, nil)
-		} else {
-			cps = append(cps, arena[at:len(arena):len(arena)])
+		var cp []byte
+		if dels == nil || !dels[i] {
+			at := len(arena)
+			if ver != 0 {
+				arena = binary.LittleEndian.AppendUint64(arena, ver)
+			}
+			arena = append(arena, vals[i]...)
+			cp = arena[at:len(arena):len(arena)]
 		}
 		wk = append(wk, k)
-		if del && wdel == nil {
-			wdel = make([]bool, len(wk)-1, len(keys))
-		}
-		if wdel != nil {
-			wdel = append(wdel, del)
-		}
+		cps = append(cps, cp)
 	}
 	if len(wk) == 0 {
 		s.mu.Unlock()
@@ -217,86 +135,25 @@ func (s *Store) applyMultiStart(keys []string, vers []uint64, vals [][]byte, del
 	var cw *walCommit
 	if s.wal != nil {
 		var err error
-		if cw, err = s.wal.addBatch(wk, cps, wdel); err != nil {
+		if cw, err = s.wal.addBatch(wk, cps); err != nil {
 			s.mu.Unlock()
 			return nil, err
 		}
 	}
-	for i := range wk {
-		if wdel != nil && wdel[i] {
-			s.c.deletes.Add(1)
-		} else {
-			s.c.puts.Add(1)
+	ndel := 0
+	for i, k := range wk {
+		if cps[i] == nil {
+			ndel++
 		}
-		s.putLocked(wk[i], cps[i])
+		s.putLocked(k, cps[i])
+	}
+	s.c.deletes.Add(uint64(ndel))
+	s.c.puts.Add(uint64(len(wk) - ndel))
+	if s.memB >= s.opts.FlushBytes {
+		s.flushLocked()
 	}
 	s.mu.Unlock()
 	return cw, nil
-}
-
-// DeleteVersioned removes key if and only if its current version is lower
-// than ver — the replica-side apply of a coordinated DELETE. applied=false
-// with a nil error means a newer value exists (idempotent success for hint
-// replay). The tombstone itself stores no version (versionLocked reports
-// tombstoned keys absent), so any later versioned write may land; the window
-// this opens for a delayed pre-delete write is documented in DESIGN.md and
-// closed by anti-entropy, not by this guard.
-func (s *Store) DeleteVersioned(key string, ver uint64) (applied bool, err error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return false, ErrClosed
-	}
-	cur, present, err := s.versionLocked(key)
-	if err != nil {
-		s.mu.Unlock()
-		return false, err
-	}
-	if ver != 0 && present && cur >= ver {
-		s.mu.Unlock()
-		return false, nil
-	}
-	var cw *walCommit
-	if s.wal != nil {
-		if cw, err = s.wal.add(walDel, key, nil); err != nil {
-			s.mu.Unlock()
-			return false, err
-		}
-	}
-	s.c.deletes.Add(1)
-	s.putLocked(key, nil)
-	s.mu.Unlock()
-	return true, waitCommit(cw)
-}
-
-// putRawNewer is the shared guarded write: cp must be a private copy of the
-// full version-prefixed value.
-func (s *Store) putRawNewer(key string, ver uint64, cp []byte) (bool, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return false, ErrClosed
-	}
-	cur, present, err := s.versionLocked(key)
-	if err != nil {
-		s.mu.Unlock()
-		return false, err
-	}
-	if present && cur >= ver {
-		s.mu.Unlock()
-		return false, nil
-	}
-	var cw *walCommit
-	if s.wal != nil {
-		if cw, err = s.wal.add(walPut, key, cp); err != nil {
-			s.mu.Unlock()
-			return false, err
-		}
-	}
-	s.c.puts.Add(1)
-	s.putLocked(key, cp)
-	s.mu.Unlock()
-	return true, waitCommit(cw)
 }
 
 // versionLocked reads the version of key's newest live record. present=false

@@ -23,26 +23,39 @@ func TestAppendSplitVersioned(t *testing.T) {
 	}
 }
 
-func TestPutVersionedLastWriteWins(t *testing.T) {
+// putV, delV and wantV drive single versioned records through ApplyMulti —
+// the store's one write entry — and assert the stored (version, payload).
+func putV(tb testing.TB, s *Store, key string, ver uint64, val string) {
+	tb.Helper()
+	if err := s.ApplyMulti([]string{key}, []uint64{ver}, [][]byte{[]byte(val)}, nil); err != nil {
+		tb.Fatalf("put %s@%d: %v", key, ver, err)
+	}
+}
+
+func delV(tb testing.TB, s *Store, key string, ver uint64) {
+	tb.Helper()
+	if err := s.ApplyMulti([]string{key}, []uint64{ver}, [][]byte{nil}, []bool{true}); err != nil {
+		tb.Fatalf("delete %s@%d: %v", key, ver, err)
+	}
+}
+
+func wantV(tb testing.TB, s *Store, key string, ver uint64, val string) {
+	tb.Helper()
+	out, got, ok := s.GetVersioned(nil, key)
+	if !ok || got != ver || string(out) != val {
+		tb.Fatalf("GetVersioned(%s) = %q, %d, %v; want %q at %d", key, out, got, ok, val, ver)
+	}
+}
+
+func TestApplyLastWriteWins(t *testing.T) {
 	s := mustOpen(t, Options{})
-	if ok, err := s.PutVersioned("k", 10, []byte("ten")); err != nil || !ok {
-		t.Fatalf("first write: %v, %v", ok, err)
-	}
+	putV(t, s, "k", 10, "ten")
 	// Older and equal versions lose silently — idempotent success.
-	if ok, err := s.PutVersioned("k", 9, []byte("nine")); err != nil || ok {
-		t.Fatalf("older write applied: %v, %v", ok, err)
-	}
-	if ok, err := s.PutVersioned("k", 10, []byte("ten2")); err != nil || ok {
-		t.Fatalf("equal write applied: %v, %v", ok, err)
-	}
-	out, ver, ok := s.GetVersioned(nil, "k")
-	if !ok || ver != 10 || string(out) != "ten" {
-		t.Fatalf("GetVersioned = %q, %d, %v", out, ver, ok)
-	}
+	putV(t, s, "k", 9, "nine")
+	putV(t, s, "k", 10, "ten2")
+	wantV(t, s, "k", 10, "ten")
 	// Newer wins.
-	if ok, err := s.PutVersioned("k", 11, []byte("eleven")); err != nil || !ok {
-		t.Fatalf("newer write: %v, %v", ok, err)
-	}
+	putV(t, s, "k", 11, "eleven")
 	if ver, ok := s.Version("k"); !ok || ver != 11 {
 		t.Fatalf("Version = %d, %v", ver, ok)
 	}
@@ -50,81 +63,49 @@ func TestPutVersionedLastWriteWins(t *testing.T) {
 		t.Fatal("Version(missing) reported present")
 	}
 	// Tombstoned keys always lose their version: any write applies.
-	s.Delete("k")
-	if ok, err := s.PutVersioned("k", 1, []byte("reborn")); err != nil || !ok {
-		t.Fatalf("write over tombstone: %v, %v", ok, err)
-	}
-	if v, _, ok := s.GetVersioned(nil, "k"); !ok || string(v) != "reborn" {
-		t.Fatalf("after tombstone = %q, %v", v, ok)
-	}
+	mustDelete(t, s, "k")
+	putV(t, s, "k", 1, "reborn")
+	wantV(t, s, "k", 1, "reborn")
+	// A raw version-prefixed value split back into (version, payload) — what
+	// membership streaming applies — is the same record under the same guard.
+	ver, payload := SplitVersioned(AppendVersioned(nil, 20, []byte("streamed")))
+	putV(t, s, "k", ver, string(payload))
+	wantV(t, s, "k", 20, "streamed")
 }
 
 func TestVersionGuardAcrossFlush(t *testing.T) {
 	s := mustOpen(t, Options{})
-	if _, err := s.PutVersioned("k", 5, []byte("five")); err != nil {
-		t.Fatal(err)
-	}
+	putV(t, s, "k", 5, "five")
 	s.Flush() // guard must read the version out of the run, not the memtable
-	if ok, _ := s.PutVersioned("k", 4, []byte("four")); ok {
-		t.Fatal("older write applied over flushed newer value")
-	}
-	if ok, _ := s.PutVersioned("k", 6, []byte("six")); !ok {
-		t.Fatal("newer write rejected over flushed older value")
-	}
-	if out, ver, ok := s.GetVersioned(nil, "k"); !ok || ver != 6 || string(out) != "six" {
-		t.Fatalf("GetVersioned = %q, %d, %v", out, ver, ok)
-	}
+	putV(t, s, "k", 4, "four")
+	wantV(t, s, "k", 5, "five")
+	putV(t, s, "k", 6, "six")
+	wantV(t, s, "k", 6, "six")
+	// A flushed tombstone counts as absent, like a memtable one.
+	mustDelete(t, s, "k")
+	s.Flush()
+	putV(t, s, "k", 1, "reborn")
+	wantV(t, s, "k", 1, "reborn")
 }
 
-func TestPutRawIfNewer(t *testing.T) {
+func TestApplyMultiGuardsPerKey(t *testing.T) {
 	s := mustOpen(t, Options{})
-	newer := AppendVersioned(nil, 20, []byte("new"))
-	older := AppendVersioned(nil, 19, []byte("old"))
-	if ok, err := s.PutRawIfNewer("k", newer); err != nil || !ok {
-		t.Fatalf("first raw put: %v, %v", ok, err)
-	}
-	if ok, err := s.PutRawIfNewer("k", older); err != nil || ok {
-		t.Fatalf("older raw put applied: %v, %v", ok, err)
-	}
-	if out, ver, _ := s.GetVersioned(nil, "k"); ver != 20 || string(out) != "new" {
-		t.Fatalf("value = %q at %d", out, ver)
-	}
-	// Prefix-less raw values carry version 0: the old PutIfAbsent contract.
-	if ok, _ := s.PutRawIfNewer("fresh", []byte("x")); !ok {
-		t.Fatal("raw put on absent key rejected")
-	}
-	if ok, _ := s.PutRawIfNewer("fresh", []byte("y")); ok {
-		t.Fatal("version-0 raw put applied over a live key")
-	}
-}
-
-func TestPutAllVersionedGuardsPerKey(t *testing.T) {
-	s := mustOpen(t, Options{})
-	if _, err := s.PutVersioned("b", 100, []byte("newer")); err != nil {
-		t.Fatal(err)
-	}
+	putV(t, s, "b", 100, "newer")
 	keys := []string{"a", "b", "c"}
 	vals := [][]byte{[]byte("va"), []byte("vb"), []byte("vc")}
-	if err := s.PutAllVersioned(keys, vals, 50); err != nil {
+	if err := s.ApplyMulti(keys, []uint64{50, 50, 50}, vals, nil); err != nil {
 		t.Fatal(err)
 	}
 	// a and c applied at 50; b kept its newer value.
-	for _, k := range []string{"a", "c"} {
-		if _, ver, ok := s.GetVersioned(nil, k); !ok || ver != 50 {
-			t.Fatalf("%s version = %d, %v", k, ver, ok)
-		}
-	}
-	if out, ver, _ := s.GetVersioned(nil, "b"); ver != 100 || string(out) != "newer" {
-		t.Fatalf("b = %q at %d", out, ver)
-	}
+	wantV(t, s, "a", 50, "va")
+	wantV(t, s, "c", 50, "vc")
+	wantV(t, s, "b", 100, "newer")
 	// A batch where every key loses is a silent no-op.
-	if err := s.PutAllVersioned(keys, vals, 10); err != nil {
+	if err := s.ApplyMulti(keys, []uint64{10, 10, 10}, vals, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, ver, _ := s.GetVersioned(nil, "a"); ver != 50 {
-		t.Fatalf("a clobbered to %d", ver)
-	}
-	if err := s.PutAllVersioned(nil, nil, 1); err != nil {
+	wantV(t, s, "a", 50, "va")
+	if err := s.ApplyMulti(nil, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -132,27 +113,18 @@ func TestPutAllVersionedGuardsPerKey(t *testing.T) {
 func TestVersionedSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, Options{Dir: dir})
-	if _, err := s.PutVersioned("k", 30, []byte("thirty")); err != nil {
-		t.Fatal(err)
-	}
+	putV(t, s, "k", 30, "thirty")
 	s.Flush() // version guard via SST, including the file-backed prefix read
-	if _, err := s.PutVersioned("wal-only", 7, []byte("seven")); err != nil {
-		t.Fatal(err)
-	}
+	putV(t, s, "wal-only", 7, "seven")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	s = mustOpen(t, Options{Dir: dir})
 	defer s.Close()
-	if out, ver, ok := s.GetVersioned(nil, "k"); !ok || ver != 30 || string(out) != "thirty" {
-		t.Fatalf("recovered k = %q, %d, %v", out, ver, ok)
-	}
-	if _, ver, ok := s.GetVersioned(nil, "wal-only"); !ok || ver != 7 {
-		t.Fatalf("recovered wal-only version = %d, %v", ver, ok)
-	}
-	if ok, _ := s.PutVersioned("k", 29, []byte("late")); ok {
-		t.Fatal("older write applied after recovery")
-	}
+	wantV(t, s, "k", 30, "thirty")
+	wantV(t, s, "wal-only", 7, "seven")
+	putV(t, s, "k", 29, "late")
+	wantV(t, s, "k", 30, "thirty")
 }
 
 func TestSidecarLogRoundtripAndTruncate(t *testing.T) {
@@ -202,53 +174,35 @@ func TestSidecarLogRoundtripAndTruncate(t *testing.T) {
 	}
 }
 
-func TestDeleteVersionedGuard(t *testing.T) {
+func TestDeleteGuard(t *testing.T) {
 	s := mustOpen(t, Options{})
-	if _, err := s.PutVersioned("k", 10, []byte("ten")); err != nil {
-		t.Fatal(err)
-	}
-	// An older delete loses to the stored version — idempotent no-op.
-	if applied, err := s.DeleteVersioned("k", 9); err != nil || applied {
-		t.Fatalf("older delete applied: %v, %v", applied, err)
-	}
-	if _, _, ok := s.GetVersioned(nil, "k"); !ok {
-		t.Fatal("older delete removed the key")
-	}
-	// An equal delete loses too (>= guard, same as PutVersioned).
-	if applied, _ := s.DeleteVersioned("k", 10); applied {
-		t.Fatal("equal-version delete applied")
+	putV(t, s, "k", 10, "ten")
+	// An older delete loses to the stored version — idempotent no-op — and
+	// so does an equal one (>= guard, same as puts).
+	delV(t, s, "k", 9)
+	delV(t, s, "k", 10)
+	wantV(t, s, "k", 10, "ten")
+	if s.Stats().Deletes != 0 {
+		t.Fatal("guard-skipped delete counted as applied")
 	}
 	// A newer delete wins.
-	if applied, err := s.DeleteVersioned("k", 11); err != nil || !applied {
-		t.Fatalf("newer delete: %v, %v", applied, err)
-	}
-	if _, ok := s.Get("k"); ok {
-		t.Fatal("key readable after newer delete")
-	}
-	// Deleting an absent key is an applied no-op (tombstone written).
-	if applied, err := s.DeleteVersioned("ghost", 5); err != nil || !applied {
-		t.Fatalf("delete of absent key: %v, %v", applied, err)
+	delV(t, s, "k", 11)
+	wantGet(t, s, "k", "")
+	// Deleting an absent key writes a tombstone all the same.
+	delV(t, s, "ghost", 5)
+	if got := s.Stats().Deletes; got != 2 {
+		t.Fatalf("Deletes = %d, want 2", got)
 	}
 	// Version-0 deletes are unconditional, matching the ver==0 put contract.
-	if _, err := s.PutVersioned("u", 99, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if applied, err := s.DeleteVersioned("u", 0); err != nil || !applied {
-		t.Fatalf("unversioned delete: %v, %v", applied, err)
-	}
-	if _, ok := s.Get("u"); ok {
-		t.Fatal("key readable after unversioned delete")
-	}
+	putV(t, s, "u", 99, "v")
+	mustDelete(t, s, "u")
+	wantGet(t, s, "u", "")
 }
 
 func TestApplyMultiMixedPutsAndDeletes(t *testing.T) {
 	s := mustOpen(t, Options{})
-	if _, err := s.PutVersioned("old", 100, []byte("keep")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.PutVersioned("gone", 1, []byte("bye")); err != nil {
-		t.Fatal(err)
-	}
+	putV(t, s, "old", 100, "keep")
+	putV(t, s, "gone", 1, "bye")
 	keys := []string{"a", "gone", "old", "b"}
 	vers := []uint64{5, 6, 50, 0}
 	vals := [][]byte{[]byte("va"), nil, []byte("late"), []byte("vb")}
@@ -257,40 +211,26 @@ func TestApplyMultiMixedPutsAndDeletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Put applied, delete applied, guarded put skipped — one commit group.
-	if v, ver, ok := s.GetVersioned(nil, "a"); !ok || ver != 5 || string(v) != "va" {
-		t.Fatalf("a = %q, %d, %v", v, ver, ok)
-	}
-	if _, ok := s.Get("gone"); ok {
-		t.Fatal("deleted key still readable")
-	}
-	if v, ver, _ := s.GetVersioned(nil, "old"); ver != 100 || string(v) != "keep" {
-		t.Fatalf("guarded key clobbered: %q at %d", v, ver)
-	}
-	if v, ok := s.Get("b"); !ok || string(v) != "vb" {
-		t.Fatalf("b = %q, %v", v, ok)
-	}
-	if s.Stats().Deletes == 0 {
-		t.Fatal("delete not counted")
+	wantV(t, s, "a", 5, "va")
+	wantGet(t, s, "gone", "")
+	wantV(t, s, "old", 100, "keep")
+	wantGet(t, s, "b", "vb") // version 0: stored raw, no prefix
+	if st := s.Stats(); st.Deletes != 1 || st.Puts != 4 {
+		t.Fatalf("Stats = %d puts, %d deletes; want 4, 1", st.Puts, st.Deletes)
 	}
 }
 
 func TestApplyMultiDeletesSurviveReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, Options{Dir: dir})
-	if _, err := s.PutVersioned("k", 1, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ApplyMulti([]string{"k"}, []uint64{2}, [][]byte{nil}, []bool{true}); err != nil {
-		t.Fatal(err)
-	}
+	putV(t, s, "k", 1, "v")
+	delV(t, s, "k", 2)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	s = mustOpen(t, Options{Dir: dir})
 	defer s.Close()
-	if _, ok := s.Get("k"); ok {
-		t.Fatal("batched delete lost across reopen")
-	}
+	wantGet(t, s, "k", "")
 }
 
 // TestMissVsEmpty pins the three distinct read outcomes the RESP gateway

@@ -20,9 +20,9 @@ import (
 //
 // Everything is little-endian. A record is valid only when its CRC matches,
 // so recovery can detect a torn tail (a crash mid-write) and truncate it.
-// Records after a torn record were never acked — Put does not return until
-// the group fsync covering its record succeeds — so truncation never drops
-// an acknowledged write.
+// Records after a torn record were never acked — a write does not return
+// until the group fsync covering its batch succeeds — so truncation never
+// drops an acknowledged write.
 //
 // walDelHint never appears in a store WAL: it exists for sidecar logs (the
 // kvstore hint queues) whose tombstone records must carry a value section —
@@ -158,9 +158,11 @@ func appendWALRecord(b []byte, op byte, key string, val []byte) []byte {
 	return b
 }
 
-// add encodes a record into the open commit group and returns the group.
-// The caller waits on it with waitCommit after releasing the store lock.
-func (w *wal) add(op byte, key string, val []byte) (*walCommit, error) {
+// addBatch encodes a batch of records into the open commit group and returns
+// the group — one fsync for the batch regardless of size. A nil value logs a
+// tombstone. The caller waits on the group with waitCommit after releasing
+// the store lock.
+func (w *wal) addBatch(keys []string, vals [][]byte) (*walCommit, error) {
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
@@ -171,34 +173,12 @@ func (w *wal) add(op byte, key string, val []byte) (*walCommit, error) {
 		w.mu.Unlock()
 		return nil, err
 	}
-	w.buf = appendWALRecord(w.buf, op, key, val)
-	w.appds.Add(1)
-	cw := w.openGroupLocked()
-	w.mu.Unlock()
-	w.kickCommitter()
-	return cw, nil
-}
-
-// addBatch is add for a batch of records: all join one commit group, so a
-// MultiPut pays one fsync regardless of size. dels marks records to log as
-// tombstones (nil means all puts).
-func (w *wal) addBatch(keys []string, vals [][]byte, dels []bool) (*walCommit, error) {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if w.werr != nil {
-		err := w.werr
-		w.mu.Unlock()
-		return nil, err
-	}
-	for i := range keys {
+	for i, k := range keys {
 		op := walPut
-		if dels != nil && dels[i] {
+		if vals[i] == nil {
 			op = walDel
 		}
-		w.buf = appendWALRecord(w.buf, op, keys[i], vals[i])
+		w.buf = appendWALRecord(w.buf, op, k, vals[i])
 	}
 	w.appds.Add(uint64(len(keys)))
 	cw := w.openGroupLocked()
