@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race crash lint vet cover bench spine clean
+.PHONY: build test race crash lint vet cover bench spine loc clean
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,11 @@ bench:
 # benchmark/bench.sh compare A/result.json B/result.json.
 spine:
 	benchmark/run.sh
+
+# Non-test, non-blank, non-comment Go lines per package — the figure a
+# simplification is judged by. PKG narrows it: make loc PKG=internal/kvstore
+loc:
+	./scripts/loc.sh $(PKG)
 
 clean:
 	rm -rf bin

@@ -1,9 +1,7 @@
 package kvstore
 
 import (
-	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"c3/internal/core"
@@ -12,17 +10,19 @@ import (
 	"c3/internal/wire"
 )
 
-// This file is the coordinator half of the batch path (MultiGet/MultiPut):
-// scatter-gather over replica-group sub-batches.
+// This file is the coordinator half of the batch read path (MultiGet):
+// scatter-gather over replica-group sub-batches. Batch writes (MultiPut) go
+// through the one write coordinator, coordinateWrite in writepath.go, which
+// treats a point write as a batch of one.
 //
 // A client batch of K keys is partitioned by the ring into at most
 // min(K, groups) sub-batches. Each sub-batch is ranked and admitted through
 // the shared selector as ONE rate-limited RPC carrying n keys — the limiter
 // paces frames, the ranker's outstanding accounting moves by n (PickBatch) —
-// and coalesced into one MsgBatchReadInternal/MsgBatchWriteInternal frame to
-// the chosen replica: one pooled call record, one enqueue, one flush
-// opportunity. Sub-batches scatter concurrently; the gather assembles per-key
-// results in client order.
+// and coalesced into one MsgBatchReadInternal frame to the chosen replica:
+// one pooled call record, one enqueue, one flush opportunity. Sub-batches
+// scatter concurrently; the gather assembles per-key results in client
+// order.
 //
 // Stragglers reuse the PR 3 escalation ladder per sub-batch: an adaptive
 // hedge to the next-ranked untried replica after srtt+3.5·rttvar, immediate
@@ -32,10 +32,9 @@ import (
 // by exactly one OnResponseN (real feedback or the failure penalty, weight n)
 // or OnAbandonN (own shutdown).
 
-// subBatch is one replica group's slice of a client batch: the keys bound for
-// that group, their positions in the client batch, and — once the scatter
-// resolves — the per-key results. Reads fill found/offs/vbuf; writes fill
-// oks.
+// subBatch is one replica group's slice of a client batch read: the keys
+// bound for that group, their positions in the client batch, and — once the
+// scatter resolves — the per-key results.
 type subBatch struct {
 	group []core.ServerID
 	keys  []string
@@ -57,11 +56,6 @@ type subBatch struct {
 	offs  []int
 	vers  []uint64
 	vbuf  *[]byte
-
-	// Write-only state: the sub-batch's values (aliasing the batch's value
-	// arena) and the per-key acks (≥1 replica applied the key).
-	wvals [][]byte
-	oks   []bool
 }
 
 // subRef locates one client-batch key inside the partition.
@@ -544,192 +538,4 @@ func (n *Node) respondCoordBatchRead(cw *connWriter, id uint64, cl uint8, keys [
 	}
 	*fb = b
 	cw.enqueue(fb)
-}
-
-// runWriteSub fans one write sub-batch — stamped with the batch's shared
-// version — to every replica of its group and accumulates per-key ack counts:
-// key i of the sub-batch succeeds once `need` replicas applied it. The loop
-// returns as soon as every key has its quorum (stragglers drain via the
-// buffered channel); an unreachable replica's share of the sub-batch is
-// banked as hints. release is the value-arena refcount, called once per
-// replica attempt after its encode/apply no longer needs the values.
-func (n *Node) runWriteSub(sb *subBatch, need int, ver uint64, release func()) {
-	nk := len(sb.keys)
-	acks := make(chan []bool, len(sb.group))
-	for _, s := range sb.group {
-		s := s
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			defer release()
-			if s == n.id {
-				if n.applyClientBatch(sb.keys, ver, sb.wvals) != nil {
-					acks <- nil
-					return
-				}
-				acks <- allOK[:nk]
-				return
-			}
-			p, err := n.peer(s)
-			if err != nil {
-				// The replica is unreachable: bank the whole sub-batch (the
-				// copies happen before release()).
-				n.hintValues(s, ver, sb.keys, sb.wvals)
-				acks <- nil
-				return
-			}
-			oks, _, _, err := p.batchWrite(wire.MsgBatchWriteInternal, 0, ver, sb.keys, sb.wvals, nil)
-			if err != nil || len(oks) != nk {
-				if err != nil {
-					n.hintValues(s, ver, sb.keys, sb.wvals)
-				}
-				acks <- nil
-				return
-			}
-			acks <- oks
-		}()
-	}
-	counts := make([]int, nk)
-	sb.oks = make([]bool, nk)
-	for resolved := 0; resolved < len(sb.group); resolved++ {
-		oks := <-acks
-		if oks == nil {
-			continue
-		}
-		all := true
-		for i, ok := range oks {
-			if !ok {
-				all = false
-				continue
-			}
-			if counts[i]++; counts[i] >= need {
-				sb.oks[i] = true
-			} else {
-				all = false
-			}
-		}
-		if all {
-			return // every key at its level; stragglers drain in the background
-		}
-	}
-}
-
-// respondCoordBatchWrite coordinates a client batch write at the requested
-// level and enqueues the per-key acks. See coordinateBatchWrite for the
-// coordination and ownership contract.
-func (n *Node) respondCoordBatchWrite(cw *connWriter, id uint64, cl uint8, keys []string, vals [][]byte, arena *[]byte) {
-	oks, status := n.coordinateBatchWrite(cl, keys, vals, arena)
-	if oks == nil {
-		oks = allFail[:len(keys)]
-	}
-	fb := getBuf()
-	b, err := wire.AppendBatchWriteResp((*fb)[:0], wire.BatchWriteResp{
-		ID: id, Status: status, OK: oks, FB: n.feedback()})
-	if err != nil {
-		putBuf(fb)
-		cw.sever(err)
-		return
-	}
-	*fb = b
-	cw.enqueue(fb)
-}
-
-// coordinateBatchWrite coordinates a batch write at the requested level: one
-// coordinator stamp covers the whole batch, each sub-batch fans to its
-// replica group, and key i acks (oks[i]) only when the level's W replicas
-// applied it. A nil oks with a non-OK status is a wholesale refusal (every
-// key failed). arena is the pooled buffer backing vals, recycled once every
-// replica attempt of every sub-batch is done with the values — ownership
-// transfers on entry, including on refusal. The RESP gateway's MSET calls
-// this directly; the wire path wraps it in respondCoordBatchWrite.
-func (n *Node) coordinateBatchWrite(cl uint8, keys []string, vals [][]byte, arena *[]byte) ([]bool, uint8) {
-	t := n.topo.Load()
-	subs, where := n.partitionBatch(t, keys)
-	// W is computed per sub-batch over the steady-state owner group — before
-	// any dual-route extension widens the fan — so R+W>N holds against quorum
-	// reads of the same ring (see coordinateWrite).
-	needs := make([]int, len(subs))
-	for i, sb := range subs {
-		needs[i] = 1
-		if cl != wire.LevelOne {
-			needs[i] = Level(cl).required(len(sb.group))
-		}
-	}
-	if t.prev != nil {
-		// Dual-route window: extend each sub-batch's write fan to the union
-		// of old and new owners of its keys, mirroring coordinateWrite.
-		for _, sb := range subs {
-			for _, k := range sb.keys {
-				for _, s := range t.v.Ring().ReplicasFor([]byte(k), nil) {
-					if !slices.Contains(sb.group, s) {
-						sb.group = append(sb.group, s)
-					}
-				}
-			}
-		}
-	}
-	if cl != wire.LevelOne {
-		// Bounded handoff debt, batch flavor: refuse deterministically when a
-		// covered replica is down and its hint queue is already full.
-		for _, sb := range subs {
-			for _, s := range sb.group {
-				if s == n.id || !n.hintFull(s) {
-					continue
-				}
-				if _, up := n.peerReady(s); !up {
-					n.quorumFails.Add(1)
-					putBuf(arena)
-					return nil, wire.StatusQuorumUnavailable
-				}
-			}
-		}
-	}
-	ver := n.stampVersion()
-	total := 0
-	for _, sb := range subs {
-		sb.wvals = make([][]byte, len(sb.keys))
-		for j, p := range sb.pos {
-			sb.wvals[j] = vals[p]
-		}
-		total += len(sb.group)
-	}
-	remaining := new(atomic.Int32)
-	remaining.Store(int32(total))
-	release := func() {
-		if remaining.Add(-1) == 0 {
-			putBuf(arena)
-		}
-	}
-	if len(subs) == 1 {
-		n.runWriteSub(subs[0], needs[0], ver, release)
-	} else {
-		var wg sync.WaitGroup
-		for i, sb := range subs {
-			i, sb := i, sb
-			wg.Add(1)
-			n.wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer n.wg.Done()
-				n.runWriteSub(sb, needs[i], ver, release)
-			}()
-		}
-		wg.Wait()
-	}
-	status := wire.StatusOK
-	oks := make([]bool, len(keys))
-	for i := range keys {
-		ref := where[i]
-		oks[i] = ref.sb.oks[ref.j]
-		if !oks[i] {
-			n.writeFails.Add(1)
-			if cl != wire.LevelOne {
-				status = wire.StatusQuorumUnavailable
-			}
-		}
-	}
-	if status != wire.StatusOK {
-		n.quorumFails.Add(1)
-	}
-	return oks, status
 }

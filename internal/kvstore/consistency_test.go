@@ -186,7 +186,12 @@ func TestQuorumUnavailableTypedErrors(t *testing.T) {
 	if _, _, err := cl.GetAt("pre", One); err != nil {
 		t.Fatalf("CL=ONE read with majority down: %v", err)
 	}
-	// Batch flavor: every key of a quorum MultiPut fails the level.
+	// Batch flavor: every key of a quorum MultiPut fails the level. The
+	// coordinator's own replica still applies every key, so none of them is
+	// a write no replica acknowledged: the request counts one quorum
+	// failure and no write failure.
+	coord := c.Nodes[0]
+	writeFails, quorumFails := coord.WriteFailures(), coord.QuorumFailures()
 	oks, err := cl.MultiPutAt([]string{"b1", "b2"}, [][]byte{[]byte("v"), []byte("v")}, Quorum)
 	if !errors.Is(err, ErrQuorumUnavailable) {
 		t.Fatalf("quorum MultiPut with majority down: err = %v", err)
@@ -196,11 +201,22 @@ func TestQuorumUnavailableTypedErrors(t *testing.T) {
 			t.Fatalf("key %d acked at quorum with majority down", i)
 		}
 	}
+	if got := coord.QuorumFailures(); got <= quorumFails {
+		t.Fatalf("quorum failures %d -> %d: the failed batch was not counted", quorumFails, got)
+	}
+	waitFor(t, 5*time.Second, "the local replica to apply the batch", func() bool {
+		return coord.Store().Has("b1") && coord.Store().Has("b2")
+	})
+	if got := coord.WriteFailures(); got != writeFails {
+		t.Fatalf("write failures %d -> %d: keys the coordinator's own replica applied were counted as unacknowledged", writeFails, got)
+	}
 }
 
 // TestHintedHandoffHealsDownReplica: writes toward a crashed replica are
 // banked on the coordinators and replayed once the replica returns; the
-// replica converges without a single read.
+// replica converges without a single read. Half the keys are point Puts and
+// half one MultiPut, whose leg toward the dead replica banks the whole
+// sub-batch.
 func TestHintedHandoffHealsDownReplica(t *testing.T) {
 	c, err := StartCluster(3, Config{Seed: 26})
 	if err != nil {
@@ -216,11 +232,20 @@ func TestHintedHandoffHealsDownReplica(t *testing.T) {
 
 	c.Nodes[2].Crash()
 	const nKeys = 20
+	var batchKeys []string
+	var batchVals [][]byte
 	for i := 0; i < nKeys; i++ {
 		k := fmt.Sprintf("hint-%d", i)
+		if i >= nKeys/2 {
+			batchKeys, batchVals = append(batchKeys, k), append(batchVals, []byte("v-"+k))
+			continue
+		}
 		if err := cl.Put(k, []byte("v-"+k)); err != nil {
 			t.Fatalf("Put(%s): %v", k, err)
 		}
+	}
+	if _, err := cl.MultiPut(batchKeys, batchVals); err != nil {
+		t.Fatalf("MultiPut: %v", err)
 	}
 	// The failed fan-out legs bank hints on the two live coordinators.
 	waitFor(t, 5*time.Second, "hints banked", func() bool {

@@ -15,11 +15,12 @@ import (
 // Command → path mapping:
 //
 //	GET   → coordinateRead (ONE) / coordinateQuorumRead (QUORUM, ALL)
-//	SET   → coordinateWriteSync: the full replicated write fan-out,
-//	        version-stamped, hint-banked on transport failure
-//	DEL   → the same write fan-out with the tombstone flag set
+//	SET   → coordinateWrite, the one write coordinator, plus a wait
+//	        (writeSync): the full replicated write fan-out, version-stamped,
+//	        hint-banked on transport failure
+//	DEL   → the same write with the tombstone flag set
 //	MGET  → coordinateBatchRead: the scatter-gather batch path
-//	MSET  → coordinateBatchWrite under one shared version stamp
+//	MSET  → the same coordinator and wait, one version stamp for the batch
 //
 // Ownership: resp hands the adapter arguments aliasing its parse arena, so
 // every key is cloned to a durable string and every value is copied into a
@@ -134,18 +135,27 @@ func (b *respBackend) write(key, val []byte, del bool) error {
 	if err := checkKV(key, val); err != nil {
 		return err
 	}
-	n := b.n
 	vb := getBuf()
 	*vb = append((*vb)[:0], val...)
-	m := wire.WriteReq{CL: uint8(b.lvl), Key: string(key), Value: *vb, Del: del}
-	out := n.coordinateWriteSync(m, vb)
-	if !out.OK {
-		if err := writeStatusErr(out.Status); err != nil {
-			return err
-		}
-		return ErrWriteFailed
+	return b.writeSync(pointGather(string(key), *vb, del, vb))
+}
+
+// writeSync runs the one write coordinator and waits for its decision: a
+// RESP reply is synchronous by protocol, so the gateway's write is the async
+// path plus a wait on a 1-buffered channel. Legs may outlive the decision,
+// so the gather — not this return — releases the value buffer.
+func (b *respBackend) writeSync(g *writeGather) error {
+	done := make(chan wire.WriteResp, 1)
+	g.done = done
+	b.n.coordinateWrite(g, b.lvl)
+	out := <-done
+	if out.OK {
+		return nil
 	}
-	return nil
+	if err := writeStatusErr(out.Status); err != nil {
+		return err
+	}
+	return ErrWriteFailed
 }
 
 // MGet coordinates a batch read; vals[i]/found[i] report keys[i]. A missing
@@ -192,16 +202,7 @@ func (b *respBackend) MSet(keys, vals [][]byte) error {
 		sk[i] = string(k)
 	}
 	cp, arena := cloneValues(vals)
-	oks, status := b.n.coordinateBatchWrite(uint8(b.lvl), sk, cp, arena)
-	if err := writeStatusErr(status); err != nil {
-		return err
-	}
-	for _, ok := range oks {
-		if !ok {
-			return ErrWriteFailed
-		}
-	}
-	return nil
+	return b.writeSync(batchGather(sk, cp, arena))
 }
 
 // Info renders the node's stats snapshot as a RESP INFO-style text block.

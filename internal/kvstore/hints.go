@@ -12,7 +12,6 @@ import (
 
 	"c3/internal/core"
 	"c3/internal/lsm"
-	"c3/internal/wire"
 )
 
 // Hinted handoff (Cassandra §2: writes toward a down replica are banked on
@@ -323,23 +322,16 @@ func (h *hintStore) close() {
 	h.files = make(map[core.ServerID]*os.File)
 }
 
-// hintWrite banks the write in m toward an unreachable replica, if handoff is
-// enabled and the target's queue has room. m.Value may alias a pooled buffer;
-// add copies it synchronously.
-func (n *Node) hintWrite(s core.ServerID, m wire.WriteReq) {
-	if n.hints == nil {
-		return
-	}
-	n.hints.add(s, m.Key, m.Version, m.Value, m.Del)
-}
-
-// hintValues banks one hint per key of a failed sub-batch write.
-func (n *Node) hintValues(s core.ServerID, ver uint64, keys []string, vals [][]byte) {
+// hintWrite banks a write leg that never reached replica s — one hint per
+// key, all under the coordinator's stamp ver — if handoff is enabled and the
+// target's queue has room. vals may alias a pooled buffer; add copies them
+// synchronously.
+func (n *Node) hintWrite(s core.ServerID, keys []string, ver uint64, vals [][]byte, del bool) {
 	if n.hints == nil {
 		return
 	}
 	for i := range keys {
-		n.hints.add(s, keys[i], ver, vals[i], false)
+		n.hints.add(s, keys[i], ver, vals[i], del)
 	}
 }
 

@@ -195,7 +195,7 @@ type Node struct {
 	coord       atomic.Uint64 // reads coordinated by this node
 	waited      atomic.Uint64 // reads that hit backpressure at this coordinator
 	hedgeWins   atomic.Uint64 // reads answered by their hedge, not their primary
-	writeFails  atomic.Uint64 // coordinated writes no replica acknowledged
+	writeFails  atomic.Uint64 // coordinated keys no replica acknowledged
 	repairs     atomic.Uint64 // version-guarded read-repair write-backs issued
 	quorumFails atomic.Uint64 // coordinated ops that missed their consistency level
 
@@ -422,7 +422,8 @@ func (n *Node) HedgesIssued() uint64 { return n.sels.HedgesSent() }
 // rather than their primary replica.
 func (n *Node) HedgeWins() uint64 { return n.hedgeWins.Load() }
 
-// WriteFailures reports coordinated writes that no replica acknowledged.
+// WriteFailures reports coordinated writes that no replica acknowledged,
+// counting each key of a batch.
 func (n *Node) WriteFailures() uint64 { return n.writeFails.Load() }
 
 // OutstandingToward reports the selector's in-flight accounting toward a
@@ -585,15 +586,15 @@ func (n *Node) serveConn(conn net.Conn) {
 			if err != nil {
 				return
 			}
-			// Handled inline: launchCoordWrite only dispatches legs (shard
+			// Handled inline: coordinateWrite only dispatches legs (shard
 			// queues, async RPCs) and returns; the ack is enqueued by the
 			// leg that decides the level. The key is retained by the gather
 			// and possibly the memtable, so it must be cloned.
-			m.Key = strings.Clone(m.Key)
 			vb := getBuf()
 			*vb = append((*vb)[:0], m.Value...)
-			m.Value = *vb
-			n.launchCoordWrite(cw, m, vb)
+			g := pointGather(strings.Clone(m.Key), *vb, m.Del, vb)
+			g.cw, g.id = cw, m.ID
+			n.coordinateWrite(g, Level(m.CL))
 		case wire.MsgWriteInternal:
 			m, err := wire.ParseWriteReq(payload)
 			if err != nil {
@@ -653,14 +654,12 @@ func (n *Node) serveConn(conn net.Conn) {
 				return
 			}
 			bkeys, bvals = m.Keys, m.Values
-			keys := cloneKeys(m.Keys)
+			// Handled inline like MsgWrite, over copies that outlive the
+			// frame buffer.
 			vals, arena := cloneValues(m.Values)
-			id, cl := m.ID, m.CL
-			n.wg.Add(1)
-			go func() {
-				defer n.wg.Done()
-				n.respondCoordBatchWrite(cw, id, cl, keys, vals, arena)
-			}()
+			g := batchGather(cloneKeys(m.Keys), vals, arena)
+			g.cw, g.id = cw, m.ID
+			n.coordinateWrite(g, Level(m.CL))
 		case wire.MsgBatchWriteInternal:
 			m, err := wire.ParseBatchWriteReq(payload, bkeys[:0], bvals[:0])
 			if err != nil {
@@ -1662,14 +1661,6 @@ func (n *Node) rpcRead(id core.ServerID, m wire.ReadReq, dst []byte) (wire.ReadR
 		return wire.ReadResp{}, err
 	}
 	return p.read(m.Key, dst)
-}
-
-func (n *Node) rpcWrite(id core.ServerID, m wire.WriteReq) (wire.WriteResp, error) {
-	p, err := n.peer(id)
-	if err != nil {
-		return wire.WriteResp{}, err
-	}
-	return p.write(m.Key, m.Value, m.Version, m.Del)
 }
 
 // Cluster is a convenience harness that runs n nodes on loopback.

@@ -96,9 +96,11 @@ func (t *topology) readRing() *ring.Ring {
 // writeGroup appends the write fan-out for key to dst: the target ring's
 // owners, unioned with the previous ring's during a transition window.
 func (t *topology) writeGroup(key []byte, dst []core.ServerID) []core.ServerID {
-	dst = t.v.Ring().ReplicasFor(key, dst)
+	tok := ring.Token(key)
+	dst = t.v.Ring().ReplicasForToken(tok, dst)
 	if t.prev != nil {
-		for _, s := range t.prev.Ring().ReplicasFor(key, nil) {
+		var pbuf [8]core.ServerID
+		for _, s := range t.prev.Ring().ReplicasForToken(tok, pbuf[:0]) {
 			if !slices.Contains(dst, s) {
 				dst = append(dst, s)
 			}

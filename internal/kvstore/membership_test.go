@@ -3,6 +3,7 @@ package kvstore
 import (
 	"fmt"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -261,6 +262,82 @@ func TestAbortedJoinUnblocksMembership(t *testing.T) {
 	// Membership must be admissible again: a fresh join succeeds end to end.
 	if _, err := c.Join(Config{Seed: 73}); err != nil {
 		t.Fatalf("join after abort: %v", err)
+	}
+}
+
+// TestJoinWindowBatchWriteReachesOnlyOwners: inside a join's dual-route
+// window a batch write fans each key to its owners on either ring and to no
+// one else. The joiner's token splits one arc of the previous ring; keys from
+// the half it does not take must not land on it — its ack would count toward
+// those keys' W while no quorum read could ever see the copy, so a QUORUM
+// key could be acked by one real owner. The window is opened through the
+// real admission path, as in TestAbortedJoinUnblocksMembership, and left
+// open while the batch is written.
+func TestJoinWindowBatchWriteReachesOnlyOwners(t *testing.T) {
+	c, _ := startTestCluster(t, 4, Config{Seed: 74})
+	seed := c.Nodes[0]
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := seed.admitJoiner(ln.Addr().String())
+	if err != nil {
+		ln.Close()
+		t.Fatalf("admitJoiner: %v", err)
+	}
+	nt, err := topologyFromUpdate(&u)
+	if err != nil {
+		ln.Close()
+		t.Fatal(err)
+	}
+	joiner, err := newNode(core.ServerID(u.Subject), nt, ln, Config{Seed: 75}.withDefaults())
+	if err != nil {
+		t.Fatalf("newNode: %v", err)
+	}
+	t.Cleanup(joiner.Close)
+	if !seed.InTransition() {
+		t.Fatal("seed not in the join window after admission")
+	}
+
+	cl, err := Dial([]string{seed.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	keys, vals := batchKeysVals("window", 64)
+	oks, err := cl.MultiPutAt(keys, vals, Quorum)
+	if err != nil {
+		t.Fatalf("MultiPutAt: %v", err)
+	}
+	target := nt.v.Ring()
+	var owned, foreign []string
+	for i, k := range keys {
+		if !oks[i] {
+			t.Fatalf("key %q not acked at QUORUM", k)
+		}
+		if slices.Contains(target.ReplicasFor([]byte(k), nil), joiner.id) {
+			owned = append(owned, k)
+		} else {
+			foreign = append(foreign, k)
+		}
+	}
+	if len(owned) == 0 {
+		t.Fatal("the joiner owns none of the batch's keys on the target ring")
+	}
+	// The joiner's own keys reach it — the fan covers the target ring — and
+	// once they have, so would anything sent to it alongside them.
+	waitFor(t, 5*time.Second, "the joiner's keys to land on it", func() bool {
+		for _, k := range owned {
+			if !joiner.store.Has(k) {
+				return false
+			}
+		}
+		return true
+	})
+	for _, k := range foreign {
+		if joiner.store.Has(k) {
+			t.Fatalf("joiner holds %q, which it owns on neither ring", k)
+		}
 	}
 }
 

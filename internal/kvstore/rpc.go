@@ -53,11 +53,13 @@ type call struct {
 	write   wire.WriteResp
 	err     error
 
-	// Event-driven completion (writeAsync): a call carrying a gather is
-	// delivered by calling g.complete on the connection's read loop instead
-	// of signalling done — no goroutine ever waits on it.
-	g    *writeGather
-	from core.ServerID
+	// Event-driven completion (a write leg): a call carrying a gather is
+	// delivered by completing keys lo..hi of g from replica from, on the
+	// connection's read loop, instead of signalling done — no goroutine ever
+	// waits on it.
+	g      *writeGather
+	from   core.ServerID
+	lo, hi int
 
 	// Batch results (isBatch). Read values are packed into bbuf (grown from
 	// dst) with boffs indexing them — key i's value is bbuf[boffs[i]:
@@ -120,7 +122,7 @@ func putCall(c *call) {
 	c.err = nil
 	c.isBatch = false
 	c.g = nil
-	c.from = 0
+	c.from, c.lo, c.hi = 0, 0, 0
 	c.bfound = c.bfound[:0]
 	c.boffs = c.boffs[:0]
 	c.bvers = c.bvers[:0]
@@ -182,15 +184,24 @@ func (p *rpcConn) take(id uint64) *call {
 }
 
 // deliver completes a taken call: a waiter-style call is signalled on its
-// done channel; a gather-style call (writeAsync) is consumed here — on the
-// read loop — by feeding its outcome to the write gather. Every delivery
-// site (response matched, mismatched type, failAll) routes through this, so
-// a gather leg is completed exactly once no matter how the call resolves.
+// done channel; a write leg is consumed here — on the read loop — by feeding
+// its per-key outcome to the write gather. Every delivery site (response
+// matched, mismatched type, failAll) routes through this, so a leg is
+// completed exactly once no matter how the call resolves.
 func deliver(c *call) {
 	if g := c.g; g != nil {
-		from, ok, transport := c.from, c.write.OK, c.err != nil
+		var oks []bool
+		switch {
+		case c.err != nil:
+		case c.isBatch:
+			if len(c.boks) == c.hi-c.lo {
+				oks = c.boks
+			}
+		case c.write.OK:
+			oks = allOK[:1]
+		}
+		g.complete(c.from, c.lo, c.hi, oks, c.err != nil)
 		putCall(c)
-		g.complete(from, ok, transport)
 		return
 	}
 	c.done <- struct{}{}
@@ -411,14 +422,40 @@ func (p *rpcConn) failAll() {
 	}
 }
 
-// abort cleans up a registered call whose request never made it out. If the
-// call is already claimed (a concurrent failAll), the claimant owns delivery:
-// consume its signal so the pooled record carries no stale wakeup.
-func (p *rpcConn) abort(c *call, id uint64) {
+// send registers c under a fresh request id and enqueues the frame enc
+// encodes for that id. A nil return hands c to the delivery machinery: a
+// waiter is signalled on its done channel, a write leg (c.g set) completes
+// into its gather on the read loop. On error the request never left and c
+// is recycled; a write leg is then still the caller's to complete.
+func (p *rpcConn) send(c *call, enc func(dst []byte, id uint64) ([]byte, error)) error {
+	leg := c.g != nil
+	id, err := p.register(c)
+	if err != nil {
+		putCall(c)
+		return err
+	}
+	fb := getBuf()
+	b, err := enc((*fb)[:0], id)
+	if err != nil {
+		putBuf(fb)
+	} else {
+		*fb = b
+		err = p.cw.enqueue(fb) // recycles the frame on failure
+	}
+	if err == nil {
+		return nil
+	}
 	if p.take(id) == nil {
+		// A concurrent failAll claimed the call and delivers it: a leg is
+		// completed there; a waiter's signal is consumed here, so the pooled
+		// record carries no stale wakeup.
+		if leg {
+			return nil
+		}
 		<-c.done
 	}
 	putCall(c)
+	return err
 }
 
 // read performs an internal (replica-local) read RPC. The response value is
@@ -444,21 +481,9 @@ func (p *rpcConn) readAsync(key string, dst []byte) (*call, error) {
 
 func (p *rpcConn) readAsyncTyped(typ, cl uint8, key string, dst []byte) (*call, error) {
 	c := getCall(true, dst)
-	id, err := p.register(c)
-	if err != nil {
-		putCall(c)
-		return nil, err
-	}
-	fb := getBuf()
-	b, err := wire.AppendReadReq((*fb)[:0], typ, wire.ReadReq{ID: id, CL: cl, Key: key})
-	if err != nil {
-		putBuf(fb)
-		p.abort(c, id)
-		return nil, err
-	}
-	*fb = b
-	if err := p.cw.enqueue(fb); err != nil {
-		p.abort(c, id)
+	if err := p.send(c, func(b []byte, id uint64) ([]byte, error) {
+		return wire.AppendReadReq(b, typ, wire.ReadReq{ID: id, CL: cl, Key: key})
+	}); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -489,21 +514,9 @@ func (p *rpcConn) readTyped(typ, cl uint8, key string, dst []byte) (wire.ReadRes
 // grown from dst.
 func (p *rpcConn) batchReadAsync(typ, cl uint8, keys []string, dst []byte) (*call, error) {
 	c := getBatchCall(true, dst)
-	id, err := p.register(c)
-	if err != nil {
-		putCall(c)
-		return nil, err
-	}
-	fb := getBuf()
-	b, err := wire.AppendBatchReadReq((*fb)[:0], typ, wire.BatchReadReq{ID: id, CL: cl, Keys: keys})
-	if err != nil {
-		putBuf(fb)
-		p.abort(c, id)
-		return nil, err
-	}
-	*fb = b
-	if err := p.cw.enqueue(fb); err != nil {
-		p.abort(c, id)
+	if err := p.send(c, func(b []byte, id uint64) ([]byte, error) {
+		return wire.AppendBatchReadReq(b, typ, wire.BatchReadReq{ID: id, CL: cl, Keys: keys})
+	}); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -525,28 +538,24 @@ func (p *rpcConn) batchRead(typ, cl uint8, keys []string, dst []byte) (*call, er
 	return c, nil
 }
 
-// batchWrite performs a blocking batch write RPC at the given level and
-// version stamp, appending the per-key acks to oks (pass a reused scratch
-// slice; nil allocates). The returned status classifies a coordinator-level
-// failure (StatusOK on success and on plain per-key failures).
+// batchWriteAsync dispatches a batch write RPC at the given level and
+// version stamp without blocking, on the caller's batch call record c: a
+// waiter (batchWrite) or a write leg (see send). The per-key acks land in
+// c.boks.
+func (p *rpcConn) batchWriteAsync(c *call, typ, cl uint8, ver uint64, keys []string, vals [][]byte) error {
+	return p.send(c, func(b []byte, id uint64) ([]byte, error) {
+		return wire.AppendBatchWriteReq(b, typ,
+			wire.BatchWriteReq{ID: id, CL: cl, Version: ver, Keys: keys, Values: vals})
+	})
+}
+
+// batchWrite performs a blocking batch write RPC — batchWriteAsync plus a
+// wait — appending the per-key acks to oks (pass a reused scratch slice; nil
+// allocates). The returned status classifies a coordinator-level failure
+// (StatusOK on success and on plain per-key failures).
 func (p *rpcConn) batchWrite(typ, cl uint8, ver uint64, keys []string, vals [][]byte, oks []bool) ([]bool, uint8, wire.Feedback, error) {
 	c := getBatchCall(false, nil)
-	id, err := p.register(c)
-	if err != nil {
-		putCall(c)
-		return oks, 0, wire.Feedback{}, err
-	}
-	fb := getBuf()
-	b, err := wire.AppendBatchWriteReq((*fb)[:0], typ,
-		wire.BatchWriteReq{ID: id, CL: cl, Version: ver, Keys: keys, Values: vals})
-	if err != nil {
-		putBuf(fb)
-		p.abort(c, id)
-		return oks, 0, wire.Feedback{}, err
-	}
-	*fb = b
-	if err := p.cw.enqueue(fb); err != nil {
-		p.abort(c, id)
+	if err := p.batchWriteAsync(c, typ, cl, ver, keys, vals); err != nil {
 		return oks, 0, wire.Feedback{}, err
 	}
 	<-c.done
@@ -563,43 +572,17 @@ func (p *rpcConn) write(key string, val []byte, ver uint64, del bool) (wire.Writ
 	return p.writeTyped(wire.MsgWriteInternal, wire.LevelOne, ver, key, val, del)
 }
 
-// writeAsync dispatches an internal write RPC whose completion is delivered
-// straight to g.complete(from, ...) — on this connection's read loop for a
-// response, or wherever failAll runs for connection death. No goroutine is
-// spawned and nothing ever waits: this is the event-driven leg of the write
-// fan-out. A non-nil error means the dispatch never started and the caller
-// still owns the gather leg (it must complete it as a transport failure); a
-// nil return transfers that responsibility to the delivery machinery, even
-// when the frame never made it out (the writer only fails alongside the
-// connection, whose failAll drains the pending table).
-func (p *rpcConn) writeAsync(key string, val []byte, ver uint64, del bool, g *writeGather, from core.ServerID) error {
-	c := getCall(false, nil)
-	c.g, c.from = g, from
-	id, err := p.register(c)
-	if err != nil {
-		c.g = nil
-		putCall(c)
-		return err
-	}
-	fb := getBuf()
-	b, err := wire.AppendWriteReq((*fb)[:0], wire.MsgWriteInternal,
-		wire.WriteReq{ID: id, CL: wire.LevelOne, Version: ver, Key: key, Value: val, Del: del})
-	if err != nil {
-		putBuf(fb)
-		if c2 := p.take(id); c2 != nil {
-			c2.g = nil
-			putCall(c2)
-			return err
-		}
-		return nil // a concurrent failAll claimed the call and will deliver it
-	}
-	*fb = b
-	if err := p.cw.enqueue(fb); err != nil {
-		// The writer closes only as part of connection teardown: failAll is
-		// running (or about to) and delivers every registered call.
-		return nil
-	}
-	return nil
+// writeAsync dispatches a write RPC without blocking, on the caller's call
+// record c: a waiter (writeTyped) or a write leg, whose completion is
+// delivered straight to its gather — on this connection's read loop for a
+// response, or wherever failAll runs for connection death. A leg spawns
+// nothing and nothing waits on it: this is the event-driven half of the
+// write fan-out.
+func (p *rpcConn) writeAsync(c *call, typ, cl uint8, ver uint64, key string, val []byte, del bool) error {
+	return p.send(c, func(b []byte, id uint64) ([]byte, error) {
+		return wire.AppendWriteReq(b, typ,
+			wire.WriteReq{ID: id, CL: cl, Version: ver, Key: key, Value: val, Del: del})
+	})
 }
 
 // clientWrite performs a coordinated write RPC at a consistency level; the
@@ -608,27 +591,28 @@ func (p *rpcConn) clientWrite(cl uint8, key string, val []byte, del bool) (wire.
 	return p.writeTyped(wire.MsgWrite, cl, 0, key, val, del)
 }
 
+func (p *rpcConn) writeTyped(typ, cl uint8, ver uint64, key string, val []byte, del bool) (wire.WriteResp, error) {
+	c := getCall(false, nil)
+	if err := p.writeAsync(c, typ, cl, ver, key, val, del); err != nil {
+		return wire.WriteResp{}, err
+	}
+	<-c.done
+	resp, err := c.write, c.err
+	putCall(c)
+	return resp, err
+}
+
 // ctlSend registers and dispatches one membership control call: enc encodes
 // the request frame under the assigned id. The caller waits on the returned
 // call's done channel (ctlWait applies a timeout) and recycles it.
 func (p *rpcConn) ctlSend(ctl uint8, enc func(dst []byte, id uint64) ([]byte, error)) (*call, uint64, error) {
 	c := getCall(false, nil)
 	c.ctl = ctl
-	id, err := p.register(c)
-	if err != nil {
-		putCall(c)
-		return nil, 0, err
-	}
-	fb := getBuf()
-	b, err := enc((*fb)[:0], id)
-	if err != nil {
-		putBuf(fb)
-		p.abort(c, id)
-		return nil, 0, err
-	}
-	*fb = b
-	if err := p.cw.enqueue(fb); err != nil {
-		p.abort(c, id)
+	var id uint64
+	if err := p.send(c, func(b []byte, i uint64) ([]byte, error) {
+		id = i
+		return enc(b, i)
+	}); err != nil {
 		return nil, 0, err
 	}
 	return c, id, nil
@@ -638,6 +622,8 @@ var errCtlTimeout = errors.New("kvstore: membership RPC timed out")
 
 // ctlWait blocks for the call's completion up to d; on timeout the call is
 // withdrawn from the pending table (a late response is dropped harmlessly).
+// If a concurrent delivery already claimed the call, its signal is consumed
+// so the pooled record carries no stale wakeup.
 func (p *rpcConn) ctlWait(c *call, id uint64, d time.Duration) error {
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -645,7 +631,10 @@ func (p *rpcConn) ctlWait(c *call, id uint64, d time.Duration) error {
 	case <-c.done:
 		return nil
 	case <-t.C:
-		p.abort(c, id)
+		if p.take(id) == nil {
+			<-c.done
+		}
+		putCall(c)
 		return errCtlTimeout
 	}
 }
@@ -705,30 +694,4 @@ func (p *rpcConn) streamPull(req wire.StreamReq) (*streamPage, error) {
 		return nil, err
 	}
 	return page, nil
-}
-
-func (p *rpcConn) writeTyped(typ, cl uint8, ver uint64, key string, val []byte, del bool) (wire.WriteResp, error) {
-	c := getCall(false, nil)
-	id, err := p.register(c)
-	if err != nil {
-		putCall(c)
-		return wire.WriteResp{}, err
-	}
-	fb := getBuf()
-	b, err := wire.AppendWriteReq((*fb)[:0], typ,
-		wire.WriteReq{ID: id, CL: cl, Version: ver, Key: key, Value: val, Del: del})
-	if err != nil {
-		putBuf(fb)
-		p.abort(c, id)
-		return wire.WriteResp{}, err
-	}
-	*fb = b
-	if err := p.cw.enqueue(fb); err != nil {
-		p.abort(c, id)
-		return wire.WriteResp{}, err
-	}
-	<-c.done
-	resp, err := c.write, c.err
-	putCall(c)
-	return resp, err
 }

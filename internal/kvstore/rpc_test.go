@@ -153,6 +153,56 @@ func TestClusterReadAllocBudget(t *testing.T) {
 	}
 }
 
+// TestClusterWriteAllocBudget is the write twin of TestClusterReadAllocBudget:
+// a QUORUM PutAt and an 8-key QUORUM MultiPutAt through the client on a live
+// 3-node cluster, with client, coordinator fan-out and every replica's apply
+// charged to each op, both through the one write coordinator. The point
+// write may not exceed 15 allocs/op (it takes 12) and the batch 54: on a
+// 3-node RF=3 ring every key shares one write fan, so the batch is one
+// sub-batch, two async frames and one local apply. Most of the batch's
+// count is replica-side — each replica copies the frame's keys and applies
+// them per touched shard — so the shard count is fixed here.
+func TestClusterWriteAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates on channel handoffs")
+	}
+	c, err := StartCluster(3, Config{Seed: 8, ReadRepair: -1, Shards: 2})
+	if err != nil {
+		t.Fatalf("StartCluster: %v", err)
+	}
+	defer c.Close()
+	cl, err := Dial(c.Addrs())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+	val := []byte("alloc-budget-value-0123456789abcdef")
+	put := func() {
+		if err := cl.PutAt("alloc-put", val, Quorum); err != nil {
+			t.Fatalf("PutAt: %v", err)
+		}
+	}
+	keys, vals := batchKeysVals("alloc-batch", 8)
+	mput := func() {
+		if _, err := cl.MultiPutAt(keys, vals, Quorum); err != nil {
+			t.Fatalf("MultiPutAt: %v", err)
+		}
+	}
+	for j := 0; j < 128; j++ {
+		put() // warm pools and buffer growth out of the measurement
+		mput()
+	}
+	if n := testing.AllocsPerRun(500, put); n > 15 {
+		t.Errorf("cluster QUORUM point write allocates %.2f/op, want <= 15", n)
+	}
+	if n := testing.AllocsPerRun(500, mput); n > 54 {
+		t.Errorf("cluster QUORUM 8-key batch write allocates %.2f/op, want <= 54", n)
+	}
+}
+
 // TestRPCConnPoolReuseUnderFailure hammers connections with concurrent
 // reads while killing the transport mid-flight, across enough rounds that
 // call records recycle through the pool between failures. Every read must

@@ -2,7 +2,9 @@ package kvstore
 
 import (
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"c3/internal/core"
@@ -15,13 +17,17 @@ import (
 // same FNV-1a routing the sharded LSM uses, so a key's queue accounting,
 // ranker state, and memtable all live on one shard):
 //
-//   - Writes are event-driven. A coordinated write allocates nothing and
-//     spawns nothing in steady state: the serve loop charges a pooled
-//     writeGather with one leg per replica, remote legs go out as writeAsync
-//     calls completed on their connection's read loop, and the local leg is
-//     queued to the key's shard writer. The gather acks the client the
-//     moment the consistency level is met, from whichever goroutine
-//     delivered the deciding leg.
+//   - Writes are event-driven, through one coordinator for point writes and
+//     batches alike (coordinateWrite): a point write is a batch of one. The
+//     serve loop partitions the keys by write fan, stamps one version, and
+//     charges a pooled writeGather with one leg per (sub-batch, replica).
+//     Remote legs go out as writeAsync/batchWriteAsync calls completed on
+//     their connection's read loop; a one-key local leg is queued to the
+//     key's shard writer. The gather counts acks per key and answers the
+//     moment every key is decided, from whichever goroutine delivered the
+//     deciding leg — onto the client's connection, or to a RESP handler
+//     blocked on a channel: sync is async plus a wait. A point write
+//     allocates nothing and spawns nothing in steady state.
 //   - Each shard runs one writer goroutine draining a queue of writeTasks.
 //     The writer batches whatever is pending into a single ApplyMulti — one
 //     memtable lock, one WAL commit group per drain — so pipelined writes
@@ -51,189 +57,347 @@ func pooledString(b []byte) string {
 	return unsafe.String(&b[0], len(b))
 }
 
-// writeGather is the in-flight state of one coordinated write: counters for
-// the replica fan-out and the response route. Legs complete it from
-// wherever they resolve — a peer connection's read loop, a shard writer, a
-// dial goroutine — and the leg that decides the level encodes and enqueues
-// the client's ack. refs releases the pooled value buffer after the last
-// leg (hints copy the value synchronously inside complete).
+// keyAcks is one key's tally inside a writeGather: the replicas that applied
+// it, the ones that did not, and how many misses it absorbs before it can no
+// longer reach W (its fan minus W). pos is the key's place in the client's
+// request; ok is set, once and under the gather's lock, when it reached W.
+type keyAcks struct {
+	pos, slack  int32
+	ok          bool
+	oks, misses int32
+}
+
+// writeGather is the in-flight state of one coordinated client write — a
+// point write or a batch, which differ only in how many keys they carry.
+// The keys sit in sub-batch order (partitionWrite), and every (sub-batch,
+// replica) leg reports into complete from wherever it resolves: a peer
+// connection's read loop, a shard writer, a leg goroutine. The leg that
+// decides the last key answers the client; the last leg to resolve releases
+// the value buffer and recycles the gather (hints copy the values
+// synchronously inside complete).
 type writeGather struct {
 	n    *Node
-	cw   *connWriter
-	id   uint64
 	lvl  Level
-	need int
+	need int32 // W
+	ver  uint64
+	keys []string
+	vals [][]byte
+	del  bool    // a point delete: the one write that carries a tombstone
+	buf  *[]byte // pooled buffer backing vals
 
-	mu      sync.Mutex
-	oks     int
-	fails   int
-	total   int
-	decided bool
+	// The answer route: a WriteResp — a BatchWriteResp with per-key acks when
+	// batch is set — encoded onto cw, or, when done is set, the decision
+	// handed to a blocked RESP handler. done is buffered(1): the deciding
+	// leg never blocks on a slow caller.
+	cw    *connWriter
+	id    uint64
+	batch bool
+	done  chan wire.WriteResp
 
-	key string
-	ver uint64
-	val []byte
-	del bool
-	vb  *[]byte
+	mu     sync.Mutex
+	acks   []keyAcks
+	open   int // keys not yet decided
+	failed int // keys decided below W
 
-	// done, when non-nil, routes the decision to a blocked caller (the RESP
-	// gateway's synchronous write) instead of encoding onto cw. Buffered(1):
-	// the deciding leg never blocks on a slow caller.
-	done chan wire.WriteResp
+	refs atomic.Int32 // legs not yet resolved
 
-	refs int32 // touched under mu; complete may run from any goroutine
+	// Inline per-key storage for a gather of one key: a point write
+	// allocates no per-key arrays.
+	key1 [1]string
+	val1 [1][]byte
+	ack1 [1]keyAcks
 }
 
 var writeGatherPool = sync.Pool{New: func() any { return new(writeGather) }}
 
-// complete resolves one leg of the fan-out. transport marks a leg that never
-// reached its replica (connection dead, dial failed): the write is banked as
-// a hint toward that replica before the value buffer can be released.
-func (g *writeGather) complete(from core.ServerID, ok bool, transport bool) {
-	n := g.n
-	if transport {
-		n.hintWrite(from, wire.WriteReq{Key: g.key, Version: g.ver, Value: g.val, Del: g.del})
-	}
-	g.mu.Lock()
-	decide := 0
-	if !g.decided {
-		if ok {
-			if g.oks++; g.oks >= g.need {
-				g.decided, decide = true, 1
-			}
-		} else if g.fails++; g.fails > g.total-g.need {
-			g.decided, decide = true, 2
-		}
-	}
-	oks := g.oks
-	g.refs--
-	last := g.refs == 0
-	cw, id, lvl, done := g.cw, g.id, g.lvl, g.done
-	g.mu.Unlock()
-	if decide != 0 {
-		resp := wire.WriteResp{ID: id, OK: decide == 1, Status: wire.StatusOK, FB: n.feedback()}
-		if decide == 2 {
-			if oks == 0 {
-				n.writeFails.Add(1)
-			}
-			if lvl != One {
-				n.quorumFails.Add(1)
-				resp.Status = wire.StatusQuorumUnavailable
-			} else {
-				resp.Status = wire.StatusWriteFailed
-			}
-		}
-		if done != nil {
-			done <- resp
-		} else {
-			fb := getBuf()
-			if b, err := wire.AppendWriteResp((*fb)[:0], resp); err != nil {
-				putBuf(fb)
-			} else {
-				*fb = b
-				cw.enqueue(fb)
-			}
-		}
-	}
-	if last {
-		putBuf(g.vb)
-		g.vb, g.val, g.key, g.cw, g.n, g.done = nil, nil, "", nil, nil, nil
-		writeGatherPool.Put(g)
-	}
-}
-
-// launchCoordWrite coordinates a client write without leaving the serve
-// loop: stamp, precheck, and dispatch every replica leg, then return — the
-// ack is enqueued by whichever leg decides the level. vb is the pooled
-// buffer backing m.Value, released by the gather's last leg. Mirrors the
-// old blocking coordinateWrite: first genuine success acks ONE, ⌊N/2⌋+1
-// QUORUM, all replicas ALL; unreachable replicas' writes are banked as
-// hints that never count toward the level; a down replica with a full hint
-// queue fails a quorum write deterministically up front.
-func (n *Node) launchCoordWrite(cw *connWriter, m wire.WriteReq, vb *[]byte) {
-	n.launchWrite(cw, nil, m, vb)
-}
-
-// coordinateWriteSync runs a coordinated write and blocks for the decision —
-// the RESP gateway's entry point (a RESP reply is synchronous by protocol).
-// Ownership of vb (backing m.Value) transfers to the gather exactly as on
-// the async path: legs may outlive the decision, so the buffer is released
-// by the last leg, not by this return.
-func (n *Node) coordinateWriteSync(m wire.WriteReq, vb *[]byte) wire.WriteResp {
-	done := make(chan wire.WriteResp, 1)
-	n.launchWrite(nil, done, m, vb)
-	return <-done
-}
-
-// launchWrite is the shared body: exactly one of cw (async ack route) and
-// done (synchronous decision route) is non-nil.
-func (n *Node) launchWrite(cw *connWriter, done chan wire.WriteResp, m wire.WriteReq, vb *[]byte) {
-	var gbuf [8]core.ServerID
-	group := n.topo.Load().writeGroup(keyBytes(m.Key), gbuf[:0])
-	lvl := Level(m.CL)
-	need := 1
-	if lvl != One {
-		owners := n.topo.Load().readRing().ReplicasFor(keyBytes(m.Key), nil)
-		need = lvl.required(len(owners))
-		if need > len(group) {
-			need = len(group)
-		}
-		for _, s := range group {
-			if s == n.id || !n.hintFull(s) {
-				continue
-			}
-			if _, up := n.peerReady(s); !up {
-				n.quorumFails.Add(1)
-				putBuf(vb)
-				resp := wire.WriteResp{ID: m.ID, Status: wire.StatusQuorumUnavailable, FB: n.feedback()}
-				if done != nil {
-					done <- resp
-					return
-				}
-				fb := getBuf()
-				b, err := wire.AppendWriteResp((*fb)[:0], resp)
-				if err != nil {
-					putBuf(fb)
-					return
-				}
-				*fb = b
-				cw.enqueue(fb)
-				return
-			}
-		}
-	}
-	m.Version = n.stampVersion()
+// pointGather draws a gather for a write of one key. val is backed by buf,
+// which the gather releases after its last leg.
+func pointGather(key string, val []byte, del bool, buf *[]byte) *writeGather {
 	g := writeGatherPool.Get().(*writeGather)
-	g.n, g.cw, g.id, g.lvl, g.need = n, cw, m.ID, lvl, need
-	g.done = done
-	g.oks, g.fails, g.decided = 0, 0, false
-	g.total, g.refs = len(group), int32(len(group))
-	g.key, g.ver, g.val, g.del, g.vb = m.Key, m.Version, m.Value, m.Del, vb
-	for _, s := range group {
-		if s == n.id {
-			t := getWriteTask()
-			t.kind = taskGather
-			t.key, t.ver, t.val, t.del, t.g = m.Key, m.Version, m.Value, m.Del, g
-			n.enqueueWriteTask(n.shardOf(m.Key), t)
-			continue
+	g.key1[0], g.val1[0] = key, val
+	g.keys, g.vals, g.del, g.buf = g.key1[:], g.val1[:], del, buf
+	return g
+}
+
+// batchGather draws a gather for a batch write answered key by key. The
+// gather takes keys and vals (it may reorder them); vals are backed by buf.
+func batchGather(keys []string, vals [][]byte, buf *[]byte) *writeGather {
+	g := writeGatherPool.Get().(*writeGather)
+	g.keys, g.vals, g.buf, g.batch = keys, vals, buf, true
+	return g
+}
+
+// writeSub is one sub-batch of a coordinated write: keys lo..hi of the
+// gather, whose write fan is fans[flo:fhi] of the partition.
+type writeSub struct{ lo, hi, flo, fhi int }
+
+// partitionWrite splits g's keys by write fan — the set of replicas that take
+// the key on topology t, its owners on both rings during a membership window
+// (writeGroup) — so keys that share a sub-batch share every replica it goes
+// to: no replica is sent a key it owns on neither ring. It lays g.keys and
+// g.vals out in sub-batch order and records each key's client position in
+// g.acks (whose slack fields it uses as scratch). A point write is a
+// partition of one.
+func partitionWrite(t *topology, g *writeGather, subs []writeSub, fans []core.ServerID) ([]writeSub, []core.ServerID) {
+	var gbuf [8]core.ServerID
+	for i, k := range g.keys {
+		fan := t.writeGroup(keyBytes(k), gbuf[:0])
+		slices.Sort(fan)
+		s := 0
+		for s < len(subs) && !slices.Equal(fans[subs[s].flo:subs[s].fhi], fan) {
+			s++
 		}
-		if p, ok := n.peerReady(s); ok {
-			if err := p.writeAsync(m.Key, m.Value, m.Version, m.Del, g, s); err != nil {
-				g.complete(s, false, true) // dispatch never started: transport failure
+		if s == len(subs) {
+			subs = append(subs, writeSub{flo: len(fans), fhi: len(fans) + len(fan)})
+			fans = append(fans, fan...)
+		}
+		subs[s].hi++ // a count until the layout below
+		g.acks[i].pos, g.acks[i].slack = int32(i), int32(s)
+	}
+	if len(subs) <= 1 {
+		return subs, fans
+	}
+	off := 0
+	for s := range subs {
+		subs[s].lo, subs[s].hi, off = off, off, off+subs[s].hi
+	}
+	keys := make([]string, len(g.keys))
+	vals := make([][]byte, len(g.keys))
+	for i := range g.keys {
+		sb := &subs[g.acks[i].slack]
+		keys[sb.hi], vals[sb.hi], g.acks[sb.hi].pos = g.keys[i], g.vals[i], int32(i)
+		sb.hi++
+	}
+	g.keys, g.vals = keys, vals
+	return subs, fans
+}
+
+// coordinateWrite is the one write coordinator, for a point write and a batch
+// alike, and it never blocks: the serve loop runs it inline. It partitions
+// g's keys by write fan, stamps one version for all of them, and dispatches
+// one leg per (sub-batch, replica). Key i is acked once W replicas applied
+// it, W being the level's requirement over the read ring's replica count:
+// the first genuine success at ONE, ⌊N/2⌋+1 at QUORUM, N at ALL. During a
+// membership window the fan also covers the other ring's owners, whose acks
+// count while their number does not raise W, so R+W>N holds against quorum
+// reads of the read ring. A leg that never reaches its replica banks its
+// keys as hints, which never count toward W; and a quorum-level write that
+// needs a down replica whose hint queue is full is refused up front
+// (bounded handoff debt). The answer goes out on g's route once every key is
+// decided.
+func (n *Node) coordinateWrite(g *writeGather, lvl Level) {
+	t := n.topo.Load()
+	g.n, g.lvl = n, lvl
+	if len(g.keys) == 1 {
+		g.acks = g.ack1[:]
+	} else {
+		g.acks = make([]keyAcks, len(g.keys))
+	}
+	var sbuf [8]writeSub
+	var fbuf [32]core.ServerID
+	subs, fans := partitionWrite(t, g, sbuf[:0], fbuf[:0])
+	refused := false
+	for _, s := range fans {
+		if lvl != One && s != n.id && n.hintFull(s) {
+			if _, up := n.peerReady(s); !up {
+				refused = true
+				break
 			}
-			continue
 		}
-		// The link needs a dial (or the peer is down): the only leg that can
-		// block, so it runs as a goroutine. Its resolution — response, RPC
-		// error turned hint — feeds the gather like any other leg.
-		s := s
+	}
+	if refused || len(subs) == 0 {
+		g.failed = len(g.keys)
+		g.answer()
+		g.release()
+		return
+	}
+	need := lvl.required(t.readRing().RF())
+	g.need, g.ver, g.open = int32(need), n.stampVersion(), len(g.keys)
+	legs := 0
+	for _, sb := range subs {
+		fan := sb.fhi - sb.flo
+		for i := sb.lo; i < sb.hi; i++ {
+			g.acks[i].slack = int32(fan - need)
+		}
+		legs += fan
+	}
+	g.refs.Store(int32(legs))
+	for _, sb := range subs {
+		for _, s := range fans[sb.flo:sb.fhi] {
+			g.dispatch(s, sb.lo, sb.hi)
+		}
+	}
+}
+
+// dispatch sends the leg carrying keys lo..hi to replica s. A one-key local
+// leg is queued to its shard writer and a leg on an established connection
+// goes out as an async RPC, both completing elsewhere; a multi-key local
+// apply and a leg that needs a dial — the legs that can block — run as
+// goroutines, off the serve loop.
+func (g *writeGather) dispatch(s core.ServerID, lo, hi int) {
+	n := g.n
+	switch {
+	case s == n.id && hi-lo == 1:
+		t := getWriteTask()
+		t.kind, t.g, t.idx = taskGather, g, lo
+		t.key, t.ver, t.val, t.del = g.keys[lo], g.ver, g.vals[lo], g.del
+		n.enqueueWriteTask(n.shardOf(t.key), t)
+	case s == n.id:
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
-			out, err := n.rpcWrite(s, m)
-			g.complete(s, err == nil && out.OK, err != nil)
+			err := n.applyClientBatch(g.keys[lo:hi], g.ver, g.vals[lo:hi])
+			g.complete(s, lo, hi, acked(err, hi-lo), false)
+		}()
+	default:
+		if p, ok := n.peerReady(s); ok {
+			g.send(p, s, lo, hi)
+			return
+		}
+		n.wg.Add(1)
+		go func() {
+			defer n.wg.Done()
+			p, err := n.peer(s)
+			if err != nil {
+				g.complete(s, lo, hi, nil, true)
+				return
+			}
+			g.send(p, s, lo, hi)
 		}()
 	}
+}
+
+// send puts a remote leg on an established connection: writeAsync for one
+// key (the only frame that carries Del), batchWriteAsync for a sub-batch.
+// Either completes on the connection's read loop; a dispatch that never
+// started completes here, as a transport failure.
+func (g *writeGather) send(p *rpcConn, s core.ServerID, lo, hi int) {
+	c := getCall(false, nil)
+	c.g, c.from, c.lo, c.hi = g, s, lo, hi
+	var err error
+	if hi-lo == 1 {
+		err = p.writeAsync(c, wire.MsgWriteInternal, wire.LevelOne, g.ver, g.keys[lo], g.vals[lo], g.del)
+	} else {
+		c.isBatch = true
+		err = p.batchWriteAsync(c, wire.MsgBatchWriteInternal, wire.LevelOne, g.ver, g.keys[lo:hi], g.vals[lo:hi])
+	}
+	if err != nil {
+		g.complete(s, lo, hi, nil, true)
+	}
+}
+
+// acked is a local apply's per-key outcome in complete's terms: every key of
+// the batch applied, or none (one WAL commit group succeeds or fails whole).
+func acked(err error, n int) []bool {
+	if err != nil {
+		return nil
+	}
+	return allOK[:n]
+}
+
+// complete resolves one leg: oks[i-lo] reports whether replica from applied
+// key i (nil: none of them). transport marks a leg that never reached its
+// replica (connection dead, dial failed): its keys are banked as hints
+// before the value buffer can be released. A key that every replica missed
+// counts as a write failure here, when its last miss arrives, so a key some
+// replica applied never does — however early it fell below W.
+func (g *writeGather) complete(from core.ServerID, lo, hi int, oks []bool, transport bool) {
+	n := g.n
+	if transport {
+		n.hintWrite(from, g.keys[lo:hi], g.ver, g.vals[lo:hi], g.del)
+	}
+	unacked := 0
+	g.mu.Lock()
+	open := g.open
+	for i := lo; i < hi; i++ {
+		a := &g.acks[i]
+		if oks != nil && oks[i-lo] {
+			if a.oks++; a.oks == g.need {
+				a.ok = true
+				g.open--
+			}
+			continue
+		}
+		if a.misses++; a.misses == a.slack+1 {
+			g.open-- // below W whatever the remaining legs answer
+			g.failed++
+		}
+		if a.misses == a.slack+g.need {
+			unacked++
+		}
+	}
+	answer := open > 0 && g.open == 0
+	g.mu.Unlock()
+	if unacked > 0 {
+		n.writeFails.Add(uint64(unacked))
+	}
+	if answer {
+		g.answer()
+	}
+	if g.refs.Add(-1) == 0 {
+		g.release()
+	}
+}
+
+// answer sends the decision, once every key is decided. It runs outside the
+// lock on a leg that still holds its ref, so the gather cannot be recycled
+// under it, and what it reads — failed, each key's pos and ok — is final by
+// then. A request that missed its level counts one quorum failure.
+func (g *writeGather) answer() {
+	n := g.n
+	status := wire.StatusOK
+	if g.failed > 0 {
+		if g.lvl != One {
+			n.quorumFails.Add(1)
+			status = wire.StatusQuorumUnavailable
+		} else if !g.batch {
+			status = wire.StatusWriteFailed
+		}
+	}
+	if g.done != nil {
+		g.done <- wire.WriteResp{OK: g.failed == 0, Status: status}
+		return
+	}
+	fb := getBuf()
+	var b []byte
+	var err error
+	if g.batch {
+		b, err = wire.AppendBatchWriteResp((*fb)[:0], wire.BatchWriteResp{
+			ID: g.id, Status: status, OK: g.ackFlags(), FB: n.feedback()})
+	} else {
+		b, err = wire.AppendWriteResp((*fb)[:0], wire.WriteResp{
+			ID: g.id, OK: g.failed == 0, Status: status, FB: n.feedback()})
+	}
+	if err != nil {
+		putBuf(fb)
+		g.cw.sever(err)
+		return
+	}
+	*fb = b
+	g.cw.enqueue(fb)
+}
+
+// ackFlags reports each key's decision in the client's key order.
+func (g *writeGather) ackFlags() []bool {
+	switch g.failed {
+	case 0:
+		return allOK[:len(g.keys)]
+	case len(g.keys):
+		return allFail[:len(g.keys)]
+	}
+	oks := make([]bool, len(g.keys))
+	for i := range g.acks {
+		oks[g.acks[i].pos] = g.acks[i].ok
+	}
+	return oks
+}
+
+// release runs after the last leg: the value buffer goes back to its pool,
+// and the gather with it.
+func (g *writeGather) release() {
+	putBuf(g.buf)
+	*g = writeGather{}
+	writeGatherPool.Put(g)
 }
 
 // writeTask kinds: a replica-internal write acks its own connection; a
@@ -256,8 +420,10 @@ type writeTask struct {
 	id uint64
 	vb *[]byte
 
-	// taskGather: the coordinator-side gather owning val's buffer.
-	g *writeGather
+	// taskGather: the coordinator-side gather owning val's buffer, and the
+	// key's index in it.
+	g   *writeGather
+	idx int
 }
 
 var writeTaskPool = sync.Pool{New: func() any { return new(writeTask) }}
@@ -299,7 +465,7 @@ type applier interface {
 
 // applyClient lands a batch of client writes in local storage. Every
 // replica-side apply of a coordinated write — shard writer drain, queue
-// overflow, internal batch write, the batch coordinator's own leg — comes
+// overflow, internal batch write, the coordinator's multi-key local leg — comes
 // through here, which makes it the one place the drop-writes fault injection
 // has to look. Repair and streaming call the store directly: they heal what
 // an injected drop broke.
@@ -403,9 +569,9 @@ func (n *Node) writeWorker(sh int) {
 func (n *Node) finishWriteTask(sh int, t *writeTask, err error) {
 	switch t.kind {
 	case taskGather:
-		g := t.g
+		g, i := t.g, t.idx
 		putWriteTask(t)
-		g.complete(n.id, err == nil, false)
+		g.complete(n.id, i, i+1, acked(err, 1), false)
 	default:
 		cw, id, vb := t.cw, t.id, t.vb
 		putWriteTask(t)
