@@ -220,9 +220,9 @@ func (h *hintStore) fileForLocked(target core.ServerID) *os.File {
 }
 
 // startReplayLocked spawns the replay goroutine for target unless one is
-// already chasing its queue.
+// already chasing its queue or the node is shutting down.
 func (h *hintStore) startReplayLocked(target core.ServerID) {
-	if h.replaying[target] {
+	if h.shut || h.replaying[target] {
 		return
 	}
 	h.replaying[target] = true
@@ -308,8 +308,20 @@ func (h *hintStore) truncateLocked(target core.ServerID) {
 	}
 }
 
+// stop refuses new hints and replays. The node calls it before waiting out
+// its WaitGroup: a write leg failed by the connection teardown still banks
+// its hint from a goroutine outside that group, and a replay started then
+// would call wg.Add while Wait runs. Setting shut under mu orders every
+// earlier Add before the Wait.
+func (h *hintStore) stop() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.shut = true
+}
+
 // close releases the sidecar log handles. Replay goroutines are already done:
-// the node waits out its WaitGroup before closing the store and the hints.
+// the node stops the hints and waits out its WaitGroup before closing the
+// store and the hints.
 func (h *hintStore) close() {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -446,11 +446,20 @@ func (n *Node) SendRateToward(peer int) float64 {
 // descriptors leak).
 func (n *Node) Close() {
 	n.teardownNetwork()
+	n.stopHints()
 	n.wg.Wait()
 	if n.hints != nil {
 		n.hints.close()
 	}
 	n.store.Close()
+}
+
+// stopHints makes the hint store refuse hints and replays, so nothing adds
+// to the WaitGroup once the node starts waiting on it.
+func (n *Node) stopHints() {
+	if n.hints != nil {
+		n.hints.stop()
+	}
 }
 
 // Crash tears the node down the way SIGKILL would — no flush, no final
@@ -460,6 +469,7 @@ func (n *Node) Close() {
 // chaos tests drive this. Production shutdown is Close.
 func (n *Node) Crash() {
 	n.teardownNetwork()
+	n.stopHints()
 	// Fail the store first: handlers blocked waiting on a WAL commit group
 	// must unblock (with errors) before wg.Wait can return.
 	n.store.Crash()

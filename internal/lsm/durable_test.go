@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -315,6 +317,191 @@ func TestCrashPointRecovery(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A flush publishes while a compaction is merging: the compaction is held in
+// its compact.sst hook (output SST written, not yet installed), a flush
+// writes a new SST and edits the manifest around it, and then the store
+// either crashes mid-merge or lets the merge publish first. Either way the
+// reopened store holds every acked write, the deleted key stays dead, and
+// the directory holds exactly the SSTs the manifest names.
+func TestCrashPointFlushDuringCompaction(t *testing.T) {
+	for _, publish := range []bool{false, true} {
+		t.Run(fmt.Sprintf("publish=%v", publish), func(t *testing.T) {
+			dir := t.TempDir()
+			reached, release, published := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			var hold, done sync.Once
+			opts := Options{Dir: dir, FlushBytes: 1 << 30, MaxRuns: 2}
+			opts.hook = func(ev string) {
+				switch ev {
+				case "compact.sst":
+					hold.Do(func() {
+						close(reached)
+						<-release
+					})
+				case "compact.done":
+					done.Do(func() { close(published) })
+				}
+			}
+			s := mustOpen(t, opts)
+			want := map[string]string{}
+			put := func(k, v string) {
+				mustPut(t, s, k, v)
+				want[k] = v
+			}
+			for gen := 0; gen < 3; gen++ { // the third flush exceeds MaxRuns
+				put(fmt.Sprintf("gen%d", gen), "v")
+				put("rewritten", fmt.Sprintf("g%d", gen))
+				put("doomed", "alive")
+				s.Flush()
+			}
+			<-reached
+			put("during", "d")
+			put("rewritten", "during")
+			mustDelete(t, s, "doomed")
+			want["doomed"] = ""
+			s.Flush() // publishes a run and a manifest edit under the merge
+			if got := s.Runs(); got != 4 {
+				t.Fatalf("runs = %d with the merge held, want 4", got)
+			}
+			wantGet(t, s, "during", "d")
+			if publish {
+				close(release)
+				<-published
+				if got := s.Runs(); got != 2 {
+					t.Fatalf("runs = %d after the merge published, want 2", got)
+				}
+				s.Crash()
+			} else {
+				crashed := make(chan struct{})
+				go func() {
+					s.Crash()
+					close(crashed)
+				}()
+				// Crash marks the store closed, then waits for the merge.
+				for closed := false; !closed; runtime.Gosched() {
+					s.mu.RLock()
+					closed = s.closed
+					s.mu.RUnlock()
+				}
+				close(release) // the merge resumes into a crashed store
+				<-crashed
+				if got := s.Stats().Compactions; got != 0 {
+					t.Fatalf("compactions = %d, want the held merge discarded", got)
+				}
+			}
+
+			// A high MaxRuns keeps the reopened store from compacting while
+			// the directory is inspected.
+			r := mustOpen(t, Options{Dir: dir, FlushBytes: 1 << 30, MaxRuns: 100})
+			defer r.Close()
+			for k, v := range want {
+				wantGet(t, r, k, v)
+			}
+			r.mu.RLock()
+			live := append([]uint64(nil), r.man.ssts...)
+			r.mu.RUnlock()
+			ssts, err := filepath.Glob(filepath.Join(dir, "*.sst*"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ssts) != len(live) {
+				t.Fatalf("directory holds %v, manifest names %v", ssts, live)
+			}
+			for _, n := range live {
+				if _, err := os.Stat(filepath.Join(dir, sstName(n))); err != nil {
+					t.Fatalf("manifest SST %d missing: %v", n, err)
+				}
+			}
+		})
+	}
+}
+
+// A compaction whose merge keeps failing — an input run that can no longer be
+// read, the stand-in for EIO on the SST — must not restart itself in a loop.
+// A failed merge leaves its inputs live and clears the in-flight mark, so the
+// next flush retries it once; flushes that wait at 2×MaxRuns wake and go
+// ahead, and Close returns.
+func TestCompactionFailureDoesNotWedgeFlushes(t *testing.T) {
+	const maxRuns = 2
+	s := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, FlushBytes: 64, MaxRuns: maxRuns})
+	val := strings.Repeat("v", 100) // every write crosses FlushBytes
+	mustPut(t, s, "oldest", val)
+	s.mu.Lock()
+	if len(s.runs) != 1 {
+		s.mu.Unlock()
+		t.Fatalf("runs = %d after the first flush, want 1", len(s.runs))
+	}
+	broken := s.runs[0]
+	broken.cache = nil // read through the file, which is gone
+	broken.f.Close()
+	s.mu.Unlock()
+
+	within := func(what string, fn func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			fn()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s blocked with every compaction failing", what)
+		}
+	}
+	for i := 0; i < 4*maxRuns; i++ {
+		within(fmt.Sprintf("ApplyMulti %d", i), func() {
+			if err := s.Put(fmt.Sprintf("k%d", i), []byte(val)); err != nil {
+				t.Errorf("put %d: %v", i, err)
+			}
+		})
+	}
+	var runs int
+	within("waiting out the last retry", func() {
+		s.mu.Lock()
+		s.waitCompactionLocked()
+		runs = len(s.runs)
+		s.mu.Unlock()
+	})
+	if runs != 1+4*maxRuns {
+		t.Fatalf("runs = %d, want every flushed run still live (%d)", runs, 1+4*maxRuns)
+	}
+	st := s.Stats()
+	if st.Compactions != 0 {
+		t.Fatalf("compactions = %d over an unreadable input", st.Compactions)
+	}
+	if st.IOErrors == 0 || st.IOErrors > st.Flushes {
+		t.Fatalf("io errors = %d after %d flushes, want one failed merge per flush at most", st.IOErrors, st.Flushes)
+	}
+	within("Close", func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+}
+
+// A clean Close lets the compaction its final flush starts publish: the
+// reopened store finds the merged run, not the inputs and a merge to redo.
+func TestCloseKeepsCompaction(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, Options{Dir: dir, NoSync: true, FlushBytes: 1 << 30, MaxRuns: 2})
+	for gen := 0; gen < 2; gen++ {
+		mustPut(t, s, fmt.Sprintf("gen%d", gen), "v")
+		s.Flush()
+	}
+	mustPut(t, s, "last", "v") // Close's flush makes the third run
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := mustOpen(t, Options{Dir: dir, MaxRuns: 100})
+	defer r.Close()
+	if got := r.Runs(); got != 1 {
+		t.Fatalf("runs = %d after reopen, want the compacted 1", got)
+	}
+	for _, k := range []string{"gen0", "gen1", "last"} {
+		wantGet(t, r, k, "v")
 	}
 }
 

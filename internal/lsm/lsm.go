@@ -1,10 +1,12 @@
 // Package lsm is a compact log-structured merge storage engine: an in-memory
 // memtable that flushes into immutable sorted runs guarded by Bloom filters,
-// with size-triggered full compaction. It is the storage substrate behind the
-// TCP key-value store (internal/kvstore) — the real-system counterpart of
-// the service-time model in internal/cassim, exhibiting the same phenomena
-// the paper discusses: read amplification growing with the number of runs,
-// and compaction as a period of concentrated work.
+// with full compaction — a streaming merge run in the background, off the
+// store lock — once a flush leaves more than MaxRuns runs (compact.go). It is
+// the storage substrate behind the TCP key-value store (internal/kvstore) —
+// the real-system counterpart of the service-time model in internal/cassim,
+// exhibiting the same phenomena the paper discusses: read amplification
+// growing with the number of runs, and compaction as a period of
+// concentrated work.
 //
 // There is one write path. Every mutation is a batch through ApplyMulti
 // (versioned.go), and one batch is one WAL commit group is one memtable
@@ -36,7 +38,9 @@ type Options struct {
 	// FlushBytes triggers a memtable flush once its payload exceeds this
 	// size. Default 4 MiB.
 	FlushBytes int
-	// MaxRuns triggers a full compaction when exceeded. Default 8.
+	// MaxRuns starts a background full compaction when a flush exceeds it;
+	// flushes wait for that compaction rather than stack runs beyond
+	// 2×MaxRuns. Default 8.
 	MaxRuns int
 	// Dir, when non-empty, makes the store durable: WAL, SSTs, and manifest
 	// live there and Open recovers whatever state the directory holds.
@@ -127,12 +131,22 @@ type Store struct {
 	dir     string // empty = in-memory
 	mem     map[string][]byte
 	memB    int
-	runs    []*run // newest first
+	runs    []*run // newest first; replaced whole, never edited in place
 	wal     *wal   // nil in in-memory mode
 	man     manifest
 	walNums []uint64 // WAL files on disk, ascending; last is the append target
 	closed  bool
 	c       counters
+
+	// compacting is set while a compaction merges outside mu; idle (on mu)
+	// is broadcast when it clears.
+	compacting bool
+	idle       *sync.Cond
+
+	// wk and cps are apply's kept-keys and private-copy columns, reused
+	// under mu from batch to batch.
+	wk  []string
+	cps [][]byte
 }
 
 // Open returns a store. With opts.Dir empty it is a fresh in-memory store
@@ -145,6 +159,7 @@ type Store struct {
 func Open(opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	s := &Store{opts: opts, dir: opts.Dir, mem: make(map[string][]byte)}
+	s.idle = sync.NewCond(&s.mu)
 	if s.dir == "" {
 		return s, nil
 	}
@@ -250,11 +265,10 @@ func Open(opts Options) (*Store, error) {
 		s.releaseRuns()
 		return nil, err
 	}
-	if s.memB >= s.opts.FlushBytes {
-		s.mu.Lock()
-		s.flushLocked() // bound recovery-accumulated state immediately
-		s.mu.Unlock()
-	}
+	s.mu.Lock()
+	s.flushLocked(s.opts.FlushBytes) // bound recovery-accumulated state immediately
+	s.maybeCompactLocked()
+	s.mu.Unlock()
 	return s, nil
 }
 
@@ -364,48 +378,54 @@ func (s *Store) GetAppend(dst []byte, key string) ([]byte, bool) {
 func (s *Store) Flush() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flushLocked()
+	s.flushLocked(0)
 }
 
-// flushLocked persists the memtable as a new run. Durable ordering: drain
-// the WAL (every memtable byte is on disk before the SST exists), write and
-// atomically install the SST file, rotate to a fresh WAL, record both in the
-// manifest, and only then delete the superseded WAL files. A crash between
-// any two steps recovers: the data is in the old WALs until the manifest
-// edit lands, and in the SST after.
-func (s *Store) flushLocked() {
-	if len(s.mem) == 0 || s.closed {
+// flushLocked persists the memtable as a new run once it holds at least
+// threshold bytes. When a compaction is in flight and runs have reached
+// 2×MaxRuns it first waits for that compaction — releasing mu, so the
+// threshold is checked again after — and a flush that leaves more than
+// MaxRuns runs starts the next one.
+//
+// Durable ordering: drain the WAL (every memtable byte is on disk before the
+// SST exists), write and atomically install the SST file, rotate to a fresh
+// WAL, record both in the manifest, and only then delete the superseded WAL
+// files. A crash between any two steps recovers: the data is in the old WALs
+// until the manifest edit lands, and in the SST after.
+func (s *Store) flushLocked(threshold int) {
+	if s.memB < threshold {
 		return
 	}
-	keys := make([]string, 0, len(s.mem))
-	for k := range s.mem {
-		keys = append(keys, k)
+	for s.compacting && len(s.runs) >= 2*s.opts.MaxRuns && !s.closed {
+		s.idle.Wait()
 	}
-	sort.Strings(keys)
-
-	var r *run
-	if s.dir == "" {
-		r = &run{
-			keys:  keys,
-			vals:  make([][]byte, len(keys)),
-			bloom: NewBloom(len(keys)),
-		}
-		for i, k := range keys {
-			r.vals[i] = s.mem[k]
-			r.bytes += len(k) + len(s.mem[k])
-			r.bloom.Add(k)
-		}
-	} else {
+	if len(s.mem) == 0 || s.memB < threshold || s.closed {
+		return
+	}
+	if s.wal != nil {
 		if err := s.wal.sync(); err != nil {
 			return // wedged WAL: keep the memtable, writes are failing anyway
 		}
-		num := s.allocNum()
-		var err error
-		r, err = writeSST(s.dir, num, keys, func(k string) []byte { return s.mem[k] })
-		if err != nil {
-			s.c.ioErrors.Add(1)
-			return // data stays in memtable + WAL; retried at next threshold
-		}
+	}
+	var num uint64
+	if s.dir != "" {
+		num = s.allocNum()
+	}
+	mr := s.memRunLocked()
+	w, err := newSSTWriter(s.dir, num, len(mr.keys), s.memB)
+	if err != nil {
+		s.c.ioErrors.Add(1)
+		return // data stays in memtable + WAL; retried at next threshold
+	}
+	for i, k := range mr.keys {
+		w.add(k, mr.vals[i])
+	}
+	r, err := w.finish()
+	if err != nil {
+		s.c.ioErrors.Add(1)
+		return
+	}
+	if s.dir != "" {
 		s.hook("flush.sst")
 		newWAL := s.allocNum()
 		if err := s.wal.rotate(newWAL); err != nil {
@@ -439,108 +459,52 @@ func (s *Store) flushLocked() {
 	s.mem = make(map[string][]byte)
 	s.memB = 0
 	s.c.flushes.Add(1)
-	if len(s.runs) > s.opts.MaxRuns {
-		s.compactLocked()
-	}
+	s.maybeCompactLocked()
 }
 
-// Compact merges every run into one, dropping shadowed versions and
-// tombstones.
-func (s *Store) Compact() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.compactLocked()
+// memRunLocked is the memtable as an in-memory run: its keys sorted once,
+// with their values (nil = tombstone).
+func (s *Store) memRunLocked() *run {
+	r := &run{keys: make([]string, 0, len(s.mem)), vals: make([][]byte, len(s.mem))}
+	for k := range s.mem {
+		r.keys = append(r.keys, k)
+	}
+	sort.Strings(r.keys)
+	for i, k := range r.keys {
+		r.vals[i] = s.mem[k]
+	}
+	return r
 }
 
-// compactLocked merges all runs newest-wins into one output run. In durable
-// mode the output SST is installed via manifest edit before the input SSTs
-// are deleted, so a crash at any point leaves either the inputs or the
-// output live — never neither.
-func (s *Store) compactLocked() {
-	if len(s.runs) <= 1 || s.closed {
-		return
+// waitCompactionLocked returns once no compaction is in flight.
+func (s *Store) waitCompactionLocked() {
+	for s.compacting {
+		s.idle.Wait()
 	}
-	// Newest-wins merge: walk runs oldest → newest into a map, then sort.
-	merged := make(map[string][]byte)
-	for i := len(s.runs) - 1; i >= 0; i-- {
-		r := s.runs[i]
-		for j, k := range r.keys {
-			if r.tombstone(j) {
-				merged[k] = nil
-				continue
-			}
-			v, ok := r.appendValue([]byte{}, j)
-			if !ok {
-				s.c.ioErrors.Add(1)
-				return // unreadable input: abort, inputs stay live
-			}
-			merged[k] = v
-		}
-	}
-	keys := make([]string, 0, len(merged))
-	for k, v := range merged {
-		if v == nil {
-			continue // tombstones die at full compaction
-		}
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	var out *run
-	if s.dir == "" {
-		out = &run{
-			keys:  keys,
-			vals:  make([][]byte, len(keys)),
-			bloom: NewBloom(len(keys)),
-		}
-		for i, k := range keys {
-			out.vals[i] = merged[k]
-			out.bytes += len(k) + len(merged[k])
-			out.bloom.Add(k)
-		}
-	} else {
-		num := s.allocNum()
-		var err error
-		out, err = writeSST(s.dir, num, keys, func(k string) []byte { return merged[k] })
-		if err != nil {
-			s.c.ioErrors.Add(1)
-			return
-		}
-		s.hook("compact.sst")
-		prev := s.man.ssts
-		s.man.ssts = []uint64{num}
-		if err := s.man.store(s.dir); err != nil {
-			s.c.ioErrors.Add(1)
-			s.man.ssts = prev
-			out.close()
-			os.Remove(filepath.Join(s.dir, sstName(num)))
-			return
-		}
-		s.hook("compact.manifest")
-		for _, r := range s.runs {
-			r.close()
-		}
-		for _, n := range prev {
-			os.Remove(filepath.Join(s.dir, sstName(n)))
-		}
-		s.hook("compact.done")
-	}
-
-	s.runs = []*run{out}
-	s.c.compactions.Add(1)
 }
 
 // Close shuts the store down cleanly: flush the memtable (which drains the
-// WAL first), fsync and close the log, and release every SST file handle.
-// After Close all operations fail with ErrClosed. In-memory stores have
-// nothing to release and Close is a no-op.
+// WAL first), let compaction finish and publish, fsync and close the log,
+// and release every SST file handle. After Close all operations fail with
+// ErrClosed. In-memory stores have nothing to release: Close only waits out
+// the compaction.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.dir == "" {
+	if s.closed {
 		return nil
 	}
-	s.flushLocked()
+	if s.dir == "" {
+		s.waitCompactionLocked()
+		return nil
+	}
+	s.flushLocked(0)
+	// The store stays open until compaction is idle, so the merge the flush
+	// may have started publishes instead of being thrown away.
+	s.waitCompactionLocked()
+	if s.closed {
+		return nil // a concurrent Close or Crash finished while this one waited
+	}
 	s.closed = true
 	err := s.wal.close()
 	s.releaseRuns()
@@ -562,6 +526,7 @@ func (s *Store) Crash() {
 	if s.wal != nil {
 		s.wal.crash()
 	}
+	s.waitCompactionLocked() // it finds the store closed and discards its output
 	s.releaseRuns()
 }
 
@@ -583,24 +548,20 @@ func (s *Store) MemBytes() int {
 // the snapshot membership streaming paginates over (linear scan; cold path).
 func (s *Store) AppendLiveKeys(dst []string) []string {
 	s.mu.RLock()
-	live := make(map[string]bool, len(s.mem))
-	for i := len(s.runs) - 1; i >= 0; i-- {
-		r := s.runs[i]
-		for j, k := range r.keys {
-			live[k] = !r.tombstone(j)
-		}
-	}
-	for k, v := range s.mem {
-		live[k] = v != nil
-	}
-	s.mu.RUnlock()
-	for k, alive := range live {
-		if alive {
-			dst = append(dst, k)
-		}
-	}
-	sort.Strings(dst)
+	defer s.mu.RUnlock()
+	s.eachLiveLocked(func(k string) { dst = append(dst, k) })
 	return dst
+}
+
+// eachLiveLocked calls fn with every live key in ascending order: the
+// memtable and the runs through the merge, newest first.
+func (s *Store) eachLiveLocked(fn func(key string)) {
+	m := newMerger(append([]*run{s.memRunLocked()}, s.runs...))
+	for r, i, ok := m.next(); ok; r, i, ok = m.next() {
+		if !r.tombstone(i) {
+			fn(r.keys[i])
+		}
+	}
 }
 
 // Has reports whether key currently exists, without copying its value.
@@ -628,22 +589,8 @@ func (s *Store) Has(key string) bool {
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	live := make(map[string]bool)
-	for i := len(s.runs) - 1; i >= 0; i-- {
-		r := s.runs[i]
-		for j, k := range r.keys {
-			live[k] = !r.tombstone(j)
-		}
-	}
-	for k, v := range s.mem {
-		live[k] = v != nil
-	}
 	n := 0
-	for _, alive := range live {
-		if alive {
-			n++
-		}
-	}
+	s.eachLiveLocked(func(string) { n++ })
 	return n
 }
 

@@ -2,7 +2,10 @@ package lsm
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -78,22 +81,179 @@ func TestAutoFlushOnThreshold(t *testing.T) {
 	}
 }
 
+// Compaction runs in the background, so the bound is the backpressure rule:
+// flushes may stack runs while a merge is in flight, but never beyond
+// 2×MaxRuns — checked after every flush and by a concurrent sampler — and
+// an explicit Compact leaves at most MaxRuns+1.
 func TestAutoCompactionBoundsRuns(t *testing.T) {
-	s := mustOpen(t, Options{FlushBytes: 1 << 30, MaxRuns: 3})
-	for f := 0; f < 10; f++ {
-		s.Put(fmt.Sprintf("k%d", f), []byte("v"))
+	const maxRuns, flushes = 3, 40
+	s := mustOpen(t, Options{FlushBytes: 1 << 30, MaxRuns: maxRuns})
+	done := make(chan struct{})
+	worst := make(chan int)
+	go func() {
+		most := 0
+		for {
+			select {
+			case <-done:
+				worst <- most
+				return
+			default:
+				most = max(most, s.Runs())
+			}
+		}
+	}()
+	for f := 0; f < flushes; f++ {
+		for i := 0; i < 50; i++ {
+			s.Put(fmt.Sprintf("k%d-%d", f, i), []byte("v"))
+		}
 		s.Flush()
+		if got := s.Runs(); got > 2*maxRuns {
+			t.Fatalf("flush %d: runs = %d, want <= 2×MaxRuns = %d", f, got, 2*maxRuns)
+		}
 	}
-	if got := s.Runs(); got > 3+1 {
-		t.Fatalf("runs = %d, want bounded by MaxRuns", got)
+	close(done)
+	if got := <-worst; got > 2*maxRuns {
+		t.Fatalf("sampled runs = %d, want <= 2×MaxRuns = %d", got, 2*maxRuns)
+	}
+	s.Compact()
+	if got := s.Runs(); got > maxRuns+1 {
+		t.Fatalf("runs after Compact = %d, want <= MaxRuns+1 = %d", got, maxRuns+1)
 	}
 	if s.Stats().Compactions == 0 {
 		t.Fatal("no compactions despite run pressure")
 	}
-	for f := 0; f < 10; f++ {
-		if v, ok := s.Get(fmt.Sprintf("k%d", f)); !ok || string(v) != "v" {
-			t.Fatalf("k%d lost after compaction", f)
+	for f := 0; f < flushes; f++ {
+		for i := 0; i < 50; i++ {
+			if v, ok := s.Get(fmt.Sprintf("k%d-%d", f, i)); !ok || string(v) != "v" {
+				t.Fatalf("k%d-%d lost after compaction", f, i)
+			}
 		}
+	}
+	if got := s.Len(); got != flushes*50 {
+		t.Fatalf("Len = %d, want %d", got, flushes*50)
+	}
+}
+
+// Model check under -race: writers, readers, flushes and explicit Compact
+// calls race while background compactions swap runs underneath. Each key
+// has one writer, whose ops are numbered; every fifth op is a delete. A read
+// must show a put no older than the last op acked before the read began and
+// no newer than the last one issued before it ended, or — if absent — some
+// delete (or the initial absence, op 0) inside that window.
+func TestConcurrentCompactionModel(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			opts := Options{FlushBytes: 2 << 10, MaxRuns: 2}
+			if durable {
+				opts.Dir, opts.NoSync = t.TempDir(), true
+			}
+			s := mustOpen(t, opts)
+			defer s.Close()
+			const writers, keysPer, batches = 3, 24, 150
+			type keyState struct{ issued, acked atomic.Uint64 }
+			state := make([]keyState, writers*keysPer)
+			key := func(k int) string { return fmt.Sprintf("w%d-k%02d", k/keysPer, k%keysPer) }
+			isDel := func(seq uint64) bool { return seq%5 == 0 }
+			pad := strings.Repeat("p", 60)
+			val := func(seq uint64) string { return fmt.Sprintf("%d:%s", seq, pad) }
+
+			var writing, background sync.WaitGroup
+			stop := make(chan struct{})
+			errs := make(chan error, 16)
+			for w := 0; w < writers; w++ {
+				writing.Add(1)
+				go func(w int) {
+					defer writing.Done()
+					rng := sim.RNG(uint64(w), 5)
+					for b := 0; b < batches; b++ {
+						n := 1 + rng.IntN(6)
+						keys := make([]string, 0, n)
+						vers := make([]uint64, 0, n)
+						vals := make([][]byte, 0, n)
+						dels := make([]bool, 0, n)
+						ids := make([]int, 0, n)
+						for len(ids) < n {
+							k := w*keysPer + rng.IntN(keysPer)
+							if slices.Contains(ids, k) {
+								continue
+							}
+							seq := state[k].issued.Add(1)
+							ids = append(ids, k)
+							keys, vers = append(keys, key(k)), append(vers, seq)
+							vals = append(vals, []byte(val(seq)))
+							dels = append(dels, isDel(seq))
+						}
+						if err := s.ApplyMulti(keys, vers, vals, dels); err != nil {
+							errs <- err
+							return
+						}
+						for i, k := range ids {
+							state[k].acked.Store(vers[i])
+						}
+					}
+				}(w)
+			}
+			for r := 0; r < 3; r++ {
+				background.Add(1)
+				go func(r int) {
+					defer background.Done()
+					rng := sim.RNG(uint64(r), 6)
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						k := rng.IntN(len(state))
+						lo := state[k].acked.Load()
+						v, got, ok := s.GetVersioned(nil, key(k))
+						hi := state[k].issued.Load()
+						if ok {
+							if got < lo || got > hi || isDel(got) || string(v) != val(got) {
+								errs <- fmt.Errorf("%s = op %d (%.8q), want a put in ops [%d, %d]", key(k), got, v, lo, hi)
+								return
+							}
+						} else if hi/5*5 < lo {
+							errs <- fmt.Errorf("%s absent, but ops [%d, %d] hold no delete", key(k), lo, hi)
+							return
+						}
+					}
+				}(r)
+			}
+			background.Add(1)
+			go func() {
+				defer background.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if i%4 == 0 {
+						s.Flush()
+					}
+					s.Compact()
+				}
+			}()
+			writing.Wait()
+			close(stop)
+			background.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			if s.Stats().Compactions == 0 {
+				t.Fatal("no compaction ran")
+			}
+			// Quiescent: every key shows exactly its last acked op.
+			for k := range state {
+				if last := state[k].acked.Load(); isDel(last) {
+					wantGet(t, s, key(k), "")
+				} else {
+					wantV(t, s, key(k), last, val(last))
+				}
+			}
+		})
 	}
 }
 
@@ -111,6 +271,54 @@ func TestCompactionPreservesNewestVersion(t *testing.T) {
 	}
 	if v, _ := s.Get("k"); string(v) != "v3" {
 		t.Fatalf("compaction kept %q, want v3", v)
+	}
+}
+
+// An in-memory run's values are views into the arenas of the batches that
+// wrote them. Compaction copies the survivors into its own arena, so a live
+// value no longer pins the whole batch arena it came from.
+func TestInMemoryCompactionCopiesSurvivors(t *testing.T) {
+	s := mustOpen(t, Options{MaxRuns: 100})
+	for gen := 0; gen < 3; gen++ {
+		keys := make([]string, 8)
+		vals := make([][]byte, 8)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("k%d-%d", gen, i)
+			vals[i] = []byte(strings.Repeat("x", 16))
+		}
+		if err := s.PutAll(keys, vals); err != nil {
+			t.Fatal(err)
+		}
+		mustPut(t, s, "empty", "")
+		s.Flush()
+	}
+	s.mu.RLock()
+	inputs := map[*byte]bool{}
+	for _, r := range s.runs {
+		for _, v := range r.vals {
+			if len(v) > 0 {
+				inputs[&v[0]] = true
+			}
+		}
+	}
+	s.mu.RUnlock()
+	s.Compact()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if len(s.runs) != 1 {
+		t.Fatalf("runs = %d after compact, want 1", len(s.runs))
+	}
+	out := s.runs[0]
+	for i, v := range out.vals {
+		if v == nil {
+			t.Fatalf("%s: live value came out as a tombstone", out.keys[i])
+		}
+		if len(v) > 0 && inputs[&v[0]] {
+			t.Fatalf("%s: compaction output still points into a batch arena", out.keys[i])
+		}
+	}
+	if len(out.keys) != 3*8+1 {
+		t.Fatalf("compaction kept %d keys, want %d", len(out.keys), 3*8+1)
 	}
 }
 

@@ -24,8 +24,11 @@ import (
 // Edit rules: a flush writes its SST and rotates the WAL *before* the
 // manifest edit that references them, and deletes superseded WAL files only
 // *after* the edit lands; compaction likewise installs its output SST via
-// manifest edit before deleting its inputs. Every intermediate crash state
-// is therefore recoverable, leaving at worst orphan files that Open removes.
+// manifest edit before deleting its inputs. Edits happen under the store
+// lock only, so a flush that lands while a compaction merges names the
+// compaction's inputs, and the compaction's edit names that flush's SST
+// ahead of its output. Every intermediate crash state is therefore
+// recoverable, leaving at worst orphan files that Open removes.
 
 const manifestName = "MANIFEST"
 

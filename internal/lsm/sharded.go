@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -303,10 +304,15 @@ func (t *Sharded) ApplyMulti(keys []string, vers []uint64, vals [][]byte, dels [
 	return firstErr
 }
 
-// AppendLiveKeys appends every shard's live keys to dst.
+// AppendLiveKeys appends every shard's live keys to dst in ascending byte
+// order.
 func (t *Sharded) AppendLiveKeys(dst []string) []string {
+	at := len(dst)
 	for _, s := range t.shards {
 		dst = s.AppendLiveKeys(dst)
+	}
+	if t.n > 1 {
+		slices.Sort(dst[at:]) // each shard's keys arrive sorted, the union does not
 	}
 	return dst
 }

@@ -32,77 +32,113 @@ const (
 
 	// sstCacheCap bounds the per-run retained data section: runs up to this
 	// size serve reads from memory (the file is the recovery copy), larger
-	// ones read through the file. Bounded by MaxRuns × sstCacheCap overall.
+	// ones read through the file. Bounded by 2×MaxRuns × sstCacheCap overall
+	// (plus the output a compaction is building), since flushes wait for the
+	// compaction in flight before stacking runs beyond 2×MaxRuns.
 	sstCacheCap = 16 << 20
 )
 
-// writeSST persists the sorted keys (values via get; nil = tombstone) as SST
-// file num in dir and returns the open file-backed run. The returned run
-// retains keys and the freshly built bloom filter; values live on disk.
-func writeSST(dir string, num uint64, keys []string, get func(string) []byte) (*run, error) {
-	final := filepath.Join(dir, sstName(num))
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+// sstWriter builds one run from records fed to add in ascending key order —
+// the memtable's sorted keys at flush, the merge's output at compaction. With
+// a directory it streams SST file num there and finish installs it; without
+// one it assembles an in-memory run that keeps the fed value slices
+// themselves. A nil value is a tombstone.
+type sstWriter struct {
+	r              *run
+	dir, path, tmp string
+	f              *os.File // nil: in-memory run
+	bw             *bufio.Writer
+	off            int64
+	dataCRC        uint32
+	cache          []byte // the data section, retained while it fits sstCacheCap
+	keyBytes       int
+	scratch        []byte // record header; starts on hdr, grows only for long keys
+	hdr            [64]byte
+	err            error // sticky write error, reported by finish
+}
+
+// newSSTWriter starts a run of at most n records totalling at most bytes of
+// key and value payload — the bounds presize the key columns, the Bloom
+// filter and the data cache, so a compaction's output never regrows them.
+func newSSTWriter(dir string, num uint64, n, bytes int) (*sstWriter, error) {
+	w := &sstWriter{dir: dir, r: &run{keys: make([]string, 0, n), bloom: NewBloom(n), num: num}}
+	if dir == "" {
+		w.r.vals = make([][]byte, 0, n)
+		return w, nil
+	}
+	w.path = filepath.Join(dir, sstName(num))
+	w.tmp = w.path + ".tmp"
+	f, err := os.OpenFile(w.tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	abort := func(err error) (*run, error) {
-		f.Close()
-		os.Remove(tmp)
-		return nil, err
-	}
+	w.f, w.bw = f, bufio.NewWriterSize(f, 1<<16)
+	w.scratch = w.hdr[:0]
+	w.r.offs = make([]int64, 0, n)
+	w.r.vlens = make([]uint32, 0, n)
+	w.cache = make([]byte, 0, min(bytes+8*n, sstCacheCap)) // 8: klen + vflag
+	return w, nil
+}
 
-	bw := bufio.NewWriterSize(f, 1<<16)
-	r := &run{
-		keys:  keys,
-		offs:  make([]int64, len(keys)),
-		vlens: make([]uint32, len(keys)),
-		bloom: NewBloom(len(keys)),
-		num:   num,
+// add appends one record; its key must sort after every key added before.
+func (w *sstWriter) add(key string, v []byte) {
+	r := w.r
+	r.keys = append(r.keys, key)
+	r.bloom.Add(key)
+	r.bytes += len(key) + len(v)
+	if w.f == nil {
+		r.vals = append(r.vals, v)
+		return
 	}
-	var (
-		off     int64
-		dataCRC uint32
-		scratch []byte
-	)
-	cache := make([]byte, 0, 1<<16)
-	emit := func(b []byte) error {
-		dataCRC = crc32.Update(dataCRC, crcTable, b)
-		if cache != nil {
-			if len(cache)+len(b) <= sstCacheCap {
-				cache = append(cache, b...)
-			} else {
-				cache = nil // run too big to retain; reads go through the file
-			}
-		}
-		n, err := bw.Write(b)
-		off += int64(n)
-		return err
+	vflag := uint32(len(v))
+	if v == nil {
+		vflag = tombstoneBit
 	}
-	for i, k := range keys {
-		v := get(k)
-		vflag := uint32(len(v))
-		if v == nil {
-			vflag = tombstoneBit
-		}
-		scratch = binary.LittleEndian.AppendUint32(scratch[:0], uint32(len(k)))
-		scratch = append(scratch, k...)
-		scratch = binary.LittleEndian.AppendUint32(scratch, vflag)
-		if err := emit(scratch); err != nil {
-			return abort(err)
-		}
-		r.offs[i] = off
-		r.vlens[i] = vflag
-		if err := emit(v); err != nil {
-			return abort(err)
-		}
-		r.bytes += len(k) + len(v)
-		r.bloom.Add(k)
-	}
+	w.scratch = binary.LittleEndian.AppendUint32(w.scratch[:0], uint32(len(key)))
+	w.scratch = append(w.scratch, key...)
+	w.scratch = binary.LittleEndian.AppendUint32(w.scratch, vflag)
+	w.emit(w.scratch)
+	r.offs = append(r.offs, w.off)
+	r.vlens = append(r.vlens, vflag)
+	w.emit(v)
+	w.keyBytes += len(key)
+}
 
-	indexOff := off
-	meta := binary.LittleEndian.AppendUint32(nil, uint32(len(keys)))
-	for i, k := range keys {
+// emit writes b to the data section, folding it into the CRC and the cache.
+func (w *sstWriter) emit(b []byte) {
+	if w.err != nil {
+		return
+	}
+	w.dataCRC = crc32.Update(w.dataCRC, crcTable, b)
+	if w.cache != nil {
+		if len(w.cache)+len(b) <= sstCacheCap {
+			w.cache = append(w.cache, b...)
+		} else {
+			w.cache = nil // run too big to retain; reads go through the file
+		}
+	}
+	n, err := w.bw.Write(b)
+	w.off += int64(n)
+	w.err = err
+}
+
+// finish completes the run. A durable one gets its index, filter and footer,
+// is fsynced, atomically renamed into place with the directory fsynced, and
+// comes back open and file-backed; on error nothing but possibly an
+// unreferenced file (which Open deletes) is left behind.
+func (w *sstWriter) finish() (*run, error) {
+	r := w.r
+	if w.f == nil {
+		return r, nil
+	}
+	if w.err != nil {
+		w.abort()
+		return nil, w.err
+	}
+	indexOff := w.off
+	meta := make([]byte, 0, 4+16*len(r.keys)+w.keyBytes+16+8*len(r.bloom.bits)+sstFooterLen)
+	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(r.keys)))
+	for i, k := range r.keys {
 		meta = binary.LittleEndian.AppendUint32(meta, uint32(len(k)))
 		meta = append(meta, k...)
 		meta = binary.LittleEndian.AppendUint64(meta, uint64(r.offs[i]))
@@ -111,43 +147,50 @@ func writeSST(dir string, num uint64, keys []string, get func(string) []byte) (*
 	bloomOff := indexOff + int64(len(meta))
 	meta = r.bloom.appendTo(meta)
 	metaCRC := crc32.Checksum(meta, crcTable)
+	meta = binary.LittleEndian.AppendUint64(meta, uint64(indexOff))
+	meta = binary.LittleEndian.AppendUint64(meta, uint64(bloomOff))
+	meta = binary.LittleEndian.AppendUint32(meta, w.dataCRC)
+	meta = binary.LittleEndian.AppendUint32(meta, metaCRC)
+	meta = binary.LittleEndian.AppendUint64(meta, sstMagic)
 
-	footer := binary.LittleEndian.AppendUint64(nil, uint64(indexOff))
-	footer = binary.LittleEndian.AppendUint64(footer, uint64(bloomOff))
-	footer = binary.LittleEndian.AppendUint32(footer, dataCRC)
-	footer = binary.LittleEndian.AppendUint32(footer, metaCRC)
-	footer = binary.LittleEndian.AppendUint64(footer, sstMagic)
-
-	if _, err := bw.Write(meta); err != nil {
-		return abort(err)
-	}
-	if _, err := bw.Write(footer); err != nil {
-		return abort(err)
-	}
-	if err := bw.Flush(); err != nil {
-		return abort(err)
-	}
-	if err := f.Sync(); err != nil {
-		return abort(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	if _, err := w.bw.Write(meta); err != nil {
+		w.abort()
 		return nil, err
 	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
+	if err := w.bw.Flush(); err != nil {
+		w.abort()
 		return nil, err
 	}
-	if err := syncDir(dir); err != nil {
+	if err := w.f.Sync(); err != nil {
+		w.abort()
 		return nil, err
 	}
-	rf, err := os.Open(final)
+	if err := w.f.Close(); err != nil {
+		os.Remove(w.tmp)
+		return nil, err
+	}
+	if err := os.Rename(w.tmp, w.path); err != nil {
+		os.Remove(w.tmp)
+		return nil, err
+	}
+	if err := syncDir(w.dir); err != nil {
+		return nil, err
+	}
+	rf, err := os.Open(w.path)
 	if err != nil {
 		return nil, err
 	}
 	r.f = rf
-	r.cache = cache
+	r.cache = w.cache
 	return r, nil
+}
+
+// abort drops a durable run mid-write: the temp file is closed and removed.
+func (w *sstWriter) abort() {
+	if w.f != nil {
+		w.f.Close()
+		os.Remove(w.tmp)
+	}
 }
 
 // openSST opens SST file num in dir, loading its index and bloom filter into
@@ -264,6 +307,28 @@ func (r *run) appendValue(dst []byte, i int) (_ []byte, ok bool) {
 		return dst[:at], false
 	}
 	return dst, true
+}
+
+// view returns the value of live entry i without copying it when the run
+// holds it in memory (vals or the retained cache). A run read through its
+// file reads it into buf, which the caller passes back for the next entry;
+// the view is valid until then. ok=false reports an I/O failure.
+func (r *run) view(i int, buf []byte) (v, nbuf []byte, ok bool) {
+	if r.vals != nil {
+		return r.vals[i], buf, true
+	}
+	n := int64(r.vlens[i] &^ tombstoneBit)
+	if r.cache != nil {
+		return r.cache[r.offs[i] : r.offs[i]+n : r.offs[i]+n], buf, true
+	}
+	if n == 0 {
+		return []byte{}, buf, true // present and empty, never nil (a tombstone)
+	}
+	buf = slices.Grow(buf[:0], int(n))[:n]
+	if _, err := r.f.ReadAt(buf, r.offs[i]); err != nil {
+		return nil, buf, false
+	}
+	return buf, buf, true
 }
 
 // tombstone reports whether entry i is a delete marker.

@@ -97,19 +97,35 @@ func (s *Store) apply(keys []string, vers []uint64, vals [][]byte, dels []bool) 
 	// the worst case so it never regrows under the slices handed out below.
 	// A nil copy is a tombstone — the memtable's and the WAL's convention.
 	arena := make([]byte, 0, total)
-	cps := make([][]byte, 0, len(keys))
-	wk := make([]string, 0, len(keys))
 	s.mu.Lock()
+	cw, err := s.applyLocked(keys, vers, vals, dels, arena)
+	if err == nil {
+		s.flushLocked(s.opts.FlushBytes)
+	}
+	s.mu.Unlock()
+	return cw, err
+}
+
+// applyLocked is apply's critical section up to the flush decision: guard,
+// WAL append, memtable insert. Its kept-keys and copies columns are the
+// store's own scratch; the WAL copies the records into its buffer and the
+// memtable keeps only the elements, so the columns go back before the flush
+// decision, whose backpressure wait releases the lock to other batches.
+func (s *Store) applyLocked(keys []string, vers []uint64, vals [][]byte, dels []bool, arena []byte) (*walCommit, error) {
 	if s.closed {
-		s.mu.Unlock()
 		return nil, ErrClosed
 	}
+	wk, cps := s.wk[:0], s.cps[:0]
+	defer func() {
+		clear(wk) // drop this batch's keys and arena views
+		clear(cps)
+		s.wk, s.cps = wk[:0], cps[:0]
+	}()
 	for i, k := range keys {
 		ver := vers[i]
 		if ver != 0 {
 			cur, present, err := s.versionLocked(k)
 			if err != nil {
-				s.mu.Unlock()
 				return nil, err
 			}
 			if present && cur >= ver {
@@ -129,14 +145,12 @@ func (s *Store) apply(keys []string, vers []uint64, vals [][]byte, dels []bool) 
 		cps = append(cps, cp)
 	}
 	if len(wk) == 0 {
-		s.mu.Unlock()
 		return nil, nil
 	}
 	var cw *walCommit
 	if s.wal != nil {
 		var err error
 		if cw, err = s.wal.addBatch(wk, cps); err != nil {
-			s.mu.Unlock()
 			return nil, err
 		}
 	}
@@ -149,10 +163,6 @@ func (s *Store) apply(keys []string, vers []uint64, vals [][]byte, dels []bool) 
 	}
 	s.c.deletes.Add(uint64(ndel))
 	s.c.puts.Add(uint64(len(wk) - ndel))
-	if s.memB >= s.opts.FlushBytes {
-		s.flushLocked()
-	}
-	s.mu.Unlock()
 	return cw, nil
 }
 
