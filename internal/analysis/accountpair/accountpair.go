@@ -8,7 +8,7 @@
 //
 // The check is flow-sensitive and intraprocedural with one interprocedural
 // courtesy: a call to a same-package function that (transitively) performs
-// settling — accountReadSuccess, raceRead spawning a settling goroutine —
+// settling — accountReadSuccess, or a function spawning a settling goroutine —
 // counts as a settle on that path. Settles inside function literals spawned
 // or deferred on the path count too (`n.wg.Add(1); go func(){ ...
 // OnAbandon ... }()` settles eventually by construction). What it cannot see

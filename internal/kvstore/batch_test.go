@@ -295,11 +295,32 @@ func TestMultiGetAllReplicasDownReportsMissing(t *testing.T) {
 	settleOutstanding(t, c.Nodes[:1], 5, 3*time.Second)
 }
 
-// TestReadBudgetBoundsStalledReads: the ReadBudget config field (threaded
-// through both the point and batch escalation ladders) must bound a read
-// whose every replica is stalled — the read reports not-found within the
-// budget instead of riding the stall, and the abandoned in-flight requests
-// release their accounting.
+// TestPointGetAllReplicasDownFails: the point twin — a CL=ONE Get whose
+// whole replica group is down fails with ErrQuorumUnavailable instead of
+// reporting a miss, and counts no quorum failure: ONE has no quorum to miss.
+func TestPointGetAllReplicasDownFails(t *testing.T) {
+	c, _ := startTestCluster(t, 5, Config{Seed: 41})
+	coordinator := c.Nodes[0]
+	key := keysExcludingNode(t, coordinator, 0, "pgad", 1)[0]
+	for i := 1; i < 5; i++ {
+		c.Nodes[i].Close()
+	}
+	cl := pinnedClient(t, coordinator)
+	before := coordinator.QuorumFailures()
+	if _, ok, err := cl.Get(key); !errors.Is(err, ErrQuorumUnavailable) || ok {
+		t.Fatalf("Get with its whole group down = %v,%v, want ErrQuorumUnavailable", ok, err)
+	}
+	if d := coordinator.QuorumFailures() - before; d != 0 {
+		t.Fatalf("a failed CL=ONE read counted %d quorum failures", d)
+	}
+	settleOutstanding(t, c.Nodes[:1], 5, 3*time.Second)
+}
+
+// TestReadBudgetBoundsStalledReads: the ReadBudget config field must bound a
+// read whose every replica is stalled — a point read fails with ErrTimeout
+// and a batch read reports its keys not-found within the budget instead of
+// riding the stall — and the abandoned in-flight requests release their
+// accounting.
 func TestReadBudgetBoundsStalledReads(t *testing.T) {
 	const stall = 400 * time.Millisecond
 	cfg := Config{Seed: 39, ReadBudget: 60 * time.Millisecond, ReadRepair: -1}
@@ -314,8 +335,8 @@ func TestReadBudgetBoundsStalledReads(t *testing.T) {
 	start := time.Now()
 	_, ok, err := cl.Get(keys[0])
 	pointElapsed := time.Since(start)
-	if err != nil {
-		t.Fatalf("Get: %v", err)
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("stalled point read: err = %v, want ErrTimeout", err)
 	}
 	if ok {
 		t.Fatal("stalled point read returned a value inside a 60ms budget")

@@ -14,16 +14,14 @@ import (
 //
 // Command → path mapping:
 //
-//	GET   → coordinateRead (ONE), the path wire clients take, with its
-//	        background read repair / the read ladder as a batch of one
-//	        (QUORUM, ALL; readpath.go): a data read to the C3-best replica
-//	        plus R-1 digests
+//	GET   → the read ladder as a batch of one (pointRead, readpath.go), the
+//	        path wire clients take: a data read to the C3-best replica plus
+//	        R-1 digests, and the background read repair of its probes
 //	SET   → coordinateWrite, the one write coordinator, plus a wait
 //	        (writeSync): the full replicated write fan-out, version-stamped,
 //	        hint-banked on transport failure
-//	DEL   → an existence check — coordinateRead (ONE) / the read ladder
-//	        with every leg a digest, versions only (QUORUM, ALL) — then the
-//	        same write with the tombstone flag set
+//	DEL   → an existence check — the read ladder with every leg a digest,
+//	        versions only — then the same write with the tombstone flag set
 //	MGET  → the read ladder over the whole batch
 //	MSET  → the same coordinator and wait, one version stamp for the batch
 //
@@ -68,9 +66,6 @@ func (b *respBackend) Get(key []byte) ([]byte, bool, error) {
 	if err := checkKV(key, nil); err != nil {
 		return nil, false, err
 	}
-	if b.lvl == One {
-		return b.readOne(key)
-	}
 	raw, found, status := b.n.pointRead(uint8(b.lvl), pooledString(key), nil, readValues)
 	if err := readStatusErr(status); err != nil || !found {
 		return nil, false, err
@@ -99,37 +94,12 @@ func (b *respBackend) Del(key []byte) (bool, error) {
 	return existed, nil
 }
 
-// exists reads key at the backend's level for the found bit alone: above ONE
-// through the ladder with every leg a digest, versions only.
+// exists reads key at the backend's level for the found bit alone, through
+// the ladder with every leg a digest: versions only.
 func (b *respBackend) exists(key []byte) bool {
-	if b.lvl == One {
-		_, found, _ := b.readOne(key)
-		return found
-	}
 	var vb [wire.VersionPrefix]byte
 	_, found, status := b.n.pointRead(uint8(b.lvl), pooledString(key), vb[:0], readVersions)
 	return found && status == wire.StatusOK
-}
-
-// readOne runs a CL=ONE point read through coordinateRead — the C3-ranked
-// single dispatch with its hedge/failover ladder and background read repair —
-// and returns the payload in caller-owned memory. A CL=ONE read has no level
-// to miss: the error is always nil.
-func (b *respBackend) readOne(key []byte) ([]byte, bool, error) {
-	rr, vbuf := b.n.coordinateRead(wire.ReadReq{Key: pooledString(key)}, nil)
-	if vbuf != nil {
-		// A raced read: the payload arrived in a pooled buffer.
-		rr.Value = append([]byte{}, rr.Value...)
-		putBuf(vbuf)
-	} else if rr.Found {
-		// An inline local read: the raw stored bytes (version prefix +
-		// payload), already in a fresh buffer.
-		_, rr.Value = lsm.SplitVersioned(rr.Value)
-	}
-	if !rr.Found {
-		return nil, false, nil
-	}
-	return rr.Value, true, nil
 }
 
 func (b *respBackend) write(key, val []byte, del bool) error {

@@ -156,10 +156,9 @@ func TestGatewayQuorum(t *testing.T) {
 	}
 }
 
-// TestGatewayOneReadRepairs: a CL=ONE GET through the gateway keeps
-// coordinateRead's background read repair. Node 2 drops a write; GETs at ONE
-// then probe the other replicas' versions and write the newest value back to
-// it.
+// TestGatewayOneReadRepairs: a CL=ONE GET through the gateway keeps the
+// ladder's background read repair. Node 2 drops a write; GETs at ONE then
+// probe the other replicas' versions and write the newest value back to it.
 func TestGatewayOneReadRepairs(t *testing.T) {
 	c, rc := startGateway(t, 3, Config{Seed: 96, ReadRepair: 1}, One)
 	cl, err := Dial(c.Addrs())
@@ -191,6 +190,33 @@ func TestGatewayOneReadRepairs(t *testing.T) {
 	if after.Repairs == before.Repairs || after.DigestReads == before.DigestReads {
 		t.Fatalf("repairs %d -> %d, digest reads %d -> %d: the heal did not come from a version-only probe",
 			before.Repairs, after.Repairs, before.DigestReads, after.DigestReads)
+	}
+}
+
+// TestGatewayOneDelChecksVersionsOnly: DEL's existence check is version-only
+// at CL=ONE too — digests, no data read — and the reply still counts the
+// keys that existed.
+func TestGatewayOneDelChecksVersionsOnly(t *testing.T) {
+	c, rc := startGateway(t, 3, Config{Seed: 97, ReadRepair: -1}, One)
+	cl, err := Dial(c.Addrs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.PutAt("gone", []byte("v"), All); err != nil {
+		t.Fatal(err)
+	}
+	coord := c.Nodes[0]
+	before := coord.StatsSnapshot()
+	if r := do(t, rc, "DEL", "gone", "never-set"); r.Int != 1 {
+		t.Fatalf("DEL = %+v, want 1", r)
+	}
+	after := coord.StatsSnapshot()
+	if d := after.ReplicaReads - before.ReplicaReads; d != 0 {
+		t.Fatalf("DEL at ONE sent %d data reads, want none", d)
+	}
+	if d := after.DigestReads - before.DigestReads; d < 2 {
+		t.Fatalf("DEL at ONE sent %d digests, want one per key", d)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"net"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -51,21 +50,23 @@ type Config struct {
 	// delay per replica read — the stand-in for disk seeks when the
 	// store runs entirely in memory. Zero disables it.
 	ReadDelayMean time.Duration
-	// ReadRepair is the probability a read is broadcast to every replica
-	// (Cassandra's anti-entropy read repair, 10% by default). Beyond
-	// consistency, it is what keeps coordinators' views of currently
-	// unselected replicas fresh — without it, a replica that turned slow
-	// and was abandoned would never be observed recovering. Negative
-	// disables it.
+	// ReadRepair is the probability a read also probes every replica it
+	// did not ask, the coordinator's own included, for versions (Cassandra's
+	// read repair chance, 10% by default); a probed replica that answered
+	// older or absent than the read's answer gets it written back in the
+	// background. Beyond consistency, it is what keeps coordinators' views
+	// of currently unselected replicas fresh — without it, a replica that
+	// turned slow and was abandoned would never be observed recovering.
+	// Negative disables it.
 	ReadRepair float64
 	// BackpressureTimeout bounds how long a coordinator holds a request
 	// waiting for a rate token before failing open (default 2s).
 	BackpressureTimeout time.Duration
 	// ReadBudget bounds how long a coordinated read may spend across its
-	// primary replica, hedges, and failure-path retries once dispatched
-	// (default 2s). A read that exhausts its budget reports not-found; the
-	// in-flight replica requests are reaped in the background with their
-	// accounting intact.
+	// replicas, hedges and failovers once dispatched (default 2s). A point
+	// read that exhausts it fails with ErrTimeout and a batch read reports
+	// the keys it could not read not-found; requests still in flight settle
+	// in the background with their accounting intact.
 	ReadBudget time.Duration
 	// Hedge configures speculative (hedged) reads — the tail-tolerance
 	// layer. Enabled by default; see HedgeConfig.
@@ -104,14 +105,15 @@ type Config struct {
 // HedgeConfig tunes speculative reads. After an adaptive delay — the
 // coordinator's smoothed replica-read RTT plus 3.5 deviations (RFC 6298
 // estimators, ≈ a p93 latency estimate; see hedgeDelay) — a read still
-// waiting on its primary replica is duplicated to the next-best-ranked
-// replica and the first response wins. Both replicas' responses still feed the ranker, so a hedge
-// doubles as a freshness probe of a replica the coordinator had stopped
-// selecting. This is the layer Cassandra pairs with replica selection as
-// "speculative retry" (and the paper's §8 reissues atop C3).
+// short of its R answers sends one more leg to the next-best-ranked untried
+// replica (the read ladder, readpath.go); at CL=ONE the first answer wins.
+// Every response still feeds the ranker, so a hedge doubles as a freshness
+// probe of a replica the coordinator had stopped selecting. This is the
+// layer Cassandra pairs with replica selection as "speculative retry" (and
+// the paper's §8 reissues atop C3).
 type HedgeConfig struct {
-	// Disabled turns speculative reads off. Reads then ride on their
-	// primary replica alone until it responds, fails (failing over to the
+	// Disabled turns speculative reads off. Reads then ride on the replicas
+	// they were sent to until those respond, fail (failing over to the
 	// next-ranked replica), or the read budget expires.
 	Disabled bool
 	// MinDelay floors the adaptive hedge delay (default 250µs), bounding
@@ -569,16 +571,12 @@ func (n *Node) serveConn(conn net.Conn) {
 			if err != nil {
 				return
 			}
-			// The key rides in a pooled buffer; the ONE fast path never
-			// clones it (escalation paths clone on first spawn), and a
-			// quorum read's gather copies it.
+			// A batch of one, dispatched like MsgBatchRead; the gather
+			// copies the key out of the frame buffer here.
+			keys := [1]string{m.Key}
 			t := getReadTask()
-			t.cw = cw
-			kb := getBuf()
-			*kb = append((*kb)[:0], m.Key...)
-			t.kb = kb
-			m.Key = pooledString(*kb)
-			t.m = m
+			t.cw, t.id, t.point = cw, m.ID, true
+			t.g = n.newReadGather(m.CL, keys[:], readValues)
 			n.wg.Add(1)
 			n.dispatchRead(t)
 		case wire.MsgReadInternal:
@@ -637,7 +635,7 @@ func (n *Node) serveConn(conn net.Conn) {
 			// Coordination dispatches (it waits on replica RPCs); the gather
 			// copies the keys out of the frame buffer here.
 			t := getReadTask()
-			t.cw, t.m.ID = cw, m.ID
+			t.cw, t.id = cw, m.ID
 			t.g = n.newReadGather(m.CL, m.Keys, readValues)
 			n.wg.Add(1)
 			n.dispatchRead(t)
@@ -924,41 +922,6 @@ func (n *Node) respondBatchWriteAcks(cw *connWriter, id uint64, oks []bool, aren
 	cw.enqueue(fb)
 }
 
-// respondCoordRead coordinates a client read — routed by the request's
-// consistency level — and enqueues the response. A ONE read runs
-// coordinateRead: an inline local read streams its raw stored value straight
-// onto the open frame (vbuf nil); a raced read's winning value arrives split
-// in a pooled buffer and is re-prefixed with its version here — one bounded
-// copy, the price of letting concurrent racers resolve without sharing the
-// frame buffer. A quorum read runs the read ladder, a batch of one.
-func (n *Node) respondCoordRead(cw *connWriter, m wire.ReadReq) {
-	fb := getBuf()
-	b, mark := wire.BeginReadResp((*fb)[:0], m.ID)
-	var resp wire.ReadResp
-	var vbuf *[]byte
-	if m.CL == wire.LevelOne {
-		resp, vbuf = n.coordinateRead(m, b)
-	} else {
-		resp.Value, resp.Found, resp.Status = n.pointRead(m.CL, m.Key, b, readValues)
-		resp.FB = n.feedback()
-	}
-	if vbuf != nil {
-		if resp.Found {
-			b = lsm.AppendVersioned(b, resp.Version, resp.Value)
-		}
-		putBuf(vbuf)
-	} else if resp.Value != nil {
-		b = resp.Value // the frame extended by the raw value (possibly regrown)
-	}
-	b, err := wire.FinishReadResp(b, mark, resp.Found, resp.Status, resp.FB)
-	if err != nil {
-		putBuf(fb)
-		return
-	}
-	*fb = b
-	cw.enqueue(fb)
-}
-
 // feedback samples the node's current C3 feedback fields aggregated over
 // shards: queue sizes sum; service time averages. Replica read responses
 // carry the per-shard sample (feedbackAt) instead — a coordinator's shard-s
@@ -1141,404 +1104,6 @@ func (n *Node) accountReadSuccess(sel *core.Client, s core.ServerID, nk int, fb 
 	}
 }
 
-// raceOutcome is one replica's resolution within a coordinated read's race.
-type raceOutcome struct {
-	from core.ServerID
-	resp wire.ReadResp
-	err  error
-	rtt  time.Duration
-	buf  *[]byte // pooled buffer backing resp.Value; the consumer recycles it
-}
-
-// raceRead fires one replica read — local or remote — as an independent
-// racer reporting into ch. The racer performs its own selector accounting
-// as it resolves (a success feeds real feedback, a failure feeds the
-// punishing penalty, our own shutdown abandons), so every send recorded for
-// a racer is balanced by exactly one OnResponse/OnAbandon no matter whether
-// the coordinator is still listening when the racer finishes. ch must be
-// buffered for the whole race so a late loser never blocks.
-func (n *Node) raceRead(sel *core.Client, s core.ServerID, m wire.ReadReq, ch chan<- raceOutcome) {
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		rb := getBuf()
-		sent := time.Now()
-		var out wire.ReadResp
-		var err error
-		if s == n.id {
-			// The server half of C3 (§3.1), in the remote-response shape —
-			// the version split off the payload — so race consumers see
-			// one format.
-			sh := n.shardOf(m.Key)
-			start := n.beginRead(sh, 1, time.Now())
-			out.Value, out.Version, out.Found = n.store.Shard(sh).GetVersioned((*rb)[:0], m.Key)
-			out.FB = n.finishRead(sh, 1, start, time.Now())
-		} else {
-			out, err = n.rpcRead(s, m.Key, false, (*rb)[:0])
-		}
-		now := time.Now()
-		if err != nil {
-			putBuf(rb)
-			n.accountReadFailure(sel, s, 1, now)
-			ch <- raceOutcome{from: s, err: err}
-			return
-		}
-		if out.Value != nil {
-			*rb = out.Value[:0] // the value append may have regrown the buffer
-		}
-		rtt := now.Sub(sent)
-		n.accountReadSuccess(sel, s, 1, out.FB, rtt, now)
-		ch <- raceOutcome{from: s, resp: out, rtt: rtt, buf: rb}
-	}()
-}
-
-// adoptCall hands a still-pending primary read to a background goroutine
-// once its race was decided without it: the adopter completes the call's
-// accounting — the late response still trains the ranker, a failure is
-// penalized, our own shutdown abandons — and recycles its buffers. The
-// winner already trained the hedge-delay estimate, so the adopted loser
-// does not (its slowness is exactly what the hedge routed around).
-func (n *Node) adoptCall(sel *core.Client, s core.ServerID, ca *call, rb *[]byte, sent time.Time) {
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		<-ca.done
-		out, err := readResult(ca)
-		now := time.Now()
-		if err != nil {
-			n.accountReadFailure(sel, s, 1, now)
-		} else {
-			if out.Value != nil {
-				*rb = out.Value[:0]
-			}
-			n.accountReadSuccess(sel, s, 1, out.FB, now.Sub(sent), now)
-		}
-		putBuf(rb)
-	}()
-}
-
-// reap drains the remaining racers of a finished read in the background,
-// recycling their value buffers. Their selector accounting happens inside
-// raceRead, so nothing is lost by not inspecting the outcomes.
-func (n *Node) reap(ch <-chan raceOutcome, pending int) {
-	if pending <= 0 {
-		return
-	}
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		for i := 0; i < pending; i++ {
-			putBuf((<-ch).buf)
-		}
-	}()
-}
-
-// maybeReadRepair occasionally probes every replica beyond the selected
-// target (Cassandra's anti-entropy read repair). Beyond consistency, it
-// refreshes the coordinator's feedback for replicas it has stopped
-// selecting. Probe accounting pairs every OnSend with OnResponse on success
-// and OnAbandon on failure — a failed probe must release its outstanding
-// count, or q̂ toward an already-struggling replica inflates forever and the
-// coordinator never notices it recovering (the leak this layer's regression
-// test pins down).
-func (n *Node) maybeReadRepair(key string, group []core.ServerID, target core.ServerID) {
-	if n.cfg.ReadRepair <= 0 {
-		return
-	}
-	n.rngMu.Lock()
-	repair := n.rng.Float64() < n.cfg.ReadRepair
-	n.rngMu.Unlock()
-	if !repair {
-		return
-	}
-	// The probe goroutine outlives the request frame: the key may view a
-	// pooled buffer and the group a stack scratch array, so both are cloned
-	// here — repair is rare enough that the copies never show on the profile.
-	key = strings.Clone(key)
-	group = append([]core.ServerID(nil), group...)
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		n.repairProbe(key, group, target)
-	}()
-}
-
-// repairProbe is the body of a background read-repair pass: ask every
-// replica except the read's target for the key's version alone, and only
-// when one of them holds an older version (or none) fetch the value from the
-// newest and write it back to the stale ones. The write-back goes through the
-// replica-side last-write-wins guard, so a repair racing a dual-routed write
-// can never roll a replica backward (the guard skips it, which is success).
-// The target itself is not probed or repaired: the foreground read is
-// consulting it concurrently, and the next probe round covers it. The fetch,
-// like the read ladder's, is not ranked and not accounted.
-func (n *Node) repairProbe(key string, group []core.ServerID, target core.ServerID) {
-	sel := n.selFor(key)
-	type probe struct {
-		s     core.ServerID
-		found bool
-		ver   uint64
-	}
-	probes := make([]probe, 0, len(group))
-	var newest probe
-	for _, s := range group {
-		if s == target {
-			continue
-		}
-		n.digestReads.Add(1)
-		p := probe{s: s}
-		if s == n.id {
-			// Local probe: straight off the store, no selector traffic.
-			p.ver, p.found = n.store.Version(key)
-		} else {
-			sel.OnSend(s, time.Now().UnixNano())
-			sent := time.Now()
-			out, err := n.rpcRead(s, key, true, nil)
-			if err != nil {
-				// A probe is a best-effort observation: release its
-				// accounting without synthesizing feedback. Punishing the
-				// replica is the selected path's job.
-				sel.OnAbandon(s, time.Now().UnixNano())
-				continue
-			}
-			n.accountReadSuccess(sel, s, 1, out.FB, time.Since(sent), time.Now())
-			p.ver, p.found = out.Version, out.Found
-		}
-		probes = append(probes, p)
-		if p.found && (!newest.found || p.ver > newest.ver) {
-			newest = p
-		}
-	}
-	stale := func(p probe) bool { return p.s != newest.s && (!p.found || p.ver < newest.ver) }
-	if !newest.found || !slices.ContainsFunc(probes, stale) {
-		return
-	}
-	rb := getBuf()
-	defer putBuf(rb)
-	var val []byte
-	var ok bool
-	if newest.s == n.id {
-		val, newest.ver, ok = n.store.GetVersioned((*rb)[:0], key)
-	} else {
-		n.digestFetches.Add(1)
-		out, err := n.rpcRead(newest.s, key, false, (*rb)[:0])
-		val, newest.ver, ok = out.Value, out.Version, err == nil && out.Found
-	}
-	if !ok {
-		return // unreachable, or deleted since its digest
-	}
-	*rb = val[:0] // the fetch may have regrown the buffer
-	for _, p := range probes {
-		if stale(p) {
-			n.repairKeys(p.s, []string{key}, []uint64{newest.ver}, [][]byte{val})
-		}
-	}
-}
-
-// readRace is the mutable state of one coordinated read's escalation
-// ladder. It lives on the coordinator's stack; the outcome channel and the
-// racer goroutines are created lazily, only when an escalation actually
-// happens, so the common escalation-free read pays for none of them.
-type readRace struct {
-	n       *Node
-	sel     *core.Client
-	m       wire.ReadReq
-	group   []core.ServerID
-	tried   []core.ServerID // backed by triedBuf
-	ch      chan raceOutcome
-	pending int
-	hedged  core.ServerID
-
-	triedBuf [8]core.ServerID
-}
-
-// spawn launches a racer toward s. The first spawn materializes the race:
-// the outcome channel is created and the key — which on the fast path views
-// a pooled frame buffer — is cloned, because racer goroutines can outlive
-// the request frame that owns that buffer.
-func (r *readRace) spawn(s core.ServerID) {
-	if r.ch == nil {
-		r.ch = make(chan raceOutcome, len(r.group))
-		r.m.Key = strings.Clone(r.m.Key)
-	}
-	r.tried = append(r.tried, s)
-	r.n.raceRead(r.sel, s, r.m, r.ch)
-	r.pending++
-}
-
-// escalate picks the next-ranked untried replica through the selector — so
-// failure-path and hedge traffic still follows, and trains, the ranker
-// instead of walking a fixed group order — and races it. isHedge marks a
-// speculative duplicate (timer-fired, counted as duplicate load) as opposed
-// to a failover after an error (which replaces a dead request and is not a
-// duplicate). It reports false when every replica has been tried.
-func (r *readRace) escalate(isHedge bool) bool {
-	now := time.Now().UnixNano()
-	var s core.ServerID
-	var ok bool
-	if isHedge {
-		s, ok = r.sel.PickHedge(r.group, r.tried, now)
-	} else {
-		s, ok = r.sel.PickNext(r.group, r.tried, now)
-	}
-	if !ok {
-		return false
-	}
-	if isHedge {
-		r.hedged = s
-	}
-	r.n.replicaReads.Add(1)
-	r.spawn(s)
-	return true
-}
-
-// coordinateRead is Algorithm 1 over real TCP, wrapped in the tail-tolerance
-// layer: rank the key's replica group, wait for a rate token under
-// backpressure, dispatch to the best replica, then escalate as needed — a
-// speculative hedge to the next-ranked replica once the adaptive delay
-// expires, immediate failovers to untried replicas on RPC failures, and a
-// per-request budget backstopping the whole read. The first response wins;
-// every dispatched request's result still feeds the ranker (late losers are
-// adopted or reaped in the background with their accounting intact).
-//
-// The winning value is either appended to dst (inline local reads; vbuf is
-// nil) or carried in the returned pooled buffer vbuf, which the caller
-// recycles after encoding.
-func (n *Node) coordinateRead(m wire.ReadReq, dst []byte) (resp wire.ReadResp, vbuf *[]byte) {
-	n.coord.Add(1)
-	sel := n.selFor(m.Key)
-	var gbuf [8]core.ServerID
-	group := n.topo.Load().readRing().ReplicasFor(keyBytes(m.Key), gbuf[:0])
-	nowT := time.Now()
-	target, ok, retryAt := sel.Pick(group, nowT.UnixNano())
-	if !ok {
-		target = n.backpressure(sel, group, 1, nowT, retryAt)
-	}
-	n.maybeReadRepair(m.Key, group, target)
-	n.replicaReads.Add(1)
-
-	// Inline local fast path: an in-memory read with no configured delay
-	// has nothing a hedge could rescue, and the race scaffolding would cost
-	// more than the read itself. The value goes straight into the caller's
-	// frame — zero copy, as before the tail-tolerance layer — and the whole
-	// read pays two clock samples: the admission timestamp doubles as the
-	// service start, the completion timestamp covers service time, RTT, and
-	// the ranker's feedback clock.
-	if target == n.id && n.inlineLocalReads() {
-		sh := n.shardOf(m.Key)
-		start := n.beginRead(sh, 1, nowT)
-		val, found := n.store.Shard(sh).GetAppend(dst, m.Key)
-		end := time.Now()
-		fb := n.finishRead(sh, 1, start, end)
-		n.accountReadSuccess(sel, target, 1, fb, end.Sub(start), end)
-		return wire.ReadResp{ID: m.ID, Found: found, Value: val, FB: fb}, nil
-	}
-
-	race := readRace{n: n, sel: sel, m: m, group: group, hedged: -1}
-	race.tried = race.triedBuf[:0]
-
-	// Dispatch the primary. A remote target whose connection is already up
-	// goes out asynchronously on the pooled call record, so the common
-	// escalation-free read needs no extra goroutine and no channel. A
-	// remote target that would need a dial, and a local target behind a
-	// storage delay, run as ordinary racers instead: both can stall (up to
-	// peerDialTimeout, or in the storage sleep), and the stall must happen
-	// where the hedge timer can race it.
-	var (
-		ca     *call // pending primary RPC, nil once resolved
-		caDone <-chan struct{}
-		caBuf  *[]byte
-		sent   time.Time
-	)
-	if target == n.id {
-		race.spawn(target)
-	} else if p, ok := n.peerReady(target); ok {
-		race.tried = append(race.tried, target)
-		sent = time.Now()
-		caBuf = getBuf()
-		if c, err := p.readAsyncTyped(wire.MsgReadInternal, wire.ReadReq{Key: m.Key}, (*caBuf)[:0]); err == nil {
-			ca, caDone = c, c.done
-		} else {
-			// The link died under us: penalize and fail over now.
-			putBuf(caBuf)
-			caBuf = nil
-			n.accountReadFailure(sel, target, 1, time.Now())
-			if !race.escalate(false) {
-				return wire.ReadResp{ID: m.ID}, nil
-			}
-		}
-	} else {
-		race.spawn(target)
-	}
-
-	budget := getTimer(n.cfg.ReadBudget)
-	defer putTimer(budget)
-	var hedgeC <-chan time.Time
-	if !n.cfg.Hedge.Disabled && len(group) > 1 {
-		ht := getTimer(n.hedgeDelay())
-		defer putTimer(ht)
-		hedgeC = ht.C
-	}
-	for {
-		select {
-		case <-caDone:
-			caDone = nil
-			out, err := readResult(ca)
-			ca = nil
-			now := time.Now()
-			if err == nil {
-				rtt := now.Sub(sent)
-				n.accountReadSuccess(sel, target, 1, out.FB, rtt, now)
-				if out.Value != nil {
-					*caBuf = out.Value[:0]
-				}
-				// Only winners train the hedge delay: a slow loser's RTT
-				// is exactly what hedging routes around, and folding it
-				// in would push the delay up until hedges stop firing.
-				n.observeReadRTT(rtt)
-				n.reap(race.ch, race.pending)
-				out.ID = m.ID
-				return out, caBuf
-			}
-			putBuf(caBuf)
-			caBuf = nil
-			n.accountReadFailure(sel, target, 1, now)
-			if !race.escalate(false) && race.pending == 0 {
-				return wire.ReadResp{ID: m.ID}, nil // every replica failed
-			}
-		case out := <-race.ch:
-			race.pending--
-			if out.err == nil {
-				if out.from == race.hedged {
-					n.hedgeWins.Add(1)
-				}
-				n.observeReadRTT(out.rtt)
-				n.reap(race.ch, race.pending)
-				if ca != nil {
-					n.adoptCall(sel, target, ca, caBuf, sent)
-				}
-				out.resp.ID = m.ID
-				return out.resp, out.buf
-			}
-			if !race.escalate(false) && race.pending == 0 && ca == nil {
-				return wire.ReadResp{ID: m.ID}, nil // every replica failed
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			race.escalate(true)
-		case <-budget.C:
-			// Budget exhausted: answer not-found now. Whatever is still
-			// in flight accounts for itself and is cleaned up in the
-			// background.
-			n.reap(race.ch, race.pending)
-			if ca != nil {
-				n.adoptCall(sel, target, ca, caBuf, sent)
-			}
-			return wire.ReadResp{ID: m.ID}, nil
-		}
-	}
-}
-
 var errClosed = errors.New("kvstore: node closed")
 
 // peerDialTimeout bounds one connection attempt to a peer;
@@ -1586,8 +1151,8 @@ func (n *Node) peerSlotFor(id core.ServerID) *peerSlot {
 // peerReady returns the established healthy connection to a peer without
 // ever blocking: it reports false when the link would need a dial — which
 // can stall for up to peerDialTimeout — or when another goroutine holds the
-// slot (dialing right now). Callers that get false dispatch through a racer
-// goroutine instead, so the hedge timer keeps covering dial latency.
+// slot (dialing right now). Callers that get false dispatch on a goroutine
+// of their own instead, so the hedge timer keeps covering dial latency.
 func (n *Node) peerReady(id core.ServerID) (*rpcConn, bool) {
 	slot := n.peerSlotFor(id)
 	if !slot.mu.TryLock() {
@@ -1631,16 +1196,6 @@ func (n *Node) peer(id core.ServerID) (*rpcConn, error) {
 	slot.lastErr = nil
 	slot.conn = newRPCConn(conn)
 	return slot.conn, nil
-}
-
-// rpcRead reads key from replica id: its value appended to dst, or its
-// version alone when digest is set.
-func (n *Node) rpcRead(id core.ServerID, key string, digest bool, dst []byte) (wire.ReadResp, error) {
-	p, err := n.peer(id)
-	if err != nil {
-		return wire.ReadResp{}, err
-	}
-	return p.readTyped(wire.MsgReadInternal, wire.ReadReq{Digest: digest, Key: key}, dst)
 }
 
 // Cluster is a convenience harness that runs n nodes on loopback.

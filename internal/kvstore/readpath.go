@@ -12,17 +12,19 @@ import (
 	"c3/internal/wire"
 )
 
-// The read ladder. Every coordinated read except the CL=ONE point read
-// (coordinateRead) goes through one gather: a MultiGet at any level, a point
-// read at QUORUM or ALL (a batch of one), and the version-only existence
-// check behind RESP DEL at those levels. The keys are partitioned by replica
-// group into sub-batches, and each sub-batch runs the same ladder, the way
-// Cassandra serves a QUORUM read:
+// The read ladder, the one read coordinator. Every coordinated read goes
+// through one gather: a point read at any level (a batch of one), a MultiGet
+// at any level, and the version-only existence check behind RESP DEL. The
+// keys are partitioned by replica group into sub-batches, and each sub-batch
+// runs the same ladder, the way Cassandra serves a read:
 //
 //   - Dispatch. The group is ranked and admitted with one rate token
 //     (PickBatch, backpressure, fail open). The C3-best replica gets a data
 //     read; the next R-1 in rank order get digests — version-only reads.
-//     CL=ONE is R = 1 with no digests; ALL is R = N.
+//     CL=ONE is R = 1 with no digests; ALL is R = N. With the ReadRepair
+//     probability every other replica, the coordinator's own included, gets
+//     a probe: a digest that never counts toward R, is never failed over,
+//     and is abandoned on failure.
 //   - Escalation. When the R answers are late, one hedge goes to the next
 //     untried replica after the adaptive delay (a data read while no data
 //     answer is in, a digest otherwise); a failed leg fails over to the next
@@ -34,6 +36,10 @@ import (
 //     a digest fetch. Then every responder that answered older or absent is
 //     repaired under the replica-side version guard before the read returns:
 //     one guarded write per stale replica, all at once.
+//   - Read repair. A probe that answered older or absent than the merged
+//     answer gets the same guarded write-back, in the background: checked
+//     once the read is decided, or when the probe settles if it lands after
+//     the answer, so no read waits on a probe.
 //
 // Every leg is an event. Remote legs ride pooled async call records completed
 // on their connection's read loop, a local leg is served on the owner's
@@ -54,13 +60,13 @@ import (
 const (
 	legData   uint8 = iota // values; counts toward R
 	legDigest              // versions only; counts toward R
-	legProbe               // versions for the ranker's feedback alone; never counts
+	legProbe               // versions for feedback and read repair; never counts
 	legFetch               // values from a replica whose digest won
 )
 
 // Read modes: what a gather answers.
 const (
-	readValues   uint8 = iota // the merged values; stale responders repaired
+	readValues   uint8 = iota // the merged values; stale responders and probes repaired
 	readVersions              // found and version only: every leg a digest, no fetch, no repair
 )
 
@@ -79,8 +85,11 @@ type readLeg struct {
 	from core.ServerID
 	sent time.Time
 	rb   *[]byte // pooled value buffer (data and fetch legs)
-	ca   *call   // the answer, kept while the merge uses it; nil otherwise
+	ca   *call   // the answer, kept while the merge or a repair uses it; nil otherwise
 }
+
+// counted reports whether the leg counts toward R.
+func (l *readLeg) counted() bool { return l.kind == legData || l.kind == legDigest }
 
 // readSub is one replica group's slice of the gather: keys[lo:hi], read from
 // groups[glo:ghi] through the selector of its first key's shard.
@@ -102,6 +111,7 @@ type readGather struct {
 	cl     uint8
 	mode   uint8
 	status uint8 // a failed sub-batch's status
+	probed bool  // a probe went out: the gather holds n.wg until recycled
 
 	keys   []string // sub-batch order, views of arena
 	arena  []byte
@@ -230,7 +240,7 @@ func (g *readGather) run() {
 }
 
 // release drops a reference: the owner's once the answer has been consumed,
-// or an in-flight leg's once it settled.
+// an in-flight leg's once it settled, a probe write-back's once it answered.
 func (g *readGather) release() {
 	if g.refs.Add(-1) == 0 {
 		g.recycle()
@@ -249,17 +259,22 @@ func (g *readGather) recycle() {
 	if cap(g.arena) > 64<<10 {
 		g.arena, g.keys = nil, nil // one huge batch must not pin its keys for good
 	}
+	if g.probed {
+		g.n.wg.Done()
+	}
 	g.keys, g.legs, g.subs, g.groups = g.keys[:0], g.legs[:0], g.subs[:0], g.groups[:0]
-	g.n, g.status = nil, wire.StatusOK
+	g.n, g.status, g.probed = nil, wire.StatusOK, false
 	readGatherPool.Put(g)
 }
 
 // start admits sub-batch si — one rate token for the ranked group — and
 // dispatches its data read (a digest when only versions are asked for), its
-// R-1 digests and, with the configured probability, version-only probes of
-// the rest of the group: they keep the feedback for replicas the ranker
-// stopped choosing fresh, so a recovered replica is noticed (the
-// coordinator's own needs none).
+// R-1 digests and, with the configured probability, a probe of every other
+// replica, the coordinator's own included. Probes keep the feedback for
+// replicas the ranker stopped choosing fresh, so a recovered replica is
+// noticed, and find the stale replicas read repair heals. A gather that
+// probes holds the node's WaitGroup until it is recycled, so a probe that
+// settles after the read answered may still start its write-back.
 func (g *readGather) start(si int) {
 	n := g.n
 	sb := &g.subs[si]
@@ -290,7 +305,11 @@ func (g *readGather) start(si int) {
 	n.rngMu.Lock()
 	probe := n.rng.Float64() < n.cfg.ReadRepair
 	n.rngMu.Unlock()
-	for ex = append(ex, n.id); probe; {
+	if probe && !g.probed {
+		g.probed = true
+		n.wg.Add(1)
+	}
+	for probe {
 		s, ok := sb.sel.PickNextN(group, ex, nk, time.Now().UnixNano())
 		if !ok {
 			return
@@ -326,7 +345,7 @@ func (n *Node) backpressure(sel *core.Client, group []core.ServerID, nk int, sta
 // tried appends the replicas sub-batch si already sent a counted leg to.
 func (g *readGather) tried(si int, dst []core.ServerID) []core.ServerID {
 	for i := range g.legs {
-		if l := &g.legs[i]; int(l.sub) == si && (l.kind == legData || l.kind == legDigest) {
+		if l := &g.legs[i]; int(l.sub) == si && l.counted() {
 			dst = append(dst, l.from)
 		}
 	}
@@ -418,11 +437,14 @@ func (g *readGather) arrive(c *call) {
 	g.release()
 }
 
-// settle completes a leg whose answer nobody uses: its selector accounting,
-// then its records go back to their pools.
+// settle completes a leg whose answer the owner no longer waits for: its
+// selector accounting, the read repair of a probe, then its records go back
+// to their pools.
 func (g *readGather) settle(c *call) {
 	l := &g.legs[c.leg]
-	g.account(l, c)
+	if g.account(l, c); l.kind == legProbe && c.err == nil && g.mode == readValues {
+		g.healProbe(l, c)
+	}
 	g.drop(l, c)
 }
 
@@ -460,8 +482,16 @@ func (g *readGather) drop(l *readLeg, c *call) {
 }
 
 // wait handles legs until every sub-batch is decided, under the read budget
-// and, for a foreground read, with the hedge timer armed.
+// and, for a foreground read, with the hedge timer armed. The legs already
+// in — a local leg is served inline — are handled first: a read they decide
+// arms no timer.
 func (g *readGather) wait() {
+	for g.live > 0 && len(g.ev) > 0 {
+		g.onLeg(<-g.ev)
+	}
+	if g.live == 0 {
+		return
+	}
 	n := g.n
 	budget := getTimer(n.cfg.ReadBudget)
 	defer putTimer(budget)
@@ -512,7 +542,8 @@ func (n *Node) serveLocalLeg(c *call, keys []string, digest bool) {
 
 // onLeg handles one resolved leg on the owner's goroutine: a data or digest
 // answer counts toward R while its sub-batch collects, and a failed one fails
-// over to the next untried replica with a leg of its own kind.
+// over to the next untried replica with a leg of its own kind. A probe's
+// answer is kept for read repair once the read is decided.
 func (g *readGather) onLeg(c *call) {
 	g.refs.Add(-1) // the owner's own reference keeps the gather alive
 	li := int(c.leg)
@@ -523,8 +554,16 @@ func (g *readGather) onLeg(c *call) {
 		g.fetched(li, c)
 		return
 	}
-	if l.kind == legProbe || l.kind == legFetch || sb.phase != phaseCollect {
-		g.settle(c) // a probe, or a straggler past its sub-batch's decision
+	if l.kind == legProbe {
+		if g.account(l, c); c.err != nil || g.mode == readVersions {
+			g.drop(l, c)
+		} else {
+			l.ca = c
+		}
+		return
+	}
+	if l.kind == legFetch || sb.phase != phaseCollect {
+		g.settle(c) // a straggler past its sub-batch's decision
 		return
 	}
 	g.account(l, c)
@@ -562,7 +601,7 @@ func (g *readGather) merge(si int) {
 		best, ver := int32(-1), uint64(0)
 		for i := range g.legs {
 			l := &g.legs[i]
-			if int(l.sub) != si || l.ca == nil || !l.ca.bfound[x] {
+			if int(l.sub) != si || l.ca == nil || !l.counted() || !l.ca.bfound[x] {
 				continue
 			}
 			if v := l.ca.bvers[x]; best < 0 || v > ver || (v == ver && l.kind == legData) {
@@ -665,48 +704,76 @@ func (g *readGather) hedge() {
 // repair writes each key's winning version back to every responder that
 // answered it older or absent — one guarded write per stale replica, all at
 // once — and returns when they answered, so the client never observes a
-// quorum still divergent after its read. The replica-side guard makes a
-// write-back racing a newer write a no-op.
+// quorum still divergent after its read. The probes that answered while the
+// owner listened are repaired too, in the background. The replica-side
+// guard makes a write-back racing a newer write a no-op.
 func (g *readGather) repair() {
-	var wg *sync.WaitGroup // allocated only when a replica is stale
+	var wg *sync.WaitGroup // allocated only when a responder is stale
 	for i := range g.legs {
 		l := &g.legs[i]
-		if l.ca == nil || l.kind == legFetch {
-			continue
-		}
-		sb := &g.subs[l.sub]
-		var keys []string
-		var vers []uint64
-		var vals [][]byte
-		for j := sb.lo; j < sb.hi; j++ {
-			x := j - sb.lo
-			val, ver, ok := g.value(j)
-			if !ok || g.legs[g.wleg[j]].from == l.from || (l.ca.bfound[x] && l.ca.bvers[x] >= ver) {
+		switch {
+		case l.ca == nil || l.kind == legFetch:
+		case l.kind == legProbe:
+			g.healProbe(l, l.ca)
+		default:
+			keys, vers, vals := g.stale(l, l.ca)
+			if keys == nil {
 				continue
 			}
-			// Cloned: the memtable keeps a repaired key, and the arena is
-			// overwritten in the gather's next life.
-			keys, vers, vals = append(keys, strings.Clone(g.keys[j])), append(vers, ver), append(vals, val)
+			if wg == nil {
+				wg = new(sync.WaitGroup)
+			}
+			w, s := wg, l.from // the closure copies w; wg itself stays on the stack
+			w.Add(1)
+			g.n.wg.Add(1)
+			go func() {
+				defer w.Done()
+				defer g.n.wg.Done()
+				g.n.repairKeys(s, keys, vers, vals)
+			}()
 		}
-		if len(keys) == 0 {
-			continue
-		}
-		s := l.from
-		if wg == nil {
-			wg = new(sync.WaitGroup)
-		}
-		w := wg // the closure copies w; wg itself stays on the stack
-		w.Add(1)
-		g.n.wg.Add(1)
-		go func() {
-			defer w.Done()
-			defer g.n.wg.Done()
-			g.n.repairKeys(s, keys, vers, vals)
-		}()
 	}
 	if wg != nil {
 		wg.Wait()
 	}
+}
+
+// healProbe writes the read's answer back, in the background, to probe l's
+// replica for every key it answered (in c) older or absent. The write-back
+// holds a reference, so the winning values outlive the read. A replica that
+// also answered a counted leg is the foreground repair's.
+func (g *readGather) healProbe(l *readLeg, c *call) {
+	if g.any(int(l.sub), func(r *readLeg) bool { return r.from == l.from && r.ca != nil && r.counted() }) {
+		return
+	}
+	keys, vers, vals := g.stale(l, c)
+	if keys == nil {
+		return
+	}
+	g.refs.Add(1)
+	s := l.from
+	go func() {
+		g.n.repairKeys(s, keys, vers, vals)
+		g.release()
+	}()
+}
+
+// stale lists the keys of leg l's sub-batch that its replica answered (in c)
+// older than the merged answer or not at all, with the winning versions and
+// values: what a write-back to it carries. The keys are cloned: the memtable
+// keeps a repaired key, and the arena is overwritten in the gather's next
+// life.
+func (g *readGather) stale(l *readLeg, c *call) (keys []string, vers []uint64, vals [][]byte) {
+	sb := &g.subs[l.sub]
+	for j := sb.lo; j < sb.hi; j++ {
+		x := j - sb.lo
+		val, ver, ok := g.value(j)
+		if !ok || g.legs[g.wleg[j]].from == l.from || (c.bfound[x] && c.bvers[x] >= ver) {
+			continue
+		}
+		keys, vers, vals = append(keys, strings.Clone(g.keys[j])), append(vers, ver), append(vals, val)
+	}
+	return keys, vers, vals
 }
 
 // respondBatchRead runs a client batch read's gather and enqueues the
@@ -744,13 +811,33 @@ func (n *Node) respondBatchRead(cw *connWriter, id uint64, g *readGather) {
 	cw.enqueue(fb)
 }
 
+// respondCoordRead runs a client point read's gather — a batch of one, at
+// the request's level — and enqueues the response, the merged value
+// appended straight onto the open frame.
+func (n *Node) respondCoordRead(cw *connWriter, id uint64, g *readGather) {
+	fb := getBuf()
+	b, mark := wire.BeginReadResp((*fb)[:0], id)
+	b, found, status := g.answer(b)
+	b, err := wire.FinishReadResp(b, mark, found, status, n.feedback())
+	if err != nil {
+		putBuf(fb)
+		return
+	}
+	*fb = b
+	cw.enqueue(fb)
+}
+
 // pointRead reads one key through the ladder — a batch of one — in the given
-// mode, and answers with the merged value appended to dst (its version
-// prefix rejoined; the prefix alone for readVersions), the found flag and
-// the status.
+// mode; see answer.
 func (n *Node) pointRead(cl uint8, key string, dst []byte, mode uint8) ([]byte, bool, uint8) {
 	keys := [1]string{key}
-	g := n.newReadGather(cl, keys[:], mode)
+	return n.newReadGather(cl, keys[:], mode).answer(dst)
+}
+
+// answer runs a one-key gather and releases it, answering with the merged
+// value appended to dst (its version prefix rejoined; the prefix alone for
+// readVersions), the found flag and the status.
+func (g *readGather) answer(dst []byte) ([]byte, bool, uint8) {
 	g.run()
 	val, ver, found := g.value(g.at[0])
 	if found {

@@ -445,38 +445,20 @@ func (p *rpcConn) clientRead(cl uint8, key string, dst []byte) (wire.ReadResp, e
 	return p.readTyped(wire.MsgRead, wire.ReadReq{CL: cl, Key: key}, dst)
 }
 
-// readAsyncTyped sends m — CL, Digest and Key — as a read of type typ under a
-// fresh request id, without blocking. The returned call is complete once its
-// done channel signals; the caller must then consume it with readResult
-// exactly once (directly, or from a goroutine that adopts the call if the
-// caller stops waiting — the hedged-read escalation path).
-func (p *rpcConn) readAsyncTyped(typ uint8, m wire.ReadReq, dst []byte) (*call, error) {
+// readTyped performs a blocking read RPC of type typ carrying m's CL, Digest
+// and Key under a fresh request id. The response value is appended to dst;
+// passing nil allocates a fresh caller-owned buffer.
+func (p *rpcConn) readTyped(typ uint8, m wire.ReadReq, dst []byte) (wire.ReadResp, error) {
 	c := getCall(true, dst)
 	if err := p.send(c, func(b []byte, id uint64) ([]byte, error) {
 		return wire.AppendReadReq(b, typ, wire.ReadReq{ID: id, CL: m.CL, Digest: m.Digest, Key: m.Key})
 	}); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// readResult consumes a completed call (its done channel has signalled) and
-// recycles the record.
-func readResult(c *call) (wire.ReadResp, error) {
-	resp, err := c.read, c.err
-	putCall(c)
-	return resp, err
-}
-
-// readTyped performs a blocking read RPC of type typ. The response value is
-// appended to dst; passing nil allocates a fresh caller-owned buffer.
-func (p *rpcConn) readTyped(typ uint8, m wire.ReadReq, dst []byte) (wire.ReadResp, error) {
-	c, err := p.readAsyncTyped(typ, m, dst)
-	if err != nil {
 		return wire.ReadResp{}, err
 	}
 	<-c.done
-	return readResult(c)
+	resp, err := c.read, c.err
+	putCall(c)
+	return resp, err
 }
 
 // batchReadAsync dispatches a batch read RPC of keys — version-only when

@@ -104,10 +104,13 @@ func TestRPCConnRoundTripZeroAllocs(t *testing.T) {
 // TestClusterReadAllocBudget pins the end-to-end point-read allocation
 // budget over a live durable cluster: client, coordinator, and replica share
 // the process, so AllocsPerRun (which reads whole-process malloc counters)
-// charges the entire serving path to each Get. The shard-per-core runtime
-// brought the path from ~5.9 to ~2 allocs/op; the floor is pinned at 3 to
-// leave headroom for background flush/compaction noise, and any regression
-// above it fails here before it shows up in BENCH_kv.json.
+// charges the entire serving path to each Get. A CL=ONE Get is the read
+// ladder as a batch of one, and it may take at most 3 allocs/op both with
+// read repair off and with every read probing the rest of its group: probes
+// are pooled legs like any other, with no goroutine and no key or group
+// copy. The floor leaves headroom for background flush/compaction noise,
+// and any regression above it fails here before it shows up in
+// BENCH_kv.json.
 func TestClusterReadAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -115,7 +118,17 @@ func TestClusterReadAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates on channel handoffs")
 	}
-	c, err := StartCluster(3, Config{Seed: 7, ReadRepair: -1, DataDir: t.TempDir()})
+	for _, repair := range []float64{-1, 1} {
+		if n := pointReadAllocs(t, repair); n > 3 {
+			t.Errorf("cluster point read (ReadRepair %v) allocates %.2f/op, want <= 3", repair, n)
+		}
+	}
+}
+
+// pointReadAllocs measures a CL=ONE Get's allocations on a live durable
+// 3-node cluster with the given read-repair probability.
+func pointReadAllocs(t *testing.T, repair float64) float64 {
+	c, err := StartCluster(3, Config{Seed: 7, ReadRepair: repair, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatalf("StartCluster: %v", err)
 	}
@@ -148,9 +161,7 @@ func TestClusterReadAllocBudget(t *testing.T) {
 	for j := 0; j < 128; j++ {
 		get() // warm pools and buffer growth out of the measurement
 	}
-	if n := testing.AllocsPerRun(500, get); n > 3 {
-		t.Errorf("cluster point read allocates %.2f/op, want <= 3", n)
-	}
+	return testing.AllocsPerRun(500, get)
 }
 
 // TestClusterWriteAllocBudget is the write twin of TestClusterReadAllocBudget:

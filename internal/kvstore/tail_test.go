@@ -14,8 +14,9 @@ import (
 // settleOutstanding polls until the selector accounting from n toward every
 // peer in the cluster has returned to zero — the invariant that every
 // OnSend/Pick/PickHedge is balanced by exactly one OnResponse/OnAbandon even
-// across failures. Background racers and repair probes may still be resolving
-// when the foreground traffic stops, hence the deadline.
+// across failures. Legs that land after their read answered (probes among
+// them) may still be resolving when the foreground traffic stops, hence the
+// deadline.
 func settleOutstanding(t *testing.T, nodes []*Node, peers int, deadline time.Duration) {
 	t.Helper()
 	end := time.Now().Add(deadline)
@@ -237,6 +238,77 @@ func TestRepairProbeFailuresAreNotQuorumFailures(t *testing.T) {
 	if d := coord.QuorumFailures() - before; d != 0 {
 		t.Fatalf("failed background probes counted %d quorum failures", d)
 	}
+}
+
+// TestProbeHealsCoordinatorsOwnReplica: a coordinator's own replica is
+// probed like any other. Node 0 drops a write made at ALL; round-robin ONE
+// GETs through node 0 read its own replica only some of the time, and the
+// reads that go elsewhere probe it and write the value back.
+func TestProbeHealsCoordinatorsOwnReplica(t *testing.T) {
+	c, cl := startTestCluster(t, 3, Config{Seed: 36, Strategy: StratRR, ReadRepair: 1})
+	coord := c.Nodes[0]
+	coord.SetDropWrites(true)
+	cl.PutAt("own", []byte("v"), All) // misses ALL: node 0 refuses it
+	coord.SetDropWrites(false)
+	if _, _, ok := coord.Store().GetVersioned(nil, "own"); ok {
+		t.Fatal("node 0 holds the key it was made to drop")
+	}
+	pinned := pinnedClient(t, coord)
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		if _, _, err := pinned.Get("own"); err != nil {
+			t.Fatalf("Get: %v", err)
+		}
+		if v, _, ok := coord.Store().GetVersioned(nil, "own"); ok && string(v) == "v" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("ONE GETs through node 0 never repaired its own replica")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	settleOutstanding(t, c.Nodes, 3, 3*time.Second)
+}
+
+// TestLateProbeStillRepairs: a probe that lands after its read answered is
+// checked when it settles. Node 2 dropped a write and answers 100 ms late;
+// every ONE GET answers long before that, and node 2 is healed anyway, with
+// no accounting left behind.
+func TestLateProbeStillRepairs(t *testing.T) {
+	const slow = 100 * time.Millisecond
+	cfg := Config{Seed: 37, ReadRepair: 1}
+	cfg.Hedge.MaxDelay = 5 * time.Millisecond // a read sent to node 2 is hedged long before it answers
+	c, cl := startTestCluster(t, 3, cfg)
+	c.Nodes[2].SetDropWrites(true)
+	cl.PutAt("late", []byte("v"), All) // misses ALL: node 2 refuses it
+	c.Nodes[2].SetDropWrites(false)
+	c.Nodes[2].SetSlowdown(slow)
+	defer c.Nodes[2].SetSlowdown(0)
+	coord := c.Nodes[0]
+	pinned := pinnedClient(t, coord)
+	before := coord.ReadRepairs()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		t0 := time.Now()
+		v, ok, err := pinned.Get("late")
+		if d := time.Since(t0); d >= slow/2 {
+			t.Fatalf("Get took %v: the read waited on node 2", d)
+		}
+		if err != nil || !ok || string(v) != "v" {
+			t.Fatalf("Get = %q,%v,%v", v, ok, err)
+		}
+		if v, _, ok := c.Nodes[2].Store().GetVersioned(nil, "late"); ok && string(v) == "v" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a probe answering after its read never repaired node 2")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if coord.ReadRepairs() == before {
+		t.Fatal("node 2 was healed, but not by the coordinator's read repair")
+	}
+	settleOutstanding(t, c.Nodes, 3, 3*time.Second)
 }
 
 // TestClientDigestFlagIgnored: the digest bit is for replica-internal reads.

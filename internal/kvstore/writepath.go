@@ -49,7 +49,7 @@ func keyBytes(k string) []byte {
 
 // pooledString views a buffer's bytes as a string, without a copy. The
 // caller owns the aliasing discipline: the string must not be retained past
-// the buffer's reuse (clone it first — see readRace.spawn).
+// the buffer's reuse (copy it first — see readGather.partition).
 func pooledString(b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -588,15 +588,13 @@ func (n *Node) finishWriteTask(sh int, t *writeTask, err error) {
 	}
 }
 
-// readTask is one coordinated client read handed to a read worker: a point
-// read m, or — g set — a batch read's gather, answered under m.ID. kb, when
-// non-nil, is the pooled buffer whose bytes back m.Key (recycled after the
-// read resolves; escalation paths clone first).
+// readTask is one coordinated client read handed to a read worker: its
+// gather, answered under id with a point frame (point) or a batch frame.
 type readTask struct {
-	cw *connWriter
-	m  wire.ReadReq
-	kb *[]byte
-	g  *readGather
+	cw    *connWriter
+	id    uint64
+	g     *readGather
+	point bool
 }
 
 var readTaskPool = sync.Pool{New: func() any { return new(readTask) }}
@@ -624,13 +622,10 @@ func (n *Node) dispatchRead(t *readTask) {
 // runReadTask resolves one coordinated read, recycles its task state, and
 // releases the read's hold on n.wg.
 func (n *Node) runReadTask(t *readTask) {
-	if t.g != nil {
-		n.respondBatchRead(t.cw, t.m.ID, t.g)
+	if t.point {
+		n.respondCoordRead(t.cw, t.id, t.g)
 	} else {
-		n.respondCoordRead(t.cw, t.m)
-	}
-	if t.kb != nil {
-		putBuf(t.kb)
+		n.respondBatchRead(t.cw, t.id, t.g)
 	}
 	putReadTask(t)
 	n.wg.Done()
