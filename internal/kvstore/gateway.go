@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"sync"
 
 	"c3/internal/lsm"
 	"c3/internal/resp"
@@ -27,12 +28,13 @@ import (
 //
 // Ownership: resp hands the adapter arguments aliasing its parse arena. The
 // read paths copy what they keep (the read ladder copies its keys into its
-// own arena), so reads pass views; a write's keys are copied into fresh
-// memory — one arena for all of an MSET's keys — and its values into a
-// pooled buffer before entering the write coordinator. Returned values are fresh memory owned by
-// the caller — one buffer per MGET. Found/miss travels as an explicit bool
-// end to end — a present-but-empty value reaches RESP as a zero-length bulk
-// string, a miss as a nil reply, never conflated.
+// own arena), so reads pass views; a write's keys and values are copied into
+// one pooled buffer before entering the write coordinator, whose gather
+// recycles it after the last leg (the store copies what it keeps). Returned
+// values are fresh memory owned by the caller — one buffer per MGET.
+// Found/miss travels as an explicit bool end to end — a present-but-empty
+// value reaches RESP as a zero-length bulk string, a miss as a nil reply,
+// never conflated.
 
 // respBackend adapts one node to resp.Backend at a fixed consistency level.
 type respBackend struct {
@@ -106,20 +108,26 @@ func (b *respBackend) write(key, val []byte, del bool) error {
 	if err := checkKV(key, val); err != nil {
 		return err
 	}
-	vb := getBuf()
-	*vb = append((*vb)[:0], val...)
-	return b.writeSync(pointGather(string(key), *vb, del, vb))
+	k, v, vb := pooledKV(key, val)
+	return b.writeSync(pointGather(k, v, del, vb))
 }
+
+// donePool recycles writeSync's decision channels. A channel is received
+// from exactly once per use — the gather sends its one decision — so it goes
+// back empty.
+var donePool = sync.Pool{New: func() any { return make(chan wire.WriteResp, 1) }}
 
 // writeSync runs the one write coordinator and waits for its decision: a
 // RESP reply is synchronous by protocol, so the gateway's write is the async
-// path plus a wait on a 1-buffered channel. Legs may outlive the decision,
-// so the gather — not this return — releases the value buffer.
+// path plus a wait on a pooled 1-buffered channel. Legs may outlive the
+// decision, so the gather — not this return — releases the buffer backing
+// the keys and values.
 func (b *respBackend) writeSync(g *writeGather) error {
-	done := make(chan wire.WriteResp, 1)
+	done := donePool.Get().(chan wire.WriteResp)
 	g.done = done
 	b.n.coordinateWrite(g, b.lvl)
 	out := <-done
+	donePool.Put(done)
 	if out.OK {
 		return nil
 	}
@@ -170,23 +178,12 @@ func (b *respBackend) MSet(keys, vals [][]byte) error {
 	if len(keys) > wire.MaxBatchKeys {
 		return errBatchTooLarge
 	}
-	total := 0
 	for i, k := range keys {
 		if err := checkKV(k, vals[i]); err != nil {
 			return err
 		}
-		total += len(k)
 	}
-	// One arena for the command's keys, never written again once filled: the
-	// memtable keeps them.
-	arena := make([]byte, 0, total)
-	sk := make([]string, len(keys))
-	for i, k := range keys {
-		arena = append(arena, k...)
-		sk[i] = pooledString(arena[len(arena)-len(k):])
-	}
-	cp, varena := cloneValues(vals)
-	return b.writeSync(batchGather(sk, cp, varena))
+	return b.writeSync(batchGather(cloneBatch(keys, vals)))
 }
 
 // Info renders the node's stats snapshot as a RESP INFO-style text block.

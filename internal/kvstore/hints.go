@@ -152,9 +152,9 @@ func (h *hintStore) kickAll() {
 // add banks one write toward target, appending it to the target's sidecar log
 // on durable nodes, and ensures a replay goroutine is chasing the queue. It
 // reports false — and counts a drop — when the target's queue is at cap.
-// key must be a durable string; val is copied. del banks a guarded delete
-// (val ignored): logged as LogDelete, whose payload still carries the
-// version stamp so recovery keeps the replay guard.
+// key and val are copied. del banks a guarded delete (val ignored): logged
+// as LogDelete, whose payload still carries the version stamp so recovery
+// keeps the replay guard.
 func (h *hintStore) add(target core.ServerID, key string, ver uint64, val []byte, del bool) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -170,7 +170,7 @@ func (h *hintStore) add(target core.ServerID, key string, ver uint64, val []byte
 	}
 	cp := make([]byte, len(val))
 	copy(cp, val)
-	h.q[target] = append(h.q[target], hintRec{key: key, ver: ver, val: cp, del: del})
+	h.q[target] = append(h.q[target], hintRec{key: strings.Clone(key), ver: ver, val: cp, del: del})
 	h.stored.Add(1)
 	if f := h.fileForLocked(target); f != nil {
 		op := byte(lsm.LogPut)

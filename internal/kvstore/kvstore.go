@@ -601,11 +601,10 @@ func (n *Node) serveConn(conn net.Conn) {
 			}
 			// Handled inline: coordinateWrite only dispatches legs (shard
 			// queues, async RPCs) and returns; the ack is enqueued by the
-			// leg that decides the level. The key is retained by the gather
-			// and possibly the memtable, so it must be cloned.
-			vb := getBuf()
-			*vb = append((*vb)[:0], m.Value...)
-			g := pointGather(strings.Clone(m.Key), *vb, m.Del, vb)
+			// leg that decides the level. Key and value move to one pooled
+			// buffer that the gather releases after its last leg.
+			key, val, vb := pooledKV(m.Key, m.Value)
+			g := pointGather(key, val, m.Del, vb)
 			g.cw, g.id = cw, m.ID
 			n.coordinateWrite(g, Level(m.CL))
 		case wire.MsgWriteInternal:
@@ -618,12 +617,9 @@ func (n *Node) serveConn(conn net.Conn) {
 			// stalls only that shard's queue, never this link's reads.
 			t := getWriteTask()
 			t.kind = taskInternal
-			t.key = strings.Clone(m.Key) // the memtable retains it
+			t.key, t.val, t.vb = pooledKV(m.Key, m.Value) // recycled once applied
 			t.ver = m.Version
 			t.del = m.Del
-			vb := getBuf()
-			*vb = append((*vb)[:0], m.Value...)
-			t.val, t.vb = *vb, vb
 			t.cw, t.id = cw, m.ID
 			n.enqueueWriteTask(n.shardOf(t.key), t)
 		case wire.MsgBatchRead:
@@ -665,10 +661,10 @@ func (n *Node) serveConn(conn net.Conn) {
 				return
 			}
 			bkeys, bvals = m.Keys, m.Values
-			// Handled inline like MsgWrite, over copies that outlive the
-			// frame buffer.
-			vals, arena := cloneValues(m.Values)
-			g := batchGather(cloneKeys(m.Keys), vals, arena)
+			// Handled inline like MsgWrite, over a pooled copy that
+			// outlives the frame buffer.
+			keys, vals, arena := cloneBatch(m.Keys, m.Values)
+			g := batchGather(keys, vals, arena)
 			g.cw, g.id = cw, m.ID
 			n.coordinateWrite(g, Level(m.CL))
 		case wire.MsgBatchWriteInternal:
@@ -677,8 +673,7 @@ func (n *Node) serveConn(conn net.Conn) {
 				return
 			}
 			bkeys, bvals = m.Keys, m.Values
-			keys := cloneKeys(m.Keys)
-			vals, arena := cloneValues(m.Values)
+			keys, vals, arena := cloneBatch(m.Keys, m.Values)
 			id, ver := m.ID, m.Version
 			n.wg.Add(1)
 			go func() {
@@ -728,8 +723,7 @@ func (n *Node) serveConn(conn net.Conn) {
 				return
 			}
 			bkeys, bvals = m.Keys, m.Values
-			keys := cloneKeys(m.Keys)
-			vals, arena := cloneValues(m.Values)
+			keys, vals, arena := cloneBatch(m.Keys, m.Values)
 			id := m.ID
 			n.wg.Add(1)
 			go func() {
@@ -757,8 +751,8 @@ var allOK = func() []bool {
 
 var allFail = make([]bool, wire.MaxBatchKeys)
 
-// cloneKeys copies frame-aliasing keys into durable strings (dispatched
-// handlers outlive the frame buffer; the memtable retains write keys).
+// cloneKeys copies frame-aliasing keys into durable strings, for a
+// dispatched read handler, which outlives the frame buffer.
 func cloneKeys(keys []string) []string {
 	out := make([]string, len(keys))
 	for i, k := range keys {
@@ -767,28 +761,42 @@ func cloneKeys(keys []string) []string {
 	return out
 }
 
-// cloneValues copies frame-aliasing values into one pooled arena — a single
-// exact-size copy instead of one allocation per key. The returned slices
-// alias the arena; the caller recycles it via putBuf once every consumer
-// (lsm.Put copies; frame encoders copy) is done with the values.
-func cloneValues(vals [][]byte) ([][]byte, *[]byte) {
+// pooledKV copies a point write's key and value into one pooled buffer and
+// returns views of both. The caller recycles the buffer via putBuf once
+// every consumer is done: the store copies what it keeps (ApplyMulti
+// retains nothing), frame encoders copy, and hints clone.
+func pooledKV[K ~string | ~[]byte](key K, val []byte) (string, []byte, *[]byte) {
+	vb := getBuf()
+	b := append(append((*vb)[:0], key...), val...)
+	*vb = b
+	return pooledString(b[:len(key)]), b[len(key):len(b):len(b)], vb
+}
+
+// cloneBatch copies a batch's keys and values into one pooled arena — a
+// single exact-size copy instead of one allocation per key — and returns
+// views of them, under pooledKV's recycling rule.
+func cloneBatch[K ~string | ~[]byte](keys []K, vals [][]byte) ([]string, [][]byte, *[]byte) {
 	total := 0
-	for _, v := range vals {
-		total += len(v)
+	for i, k := range keys {
+		total += len(k) + len(vals[i])
 	}
 	ab := getBuf()
 	arena := (*ab)[:0]
 	if cap(arena) < total {
 		arena = make([]byte, 0, total)
 	}
-	out := make([][]byte, len(vals))
-	for i, v := range vals {
+	ks := make([]string, len(keys))
+	vs := make([][]byte, len(vals))
+	for i, k := range keys {
 		off := len(arena)
-		arena = append(arena, v...)
-		out[i] = arena[off:len(arena):len(arena)]
+		arena = append(arena, k...)
+		ks[i] = pooledString(arena[off:])
+		off = len(arena)
+		arena = append(arena, vals[i]...)
+		vs[i] = arena[off:len(arena):len(arena)]
 	}
 	*ab = arena
-	return out, ab
+	return ks, vs, ab
 }
 
 // inlineLocalReads reports whether replica-local reads are served on the

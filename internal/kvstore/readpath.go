@@ -1,7 +1,6 @@
 package kvstore
 
 import (
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -760,9 +759,10 @@ func (g *readGather) healProbe(l *readLeg, c *call) {
 
 // stale lists the keys of leg l's sub-batch that its replica answered (in c)
 // older than the merged answer or not at all, with the winning versions and
-// values: what a write-back to it carries. The keys are cloned: the memtable
-// keeps a repaired key, and the arena is overwritten in the gather's next
-// life.
+// values: what a write-back to it carries. The keys are views into the
+// gather's arena, which outlives the write-back (the foreground repair runs
+// before release, a probe's holds a reference); the store copies what it
+// keeps.
 func (g *readGather) stale(l *readLeg, c *call) (keys []string, vers []uint64, vals [][]byte) {
 	sb := &g.subs[l.sub]
 	for j := sb.lo; j < sb.hi; j++ {
@@ -771,7 +771,7 @@ func (g *readGather) stale(l *readLeg, c *call) (keys []string, vers []uint64, v
 		if !ok || g.legs[g.wleg[j]].from == l.from || (c.bfound[x] && c.bvers[x] >= ver) {
 			continue
 		}
-		keys, vers, vals = append(keys, strings.Clone(g.keys[j])), append(vers, ver), append(vals, val)
+		keys, vers, vals = append(keys, g.keys[j]), append(vers, ver), append(vals, val)
 	}
 	return keys, vers, vals
 }

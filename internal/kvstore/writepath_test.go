@@ -7,9 +7,11 @@ import (
 
 // The shared-version batch shape — an internal batch write or the batch
 // coordinator's local leg: keys, values and one stamp — reaches storage
-// through applyClientBatch, which must add nothing to what the store itself
-// allocates per touched shard (value arena, private copies, kept keys): the
-// per-record version column comes from a pool, not from a slice per call.
+// through applyClientBatch, whose per-record version column comes from a
+// pool, not from a slice per call. The store copies each record into its
+// memtable slot and allocates nothing per batch, so the whole apply is
+// pinned at one allocation per touched shard of slack; it measures 0 (it
+// used to take one value arena per touched shard).
 func TestSharedVersionBatchAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries at random under the race detector")
@@ -34,8 +36,8 @@ func TestSharedVersionBatchAllocBudget(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		apply() // warm the pools and grow the memtable out of the measurement
 	}
-	if got := testing.AllocsPerRun(200, apply); got > 3*shards {
-		t.Errorf("shared-version batch of %d allocates %.1f/batch, want <= %d", nk, got, 3*shards)
+	if got := testing.AllocsPerRun(200, apply); got > shards {
+		t.Errorf("shared-version batch of %d allocates %.1f/batch, want <= %d", nk, got, shards)
 	}
 	for _, k := range keys {
 		if _, v, ok := n.store.GetVersioned(nil, k); !ok || v != ver {

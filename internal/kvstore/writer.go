@@ -10,10 +10,12 @@ import (
 )
 
 // bufRetainCap bounds the capacity of buffers returned to the pool; one huge
-// value must not permanently inflate pooled memory. It matches
-// wire.MaxRetainedBuffer so both sides of a connection retain the same
-// footprint.
-const bufRetainCap = wire.MaxRetainedBuffer
+// value must not permanently inflate pooled memory. It is twice the frame
+// buffer a wire.Reader keeps: a write's pooled copy carries its keys beside
+// its values, so a batch whose values fill wire.MaxRetainedBuffer must still
+// fit, and a batch frame or batch-read response of that size is reused
+// rather than reallocated on every request.
+const bufRetainCap = 2 * wire.MaxRetainedBuffer
 
 // bufPool recycles encoded-frame and value-staging buffers across
 // connections and requests. Buffers travel as *[]byte so re-pooling does not

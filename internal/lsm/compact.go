@@ -124,20 +124,22 @@ func (s *Store) compact(in []*run, num uint64) {
 }
 
 // merge streams the newest-wins merge of in into one new run without the
-// lock: no map, no sort, no per-key allocation. Output keys are the input
-// strings, values are views into the inputs (a run read through its file
-// shares one buffer, which the durable writer copies out before the next
-// read), and tombstones drop because nothing older than the inputs exists.
-// An in-memory output would keep those views, pinning every batch arena a
-// surviving value was carved from, so it copies the survivors into one
-// arena sized to them instead and lets the inputs' memory go.
+// lock: no map, no sort, no per-key allocation. Output keys are copied into
+// the output's key arena, values are views into the inputs (a run read
+// through its file shares one buffer, which the durable writer copies out
+// before the next read), and tombstones drop because nothing older than the
+// inputs exists. An in-memory output would keep those views, pinning every
+// memtable generation a surviving value was carved from, so it copies the
+// survivors into one arena sized to them instead and lets the inputs'
+// memory go.
 func (s *Store) merge(in []*run, num uint64) (*run, error) {
-	n, bytes := 0, 0
+	n, bytes, kbytes := 0, 0, 0
 	for _, r := range in {
 		n += len(r.keys)
 		bytes += r.bytes
+		kbytes = max(kbytes, r.kbytes)
 	}
-	w, err := newSSTWriter(s.dir, num, n, bytes)
+	w, err := newSSTWriter(s.dir, num, n, bytes, kbytes)
 	if err != nil {
 		return nil, err
 	}

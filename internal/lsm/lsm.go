@@ -12,7 +12,10 @@
 // (versioned.go), and one batch is one WAL commit group is one memtable
 // generation: the flush threshold is checked between batches, never inside
 // one, so a flush can only retire WAL files whose every record it persisted.
-// Put, PutAll and Delete are one-line wrappers over it.
+// Put, PutAll and Delete are one-line wrappers over it. A memtable
+// generation owns its bytes (memtable.go): a write copies its keys and
+// values into the generation's chunks, so the engine retains nothing a
+// caller passed in, and every run owns its keys.
 //
 // With Options.Dir set the store is durable and crash-recoverable: every
 // batch is appended to a group-committed write-ahead log before it is
@@ -101,7 +104,10 @@ type counters struct {
 
 // run is an immutable sorted key/value image. In-memory runs hold values in
 // vals (nil = tombstone); file-backed runs hold per-key offsets into an SST
-// file and read values on demand.
+// file and read values on demand. A run's keys are its own — copied into a
+// key arena of the run's (sstWriter), or decoded from its SST index — never
+// views into a memtable generation or another run, so a surviving key pins
+// nothing but the run it sits in.
 type run struct {
 	keys  []string
 	vals  [][]byte // in-memory runs only
@@ -113,6 +119,8 @@ type run struct {
 	f     *os.File // backing SST (nil for in-memory runs)
 	cache []byte   // retained copy of the SST data section (small runs):
 	// reads hit memory, the file exists for recovery. nil = read via f.
+
+	kbytes int // key bytes, which size a merge output's key arena chunks
 }
 
 // find returns the index of key in the run, or -1.
@@ -128,11 +136,10 @@ func (r *run) find(key string) int {
 type Store struct {
 	mu      sync.RWMutex
 	opts    Options
-	dir     string // empty = in-memory
-	mem     map[string][]byte
-	memB    int
-	runs    []*run // newest first; replaced whole, never edited in place
-	wal     *wal   // nil in in-memory mode
+	dir     string   // empty = in-memory
+	mem     memtable // the live generation
+	runs    []*run   // newest first; replaced whole, never edited in place
+	wal     *wal     // nil in in-memory mode
 	man     manifest
 	walNums []uint64 // WAL files on disk, ascending; last is the append target
 	closed  bool
@@ -143,10 +150,9 @@ type Store struct {
 	compacting bool
 	idle       *sync.Cond
 
-	// wk and cps are apply's kept-keys and private-copy columns, reused
-	// under mu from batch to batch.
-	wk  []string
-	cps [][]byte
+	// at is apply's guard column — record i's memtable slot, or rejected or
+	// unheld — reused under mu from batch to batch.
+	at []int32
 }
 
 // Open returns a store. With opts.Dir empty it is a fresh in-memory store
@@ -158,7 +164,7 @@ type Store struct {
 // appending to the newest WAL.
 func Open(opts Options) (*Store, error) {
 	opts = opts.withDefaults()
-	s := &Store{opts: opts, dir: opts.Dir, mem: make(map[string][]byte)}
+	s := &Store{opts: opts, dir: opts.Dir, mem: newMemtable(0)}
 	s.idle = sync.NewCond(&s.mu)
 	if s.dir == "" {
 		return s, nil
@@ -234,10 +240,7 @@ func Open(opts Options) (*Store, error) {
 	for i, n := range s.walNums {
 		path := filepath.Join(s.dir, walName(n))
 		valid, err := replayWAL(path, func(op byte, key string, val []byte) {
-			if op == walDel {
-				val = nil
-			}
-			s.putLocked(key, val)
+			s.mem.put(key, 0, val, op == walDel)
 		})
 		if err != nil {
 			s.releaseRuns()
@@ -310,16 +313,6 @@ func (s *Store) Delete(key string) error {
 	return s.ApplyMulti([]string{key}, []uint64{0}, [][]byte{nil}, []bool{true})
 }
 
-// putLocked inserts one record (nil val = tombstone) into the memtable. It
-// never flushes: apply decides that once, after the whole batch is in.
-func (s *Store) putLocked(key string, val []byte) {
-	if old, ok := s.mem[key]; ok {
-		s.memB -= len(key) + len(old)
-	}
-	s.mem[key] = val
-	s.memB += len(key) + len(val)
-}
-
 // Get reads the newest value of key into a fresh buffer, consulting the
 // memtable and then each run from newest to oldest, skipping runs whose
 // Bloom filter excludes the key.
@@ -347,8 +340,8 @@ func (s *Store) GetAppend(dst []byte, key string) ([]byte, bool) {
 		return dst, false
 	}
 	s.c.gets.Add(1)
-	if v, ok := s.mem[key]; ok {
-		if v == nil {
+	if v, del, ok := s.mem.get(key); ok {
+		if del {
 			return dst, false
 		}
 		return append(dst, v...), true
@@ -393,13 +386,13 @@ func (s *Store) Flush() {
 // files. A crash between any two steps recovers: the data is in the old WALs
 // until the manifest edit lands, and in the SST after.
 func (s *Store) flushLocked(threshold int) {
-	if s.memB < threshold {
+	if s.mem.bytes < threshold {
 		return
 	}
 	for s.compacting && len(s.runs) >= 2*s.opts.MaxRuns && !s.closed {
 		s.idle.Wait()
 	}
-	if len(s.mem) == 0 || s.memB < threshold || s.closed {
+	if s.mem.len() == 0 || s.mem.bytes < threshold || s.closed {
 		return
 	}
 	if s.wal != nil {
@@ -411,8 +404,8 @@ func (s *Store) flushLocked(threshold int) {
 	if s.dir != "" {
 		num = s.allocNum()
 	}
-	mr := s.memRunLocked()
-	w, err := newSSTWriter(s.dir, num, len(mr.keys), s.memB)
+	mr := s.mem.run()
+	w, err := newSSTWriter(s.dir, num, len(mr.keys), s.mem.bytes, mr.kbytes)
 	if err != nil {
 		s.c.ioErrors.Add(1)
 		return // data stays in memtable + WAL; retried at next threshold
@@ -456,24 +449,9 @@ func (s *Store) flushLocked(threshold int) {
 	}
 
 	s.runs = append([]*run{r}, s.runs...)
-	s.mem = make(map[string][]byte)
-	s.memB = 0
+	s.mem = newMemtable(s.mem.len()) // fresh chunks: r may keep views into the old ones
 	s.c.flushes.Add(1)
 	s.maybeCompactLocked()
-}
-
-// memRunLocked is the memtable as an in-memory run: its keys sorted once,
-// with their values (nil = tombstone).
-func (s *Store) memRunLocked() *run {
-	r := &run{keys: make([]string, 0, len(s.mem)), vals: make([][]byte, len(s.mem))}
-	for k := range s.mem {
-		r.keys = append(r.keys, k)
-	}
-	sort.Strings(r.keys)
-	for i, k := range r.keys {
-		r.vals[i] = s.mem[k]
-	}
-	return r
 }
 
 // waitCompactionLocked returns once no compaction is in flight.
@@ -541,7 +519,7 @@ func (s *Store) Runs() int {
 func (s *Store) MemBytes() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.memB
+	return s.mem.bytes
 }
 
 // AppendLiveKeys appends every live key to dst in ascending byte order —
@@ -556,7 +534,7 @@ func (s *Store) AppendLiveKeys(dst []string) []string {
 // eachLiveLocked calls fn with every live key in ascending order: the
 // memtable and the runs through the merge, newest first.
 func (s *Store) eachLiveLocked(fn func(key string)) {
-	m := newMerger(append([]*run{s.memRunLocked()}, s.runs...))
+	m := newMerger(append([]*run{s.mem.run()}, s.runs...))
 	for r, i, ok := m.next(); ok; r, i, ok = m.next() {
 		if !r.tombstone(i) {
 			fn(r.keys[i])
@@ -571,8 +549,8 @@ func (s *Store) Has(key string) bool {
 	if s.closed {
 		return false
 	}
-	if v, ok := s.mem[key]; ok {
-		return v != nil
+	if _, del, ok := s.mem.get(key); ok {
+		return !del
 	}
 	for _, r := range s.runs {
 		if !r.bloom.MayContain(key) {

@@ -217,8 +217,8 @@ type batchScratch struct {
 	vers []uint64
 	vals [][]byte
 	dels []bool
-	offs []int        // per-shard [start,end) offsets, len n+1
-	cws  []*walCommit // started commit groups awaiting waitCommit
+	offs []int    // per-shard [start,end) offsets, len n+1
+	seqs []uint64 // per-shard started commit group awaiting waitCommit; 0 = none
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -240,7 +240,7 @@ func (t *Sharded) ApplyMulti(keys []string, vers []uint64, vals [][]byte, dels [
 	defer batchScratchPool.Put(sc)
 	if cap(sc.offs) < n+1 {
 		sc.offs = make([]int, n+1)
-		sc.cws = make([]*walCommit, 0, n)
+		sc.seqs = make([]uint64, n)
 	}
 	offs := sc.offs[:n+1]
 	for i := range offs {
@@ -267,7 +267,7 @@ func (t *Sharded) ApplyMulti(keys []string, vers []uint64, vals [][]byte, dels [
 	}
 	// The fill pass advanced each cursor to its shard's end; offs[sh-1] is
 	// now shard sh's start.
-	cws := sc.cws[:0]
+	seqs := sc.seqs[:n]
 	var firstErr error
 	for sh := 0; sh < n; sh++ {
 		lo := 0
@@ -278,24 +278,20 @@ func (t *Sharded) ApplyMulti(keys []string, vers []uint64, vals [][]byte, dels [
 		if lo == hi {
 			continue
 		}
-		cw, err := t.shards[sh].apply(skeys[lo:hi], svers[lo:hi], svals[lo:hi], sdels[lo:hi])
-		if err != nil {
+		var err error
+		if seqs[sh], err = t.shards[sh].apply(skeys[lo:hi], svers[lo:hi], svals[lo:hi], sdels[lo:hi]); err != nil {
 			firstErr = err
 			break
-		}
-		if cw != nil {
-			cws = append(cws, cw)
 		}
 	}
 	// Wait for every started commit group even after an error: acked state
 	// must be settled before the caller sees the verdict.
-	for i, cw := range cws {
-		if err := waitCommit(cw); err != nil && firstErr == nil {
+	for sh, seq := range seqs {
+		if err := t.shards[sh].waitCommit(seq); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		cws[i] = nil
+		seqs[sh] = 0
 	}
-	sc.cws = cws[:0]
 	// Scratch views hold caller data; drop the references before pooling.
 	for i := range skeys {
 		skeys[i] = ""

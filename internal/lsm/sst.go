@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"unsafe"
 )
 
 // SST file layout (little-endian):
@@ -42,7 +43,9 @@ const (
 // the memtable's sorted keys at flush, the merge's output at compaction. With
 // a directory it streams SST file num there and finish installs it; without
 // one it assembles an in-memory run that keeps the fed value slices
-// themselves. A nil value is a tombstone.
+// themselves. Either way it copies every key into the run's own key arena,
+// so the run pins neither the memtable generation nor the runs it was built
+// from. A nil value is a tombstone.
 type sstWriter struct {
 	r              *run
 	dir, path, tmp string
@@ -51,7 +54,8 @@ type sstWriter struct {
 	off            int64
 	dataCRC        uint32
 	cache          []byte // the data section, retained while it fits sstCacheCap
-	keyBytes       int
+	keys           []byte // key arena chunk being filled; each chunk is keyChunk long
+	keyChunk       int
 	scratch        []byte // record header; starts on hdr, grows only for long keys
 	hdr            [64]byte
 	err            error // sticky write error, reported by finish
@@ -60,8 +64,11 @@ type sstWriter struct {
 // newSSTWriter starts a run of at most n records totalling at most bytes of
 // key and value payload — the bounds presize the key columns, the Bloom
 // filter and the data cache, so a compaction's output never regrows them.
-func newSSTWriter(dir string, num uint64, n, bytes int) (*sstWriter, error) {
-	w := &sstWriter{dir: dir, r: &run{keys: make([]string, 0, n), bloom: NewBloom(n), num: num}}
+// kbytes sizes the key arena's chunks: a flush passes its exact key bytes, a
+// compaction its largest input's, so an output holding more keys than any
+// input takes one more chunk per input's worth.
+func newSSTWriter(dir string, num uint64, n, bytes, kbytes int) (*sstWriter, error) {
+	w := &sstWriter{dir: dir, keyChunk: kbytes, r: &run{keys: make([]string, 0, n), bloom: NewBloom(n), num: num}}
 	if dir == "" {
 		w.r.vals = make([][]byte, 0, n)
 		return w, nil
@@ -81,11 +88,13 @@ func newSSTWriter(dir string, num uint64, n, bytes int) (*sstWriter, error) {
 }
 
 // add appends one record; its key must sort after every key added before.
+// The key is copied; v is kept by an in-memory run.
 func (w *sstWriter) add(key string, v []byte) {
 	r := w.r
-	r.keys = append(r.keys, key)
+	r.keys = append(r.keys, w.ownKey(key))
 	r.bloom.Add(key)
 	r.bytes += len(key) + len(v)
+	r.kbytes += len(key)
 	if w.f == nil {
 		r.vals = append(r.vals, v)
 		return
@@ -101,7 +110,19 @@ func (w *sstWriter) add(key string, v []byte) {
 	r.offs = append(r.offs, w.off)
 	r.vlens = append(r.vlens, vflag)
 	w.emit(v)
-	w.keyBytes += len(key)
+}
+
+// ownKey copies key into the run's key arena.
+func (w *sstWriter) ownKey(key string) string {
+	if len(key) == 0 {
+		return ""
+	}
+	if cap(w.keys)-len(w.keys) < len(key) {
+		w.keys = make([]byte, 0, max(w.keyChunk, len(key)))
+	}
+	at := len(w.keys)
+	w.keys = append(w.keys, key...)
+	return unsafe.String(&w.keys[at], len(key))
 }
 
 // emit writes b to the data section, folding it into the CRC and the cache.
@@ -136,7 +157,7 @@ func (w *sstWriter) finish() (*run, error) {
 		return nil, w.err
 	}
 	indexOff := w.off
-	meta := make([]byte, 0, 4+16*len(r.keys)+w.keyBytes+16+8*len(r.bloom.bits)+sstFooterLen)
+	meta := make([]byte, 0, 4+16*len(r.keys)+r.kbytes+16+8*len(r.bloom.bits)+sstFooterLen)
 	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(r.keys)))
 	for i, k := range r.keys {
 		meta = binary.LittleEndian.AppendUint32(meta, uint32(len(k)))
@@ -271,6 +292,7 @@ func openSST(dir string, num uint64) (*run, error) {
 			return bad("index truncated at entry %d", i)
 		}
 		r.keys[i] = string(index[4 : 4+klen])
+		r.kbytes += klen
 		r.offs[i] = int64(binary.LittleEndian.Uint64(index[4+klen:]))
 		r.vlens[i] = binary.LittleEndian.Uint32(index[4+klen+8:])
 		r.bytes += klen + int(r.vlens[i]&^tombstoneBit)

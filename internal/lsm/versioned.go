@@ -12,12 +12,18 @@ import (
 //
 //	one batch = one WAL commit group = one memtable generation
 //
-// apply runs the version guard, appends the surviving records to the WAL as
-// one commit group, inserts them into the memtable, and only then asks
-// whether the memtable has outgrown FlushBytes. Flush is therefore decided
-// between batches, never inside one: a flush retires exactly the WAL files
-// whose every record sits in the SST it wrote, so no acknowledged record can
-// be left in a fresh memtable with its log already deleted.
+// apply runs the version guard, inserts the surviving records into the
+// memtable while appending them to the WAL as one commit group, and only
+// then asks whether the memtable has outgrown FlushBytes. Flush is therefore
+// decided between batches, never inside one: a flush retires exactly the WAL
+// files whose every record sits in the SST it wrote, so no acknowledged
+// record can be left in a fresh memtable with its log already deleted.
+//
+// The memtable generation owns its bytes (memtable.go): the insert copies
+// each record's key and value into the generation's chunks, and the WAL
+// record is encoded from that copy. A write batch allocates nothing per
+// record or per batch — no value arena, no kept-keys column, no commit
+// group object — and the caller's keys and values are free again on return.
 //
 // Versions. The kvstore coordinator stamps every write with a 64-bit
 // HLC-style version and the engine stores it as an 8-byte little-endian
@@ -35,7 +41,10 @@ import (
 // Because the guard holds s.mu, a key's stored version is non-decreasing
 // over time, which means newest-run-wins (the engine's native shadowing
 // rule) and highest-version-wins coincide: flush and compaction need no
-// version awareness.
+// version awareness. That includes records of one batch: a record is guarded
+// against every record before it in the batch, so a drain of [k@5, k@3]
+// keeps k@5, and the WAL logs only the records that landed, so replay
+// reaches the same state.
 
 // VersionLen is the size of the version prefix inside stored value bytes.
 const VersionLen = 8
@@ -64,119 +73,156 @@ func SplitVersioned(raw []byte) (ver uint64, val []byte) {
 // ApplyMulti applies a write batch as one WAL commit group: record i is a put
 // of vals[i], or a tombstone when dels[i] is set (vals[i] ignored; dels may
 // be nil for all puts). A non-zero vers[i] stores the record version-prefixed
-// under the last-write-wins guard, and a record the guard rejects is skipped
+// under the last-write-wins guard — against the store and against the
+// batch's earlier records — and a record the guard rejects is skipped
 // silently — idempotent success, the contract hint replay, read repair and
 // membership streaming rely on. vers[i] == 0 applies unconditionally and
 // raw. A nil return in durable mode means the whole batch is on disk.
+//
+// ApplyMulti copies keys and values into the memtable and retains neither
+// past return: the caller may reuse or overwrite every buffer at once. An
+// overwrite whose value fits the key's memtable slot reuses the slot.
 //
 // A tombstone stores no version (versionLocked reports tombstoned keys
 // absent), so any later versioned write may land; the window this opens for
 // a delayed pre-delete write is documented in DESIGN.md.
 func (s *Store) ApplyMulti(keys []string, vers []uint64, vals [][]byte, dels []bool) error {
-	cw, err := s.apply(keys, vers, vals, dels)
+	seq, err := s.apply(keys, vers, vals, dels)
 	if err != nil {
 		return err
 	}
-	return waitCommit(cw)
+	return s.waitCommit(seq)
+}
+
+// waitCommit blocks until WAL commit group seq (from apply) is durable; 0
+// is no group.
+func (s *Store) waitCommit(seq uint64) error {
+	if seq == 0 {
+		return nil
+	}
+	return s.wal.wait(seq)
 }
 
 // apply is ApplyMulti up to (not including) the commit wait, and the only
-// place the store is mutated: guard, WAL append, memtable insert, then the
-// flush decision, all in one critical section. A sharded store starts every
-// touched shard's sub-batch here before waiting on any of them, so the
-// shards' group commits overlap.
-func (s *Store) apply(keys []string, vers []uint64, vals [][]byte, dels []bool) (*walCommit, error) {
+// place the store is mutated: guard, memtable insert with WAL append, then
+// the flush decision, all in one critical section. It returns the batch's
+// WAL commit group (0: nothing logged). A sharded store starts every touched
+// shard's sub-batch here before waiting on any of them, so the shards'
+// group commits overlap.
+func (s *Store) apply(keys []string, vers []uint64, vals [][]byte, dels []bool) (uint64, error) {
 	if len(keys) == 0 {
-		return nil, nil
+		return 0, nil
 	}
-	total := 0
-	for _, v := range vals {
-		total += VersionLen + len(v)
-	}
-	// Private copies of the surviving values, carved from one arena sized for
-	// the worst case so it never regrows under the slices handed out below.
-	// A nil copy is a tombstone — the memtable's and the WAL's convention.
-	arena := make([]byte, 0, total)
 	s.mu.Lock()
-	cw, err := s.applyLocked(keys, vers, vals, dels, arena)
+	seq, err := s.applyLocked(keys, vers, vals, dels)
 	if err == nil {
 		s.flushLocked(s.opts.FlushBytes)
 	}
 	s.mu.Unlock()
-	return cw, err
+	return seq, err
 }
 
-// applyLocked is apply's critical section up to the flush decision: guard,
-// WAL append, memtable insert. Its kept-keys and copies columns are the
-// store's own scratch; the WAL copies the records into its buffer and the
-// memtable keeps only the elements, so the columns go back before the flush
-// decision, whose backpressure wait releases the lock to other batches.
-func (s *Store) applyLocked(keys []string, vers []uint64, vals [][]byte, dels []bool, arena []byte) (*walCommit, error) {
+// applyLocked is apply's critical section up to the flush decision, in two
+// passes. The guard pass checks each versioned record against the
+// pre-batch store and notes its memtable slot; it is the only pass that
+// reads runs and the only one that can fail, so a failed batch changes
+// nothing. The insert pass takes the WAL (a closed or wedged log fails the
+// batch here, still unchanged), re-checks each surviving record against its
+// memtable slot — which by now holds the batch's earlier records, so a later
+// record loses to an earlier, higher version — copies it into the slot and
+// logs the stored copy.
+func (s *Store) applyLocked(keys []string, vers []uint64, vals [][]byte, dels []bool) (uint64, error) {
 	if s.closed {
-		return nil, ErrClosed
+		return 0, ErrClosed
 	}
-	wk, cps := s.wk[:0], s.cps[:0]
-	defer func() {
-		clear(wk) // drop this batch's keys and arena views
-		clear(cps)
-		s.wk, s.cps = wk[:0], cps[:0]
-	}()
+	at := s.at[:0]
 	for i, k := range keys {
-		ver := vers[i]
-		if ver != 0 {
-			cur, present, err := s.versionLocked(k)
-			if err != nil {
-				return nil, err
+		sl, held := s.mem.find(k)
+		if !held {
+			sl = unheld
+		}
+		if ver := vers[i]; ver != 0 {
+			cur, present := uint64(0), false
+			if held {
+				cur, present = s.mem.version(sl)
+			} else {
+				var err error
+				if cur, present, err = s.runsVersionLocked(k); err != nil {
+					s.at = at
+					return 0, err
+				}
 			}
 			if present && cur >= ver {
-				continue
+				sl = rejected
 			}
 		}
-		var cp []byte
-		if dels == nil || !dels[i] {
-			at := len(arena)
-			if ver != 0 {
-				arena = binary.LittleEndian.AppendUint64(arena, ver)
-			}
-			arena = append(arena, vals[i]...)
-			cp = arena[at:len(arena):len(arena)]
-		}
-		wk = append(wk, k)
-		cps = append(cps, cp)
+		at = append(at, sl)
 	}
-	if len(wk) == 0 {
-		return nil, nil
-	}
-	var cw *walCommit
+	s.at = at
 	if s.wal != nil {
-		var err error
-		if cw, err = s.wal.addBatch(wk, cps); err != nil {
-			return nil, err
+		if err := s.wal.lockAppend(); err != nil {
+			return 0, err
 		}
 	}
-	ndel := 0
-	for i, k := range wk {
-		if cps[i] == nil {
-			ndel++
+	nput, ndel := 0, 0
+	for i, k := range keys {
+		sl := at[i]
+		switch {
+		case sl == rejected:
+			continue
+		case sl == unheld:
+			// Absent before the batch, unless an earlier record inserted it.
+			var held bool
+			if sl, held = s.mem.find(k); !held {
+				sl = s.mem.insert(k)
+			}
 		}
-		s.putLocked(k, cps[i])
+		if ver := vers[i]; ver != 0 {
+			if cur, present := s.mem.version(sl); present && cur >= ver {
+				continue // an earlier record of this batch landed a newer version
+			}
+		}
+		del := dels != nil && dels[i]
+		v := s.mem.set(sl, vers[i], vals[i], del)
+		if s.wal != nil {
+			s.wal.appendLocked(k, v)
+		}
+		if del {
+			ndel++
+		} else {
+			nput++
+		}
+	}
+	var seq uint64
+	if s.wal != nil {
+		seq = s.wal.unlockAppend(nput + ndel)
 	}
 	s.c.deletes.Add(uint64(ndel))
-	s.c.puts.Add(uint64(len(wk) - ndel))
-	return cw, nil
+	s.c.puts.Add(uint64(nput))
+	return seq, nil
 }
+
+// The guard pass's marks in Store.at, beside a memtable slot: a record the
+// guard rejected, and one whose key the memtable did not hold.
+const (
+	rejected int32 = -1
+	unheld   int32 = -2
+)
 
 // versionLocked reads the version of key's newest live record. present=false
 // means absent or tombstoned (any versioned write may apply). Unversioned
 // short values read as version 0.
 func (s *Store) versionLocked(key string) (ver uint64, present bool, err error) {
-	if v, ok := s.mem[key]; ok {
-		if v == nil {
-			return 0, false, nil
-		}
-		ver, _ := SplitVersioned(v)
-		return ver, true, nil
+	if sl, ok := s.mem.find(key); ok {
+		ver, present := s.mem.version(sl)
+		return ver, present, nil
 	}
+	return s.runsVersionLocked(key)
+}
+
+// runsVersionLocked is versionLocked over the runs alone, for a key the
+// memtable does not hold.
+func (s *Store) runsVersionLocked(key string) (ver uint64, present bool, err error) {
 	for _, r := range s.runs {
 		if !r.bloom.MayContain(key) {
 			continue
@@ -262,7 +308,8 @@ func AppendLogRecord(b []byte, op byte, key string, val []byte) []byte {
 }
 
 // ReplayLog reads records from path in order, calling apply for each valid
-// one, and returns the length of the valid prefix. Parsing stops without
+// one, and returns the length of the valid prefix. key and val alias the
+// log's bytes and are valid only during the call. Parsing stops without
 // error at the first torn or corrupt record.
 func ReplayLog(path string, apply func(op byte, key string, val []byte)) (int64, error) {
 	return replayWAL(path, apply)

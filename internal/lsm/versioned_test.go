@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -107,6 +108,45 @@ func TestApplyMultiGuardsPerKey(t *testing.T) {
 	wantV(t, s, "a", 50, "va")
 	if err := s.ApplyMulti(nil, nil, nil, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A batch is guarded against its own earlier records, not only against the
+// store it lands on: a drain of [k@5, k@3] keeps k@5. The WAL logs only the
+// records that landed, so recovery replays to the same state.
+func TestApplyMultiGuardsWithinBatch(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			var opts Options
+			if durable {
+				opts.Dir = t.TempDir()
+			}
+			s := mustOpen(t, opts)
+			keys := []string{"k", "k", "j", "j", "j"}
+			vers := []uint64{5, 3, 2, 9, 4}
+			vals := [][]byte{[]byte("five"), []byte("three"), []byte("two"), []byte("nine"), []byte("four")}
+			if err := s.ApplyMulti(keys, vers, vals, nil); err != nil {
+				t.Fatal(err)
+			}
+			// A tombstone stores no version, so a later record of the same
+			// batch lands on it, as it would in a batch of its own.
+			if err := s.ApplyMulti([]string{"d", "d"}, []uint64{7, 1}, [][]byte{nil, []byte("one")}, []bool{true, false}); err != nil {
+				t.Fatal(err)
+			}
+			check := func() {
+				wantV(t, s, "k", 5, "five")
+				wantV(t, s, "j", 9, "nine")
+				wantV(t, s, "d", 1, "one")
+			}
+			check()
+			if !durable {
+				return
+			}
+			s.Crash()
+			s = mustOpen(t, opts)
+			defer s.Close()
+			check()
+		})
 	}
 }
 

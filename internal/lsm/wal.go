@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // The write-ahead log is a sequence of self-delimiting records:
@@ -58,19 +59,22 @@ func syncDir(dir string) error {
 	return err
 }
 
-// walCommit is one commit group. Every record appended while the group was
-// open becomes durable with the group's single write+fsync; all waiters are
-// released together when done closes.
-type walCommit struct {
-	done chan struct{}
-	err  error
-}
-
 // wal is the write-ahead log with group commit: appenders encode records
-// into a shared buffer under mu and get back the open commit group; a single
-// committer goroutine repeatedly steals the buffer, writes and fsyncs it as
-// one unit, and releases the group. Concurrent writers therefore share one
-// fsync instead of paying ~130µs each.
+// into a shared buffer under mu and get back the open commit group's
+// sequence number; a single committer goroutine repeatedly steals the buffer,
+// writes and fsyncs it as one unit, and publishes the group's outcome.
+// Concurrent writers therefore share one fsync instead of paying ~130µs
+// each.
+//
+// A commit group is nothing but a sequence number, so opening one allocates
+// nothing. Groups commit in order, and the committer publishes two marks:
+// written, the last group written (and fsynced, under strict sync), and
+// failed, the first group that failed. The error that failed it is sticky
+// (werr), so every later group fails too and a waiter's outcome is decided
+// by where its group falls: at or below written it is durable, at or past
+// failed it gets werr. Waiters block on cond, on mu, which the committer
+// broadcasts after each group; crash fails every group not yet taken by the
+// committer with ErrClosed.
 //
 // Sync policy, from strictest to loosest:
 //   - strict (syncEvery == 0, nosync false): every commit group fsyncs
@@ -87,12 +91,16 @@ type wal struct {
 	syncEvery time.Duration
 
 	mu      sync.Mutex
+	cond    sync.Cond // on mu: broadcast when written or failed moves
 	f       *os.File
 	num     uint64
 	buf     []byte // encoded records not yet handed to the committer
 	spare   []byte // recycled second buffer (ping-pong with buf)
-	pending *walCommit
-	werr    error // sticky I/O error: the log is wedged, fail all appends
+	open    bool   // group next has records or a sync barrier waiting on it
+	next    uint64 // the open group's sequence number; groups start at 1
+	written uint64 // last group written
+	failed  uint64 // first group that failed; 0 while none has
+	werr    error  // sticky I/O error: the log is wedged, fail all appends
 	closed  bool
 
 	kick  chan struct{} // cap 1: committer work signal
@@ -121,11 +129,13 @@ func openWAL(dir string, num uint64, nosync bool, syncEvery time.Duration) (*wal
 		syncEvery: syncEvery,
 		f:         f,
 		num:       num,
+		next:      1,
 		kick:      make(chan struct{}, 1),
 		quit:      make(chan struct{}),
 		exit:      make(chan struct{}),
 		texit:     make(chan struct{}),
 	}
+	w.cond.L = &w.mu
 	go w.committer()
 	if w.periodic() {
 		go w.syncLoop()
@@ -158,40 +168,45 @@ func appendWALRecord(b []byte, op byte, key string, val []byte) []byte {
 	return b
 }
 
-// addBatch encodes a batch of records into the open commit group and returns
-// the group — one fsync for the batch regardless of size. A nil value logs a
-// tombstone. The caller waits on the group with waitCommit after releasing
-// the store lock.
-func (w *wal) addBatch(keys []string, vals [][]byte) (*walCommit, error) {
+// A batch is logged in three steps: lockAppend takes the log (refusing a
+// closed or wedged one), appendLocked encodes each record into the open
+// commit group, and unlockAppend releases the log and returns the group's
+// sequence number — one fsync for the batch regardless of size. The caller
+// waits on it with wait after releasing the store lock.
+func (w *wal) lockAppend() error {
 	w.mu.Lock()
+	err := w.werr
 	if w.closed {
+		err = ErrClosed
+	}
+	if err != nil {
 		w.mu.Unlock()
-		return nil, ErrClosed
 	}
-	if w.werr != nil {
-		err := w.werr
-		w.mu.Unlock()
-		return nil, err
-	}
-	for i, k := range keys {
-		op := walPut
-		if vals[i] == nil {
-			op = walDel
-		}
-		w.buf = appendWALRecord(w.buf, op, k, vals[i])
-	}
-	w.appds.Add(uint64(len(keys)))
-	cw := w.openGroupLocked()
-	w.mu.Unlock()
-	w.kickCommitter()
-	return cw, nil
+	return err
 }
 
-func (w *wal) openGroupLocked() *walCommit {
-	if w.pending == nil {
-		w.pending = &walCommit{done: make(chan struct{})}
+// appendLocked encodes one record; a nil value logs a tombstone.
+func (w *wal) appendLocked(key string, val []byte) {
+	op := walPut
+	if val == nil {
+		op = walDel
 	}
-	return w.pending
+	w.buf = appendWALRecord(w.buf, op, key, val)
+}
+
+// unlockAppend closes a lockAppend of n records and returns the sequence
+// number of the group holding them, or 0 when n is 0.
+func (w *wal) unlockAppend(n int) uint64 {
+	if n == 0 {
+		w.mu.Unlock()
+		return 0
+	}
+	w.appds.Add(uint64(n))
+	w.open = true
+	seq := w.next
+	w.mu.Unlock()
+	w.kickCommitter()
+	return seq
 }
 
 func (w *wal) kickCommitter() {
@@ -201,13 +216,21 @@ func (w *wal) kickCommitter() {
 	}
 }
 
-// waitCommit blocks until the record's commit group is durable.
-func waitCommit(cw *walCommit) error {
-	if cw == nil {
+// wait blocks until group seq is written (nil) or has failed (the sticky
+// error). Group 0 is no group: nothing to wait for.
+func (w *wal) wait(seq uint64) error {
+	if seq == 0 {
 		return nil
 	}
-	<-cw.done
-	return cw.err
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for w.written < seq && (w.failed == 0 || seq < w.failed) {
+		w.cond.Wait()
+	}
+	if w.written >= seq {
+		return nil
+	}
+	return w.werr
 }
 
 func (w *wal) committer() {
@@ -224,16 +247,17 @@ func (w *wal) committer() {
 }
 
 // commitOnce steals the current buffer and group, writes and fsyncs the
-// bytes, and releases every waiter in the group.
+// bytes, and publishes the group's outcome to every waiter.
 func (w *wal) commitOnce() {
 	w.mu.Lock()
-	buf, cw, f := w.buf, w.pending, w.f
-	if len(buf) == 0 && cw == nil {
+	if !w.open {
 		w.mu.Unlock()
 		return
 	}
+	buf, seq, f := w.buf, w.next, w.f
 	w.buf, w.spare = w.spare[:0:cap(w.spare)], nil
-	w.pending = nil
+	w.open = false
+	w.next++
 	err := w.werr
 	w.mu.Unlock()
 
@@ -256,14 +280,18 @@ func (w *wal) commitOnce() {
 	if cap(buf) > cap(w.spare) {
 		w.spare = buf[:0]
 	}
-	if err != nil && w.werr == nil {
-		w.werr = err
+	if err == nil {
+		w.written = seq
+	} else {
+		if w.werr == nil {
+			w.werr = err
+		}
+		if w.failed == 0 || seq < w.failed {
+			w.failed = seq
+		}
 	}
+	w.cond.Broadcast()
 	w.mu.Unlock()
-	if cw != nil {
-		cw.err = err
-		close(cw.done)
-	}
 }
 
 // syncLoop is the periodic-mode background fsync: at most one fsync per
@@ -310,20 +338,14 @@ func (w *wal) fsyncNow() error {
 // opens (or joins) a group and waits: the committer processes groups in
 // order, so waiting on the newest group implies all earlier ones completed.
 func (w *wal) sync() error {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return ErrClosed
-	}
-	if w.werr != nil {
-		err := w.werr
-		w.mu.Unlock()
+	if err := w.lockAppend(); err != nil {
 		return err
 	}
-	cw := w.openGroupLocked()
+	w.open = true
+	seq := w.next
 	w.mu.Unlock()
 	w.kickCommitter()
-	if err := waitCommit(cw); err != nil {
+	if err := w.wait(seq); err != nil {
 		return err
 	}
 	if w.periodic() {
@@ -375,9 +397,10 @@ func (w *wal) close() error {
 	return err
 }
 
-// crash abandons the log without syncing: in-flight commit groups fail with
-// ErrClosed so no writer blocks forever, buffered records are dropped, and
-// the file is closed. This is the in-process stand-in for SIGKILL.
+// crash abandons the log without syncing: every commit group the committer
+// has not taken fails with ErrClosed so no writer blocks forever, buffered
+// records are dropped, and the file is closed. A group already being
+// written keeps its outcome. This is the in-process stand-in for SIGKILL.
 func (w *wal) crash() {
 	w.mu.Lock()
 	if w.closed {
@@ -388,14 +411,13 @@ func (w *wal) crash() {
 	if w.werr == nil {
 		w.werr = ErrClosed
 	}
-	cw := w.pending
-	w.pending = nil
-	w.buf = w.buf[:0]
-	w.mu.Unlock()
-	if cw != nil {
-		cw.err = ErrClosed
-		close(cw.done)
+	if w.failed == 0 {
+		w.failed = w.next
 	}
+	w.open = false
+	w.buf = w.buf[:0]
+	w.cond.Broadcast()
+	w.mu.Unlock()
 	close(w.quit)
 	<-w.exit
 	<-w.texit
@@ -405,9 +427,11 @@ func (w *wal) crash() {
 }
 
 // replayWAL reads records from path in order, calling apply for each valid
-// one, and returns the length of the valid prefix. Parsing stops — without
-// error — at the first torn or corrupt record: bytes past it were never
-// acknowledged (ack happens only after fsync), so dropping them is safe.
+// one, and returns the length of the valid prefix. key and val are views
+// into the file's bytes, valid only during the call: apply copies what it
+// keeps (the memtable copies every record). Parsing stops — without error —
+// at the first torn or corrupt record: bytes past it were never acknowledged
+// (ack happens only after fsync), so dropping them is safe.
 func replayWAL(path string, apply func(op byte, key string, val []byte)) (validLen int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -432,7 +456,7 @@ func replayWAL(path string, apply func(op byte, key string, val []byte)) (validL
 		if 5+klen > len(payload) {
 			return int64(off), nil
 		}
-		key := string(payload[5 : 5+klen])
+		key := unsafe.String(unsafe.SliceData(payload[5:]), klen)
 		switch op {
 		case walPut, walDelHint:
 			if 5+klen+4 > len(payload) {
@@ -442,9 +466,7 @@ func replayWAL(path string, apply func(op byte, key string, val []byte)) (validL
 			if 9+klen+vlen != len(payload) {
 				return int64(off), nil
 			}
-			val := make([]byte, vlen)
-			copy(val, payload[9+klen:])
-			apply(op, key, val)
+			apply(op, key, payload[9+klen:9+klen+vlen:9+klen+vlen])
 		case walDel:
 			if 5+klen != len(payload) {
 				return int64(off), nil
