@@ -305,7 +305,7 @@ func (c *Client) multiPutChunk(lvl Level, keys []string, vals [][]byte, oks []bo
 			lastErr = err
 			continue
 		}
-		res, status, _, err := p.batchWrite(wire.MsgBatchWrite, uint8(lvl), 0, keys, vals, nil)
+		res, status, _, err := p.batchWrite(wire.MsgBatchWrite, uint8(lvl), 0, false, keys, vals, nil)
 		if err != nil {
 			lastErr = err
 			continue

@@ -189,18 +189,20 @@ func (n *Node) ReadRepairs() uint64 { return n.repairs.Load() }
 // consistency level (unavailable or timed out) despite any partial acks.
 func (n *Node) QuorumFailures() uint64 { return n.quorumFails.Load() }
 
-// SetDropWrites makes the node's storage reject replica-local writes without
+// SetDropWrites makes the node reject the write legs it is sent without
 // applying them — a fault-injection hook for consistency tests and the
-// staleness benchmark: an acked CL=ONE write then visibly misses this
-// replica until repair or handoff heals it.
+// staleness benchmark: a coordinator's leg (its own local leg included) or a
+// hint replay fails, so an acked CL=ONE write visibly misses this replica.
+// Read-repair write-backs and decommission pages (MsgStreamPush) still land:
+// they are what heals the miss.
 func (n *Node) SetDropWrites(drop bool) { n.dropWrites.Store(drop) }
 
 // repairKeys writes keys at vers with vals to one replica under the
 // last-write-wins guard — the write-back half of read repair: the local store
-// directly, a peer with one point write for one key or one stream push of
-// version-prefixed values for several. Failures are ignored: the replica is
-// either down (its next read or a hint will heal it) or already newer (the
-// guard skipped us, which is success).
+// directly, a peer with one stream push of version-prefixed values, whatever
+// the key count. Either is a heal, so the drop-writes fault never applies.
+// Failures are ignored: the replica is either down (its next read or a hint
+// will heal it) or already newer (the guard skipped us, which is success).
 func (n *Node) repairKeys(s core.ServerID, keys []string, vers []uint64, vals [][]byte) {
 	n.repairs.Add(uint64(len(keys)))
 	if s == n.id {
@@ -211,13 +213,16 @@ func (n *Node) repairKeys(s core.ServerID, keys []string, vers []uint64, vals []
 	if err != nil {
 		return
 	}
-	if len(keys) == 1 {
-		p.write(keys[0], vals[0], vers[0], false)
-		return
+	total := 0
+	for _, v := range vals {
+		total += lsm.VersionLen + len(v)
 	}
+	buf := make([]byte, 0, total) // one buffer for every raw value
 	raws := make([][]byte, len(keys))
 	for i := range raws {
-		raws[i] = lsm.AppendVersioned(nil, vers[i], vals[i])
+		at := len(buf)
+		buf = lsm.AppendVersioned(buf, vers[i], vals[i])
+		raws[i] = buf[at:]
 	}
-	p.batchWrite(wire.MsgStreamPush, wire.LevelOne, 0, keys, raws, nil)
+	p.batchWrite(wire.MsgStreamPush, wire.LevelOne, 0, false, keys, raws, nil)
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"c3/internal/ring"
 	"c3/internal/sim"
 )
 
@@ -606,4 +607,59 @@ func runConsistencyChaos(t *testing.T, seed uint64) {
 	if !wrote {
 		t.Fatal("chaos run acked no quorum writes")
 	}
+}
+
+// TestRepairHealsDroppedWrite: a replica that dropped a write — and still
+// drops them — takes a read repair's write-back whatever its key count,
+// because the write-back is a heal and the drop-writes fault never applies to
+// one.
+func TestRepairHealsDroppedWrite(t *testing.T) {
+	for _, nk := range []int{1, 2} {
+		t.Run(fmt.Sprintf("keys=%d", nk), func(t *testing.T) {
+			c, _ := startTestCluster(t, 3, Config{Seed: 23, ReadRepair: -1}) // RF=3: every node a replica
+			cl := pinnedClient(t, c.Nodes[0])
+			stale := c.Nodes[2]
+			stale.SetDropWrites(true)
+			keys := sameGroupKeys(c.Nodes[0], "heal", nk) // one sub-batch: one repair of nk keys
+			for _, k := range keys {
+				if err := cl.PutAt(k, []byte("v-"+k), Quorum); err != nil {
+					t.Fatalf("PutAt(%s): %v", k, err)
+				}
+				if stale.Store().Has(k) {
+					t.Fatalf("node 2 applied %s while dropping writes", k)
+				}
+			}
+			if nk == 1 {
+				if v, ok, err := cl.GetAt(keys[0], All); err != nil || !ok || string(v) != "v-"+keys[0] {
+					t.Fatalf("GetAt(%s, All) = %q,%v,%v", keys[0], v, ok, err)
+				}
+			} else if _, found, err := cl.MultiGetAt(keys, All); err != nil || !found[0] || !found[1] {
+				t.Fatalf("MultiGetAt(All) = %v,%v", found, err)
+			}
+			for _, k := range keys {
+				if v, _, ok := stale.Store().GetVersioned(nil, k); !ok || string(v) != "v-"+k {
+					t.Fatalf("node 2 holds %s = %q,%v after the repair; want it healed", k, v, ok)
+				}
+			}
+		})
+	}
+}
+
+// sameGroupKeys returns count keys that share one replica group of n's read
+// ring, so a read of them is one sub-batch.
+func sameGroupKeys(n *Node, prefix string, count int) []string {
+	r := n.topo.Load().readRing()
+	var keys []string
+	group := -1
+	for i := 0; len(keys) < count; i++ {
+		k := fmt.Sprintf("%s-%d", prefix, i)
+		gi := r.GroupIndexFor(ring.Token([]byte(k)))
+		if group < 0 {
+			group = gi
+		}
+		if gi == group {
+			keys = append(keys, k)
+		}
+	}
+	return keys
 }

@@ -12,6 +12,7 @@ import (
 
 	"c3/internal/core"
 	"c3/internal/lsm"
+	"c3/internal/wire"
 )
 
 // Hinted handoff (Cassandra §2: writes toward a down replica are banked on
@@ -280,9 +281,11 @@ func (h *hintStore) replayLoop(target core.ServerID) {
 	}
 }
 
-// deliver attempts one hint: an internal versioned write to the target, with
+// deliver attempts one hint: a one-key write leg frame to the target, with
 // probe-style selector accounting (OnSend balanced by OnResponse on success,
-// OnAbandon on failure — a dead peer must not accumulate phantom load).
+// OnAbandon on failure — a dead peer must not accumulate phantom load). The
+// ack carries the feedback of the key's shard, which trains that shard's
+// selector.
 func (h *hintStore) deliver(target core.ServerID, rec hintRec) bool {
 	n := h.n
 	p, err := n.peer(target)
@@ -292,12 +295,14 @@ func (h *hintStore) deliver(target core.ServerID, rec hintRec) bool {
 	sel := n.selFor(rec.key)
 	sel.OnSend(target, time.Now().UnixNano())
 	sent := time.Now()
-	out, err := p.write(rec.key, rec.val, rec.ver, rec.del)
-	if err != nil || !out.OK {
+	var okb [1]bool
+	oks, _, fb, err := p.batchWrite(wire.MsgBatchWriteInternal, wire.LevelOne, rec.ver, rec.del,
+		[]string{rec.key}, [][]byte{rec.val}, okb[:0])
+	if err != nil || len(oks) != 1 || !oks[0] {
 		sel.OnAbandon(target, time.Now().UnixNano())
 		return false
 	}
-	n.accountReadSuccess(sel, target, 1, out.FB, time.Since(sent), time.Now())
+	n.accountReadSuccess(sel, target, 1, fb, time.Since(sent), time.Now())
 	return true
 }
 

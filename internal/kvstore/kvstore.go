@@ -211,7 +211,7 @@ type Node struct {
 
 	hlc        atomic.Uint64 // HLC version-stamp state (see stampVersion)
 	hints      *hintStore    // per-peer handoff queues; nil when disabled
-	dropWrites atomic.Bool   // fault injection: reject replica-local writes
+	dropWrites atomic.Bool   // fault injection: fail write legs (SetDropWrites)
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -532,10 +532,12 @@ func (n *Node) acceptLoop() {
 
 // serveConn handles one inbound connection (client or peer). Responses are
 // pre-encoded into pooled frames and coalesced by the connection's writer
-// goroutine; replica-local requests are served inline on the read loop when
-// no artificial delay is configured (goroutine-per-frame costs more than the
-// storage read itself), while coordinator requests always dispatch so reads
-// stay concurrent across replicas.
+// goroutine. A peer speaks batch frames only, whatever the key count: a read
+// leg (MsgBatchReadInternal) is served inline on the read loop when no
+// artificial delay is configured (goroutine-per-frame costs more than the
+// storage read itself), and a write leg, hint replay or stream push is handed
+// to the shard writers. Client reads always dispatch so they stay concurrent
+// across replicas; client writes only dispatch legs, so they run inline.
 func (n *Node) serveConn(conn net.Conn) {
 	defer n.wg.Done()
 	n.connsMu.Lock()
@@ -579,21 +581,6 @@ func (n *Node) serveConn(conn net.Conn) {
 			t.g = n.newReadGather(m.CL, keys[:], readValues)
 			n.wg.Add(1)
 			n.dispatchRead(t)
-		case wire.MsgReadInternal:
-			m, err := wire.ParseReadReq(payload)
-			if err != nil {
-				return
-			}
-			if n.inlineLocalReads() {
-				n.respondLocalRead(cw, m)
-				continue
-			}
-			m.Key = strings.Clone(m.Key)
-			n.wg.Add(1)
-			go func() {
-				defer n.wg.Done()
-				n.respondLocalRead(cw, m)
-			}()
 		case wire.MsgWrite:
 			m, err := wire.ParseWriteReq(payload)
 			if err != nil {
@@ -607,21 +594,6 @@ func (n *Node) serveConn(conn net.Conn) {
 			g := pointGather(key, val, m.Del, vb)
 			g.cw, g.id = cw, m.ID
 			n.coordinateWrite(g, Level(m.CL))
-		case wire.MsgWriteInternal:
-			m, err := wire.ParseWriteReq(payload)
-			if err != nil {
-				return
-			}
-			// Queued to the key's shard writer, which folds pipelined
-			// writes into one WAL commit group. A flush or compaction
-			// stalls only that shard's queue, never this link's reads.
-			t := getWriteTask()
-			t.kind = taskInternal
-			t.key, t.val, t.vb = pooledKV(m.Key, m.Value) // recycled once applied
-			t.ver = m.Version
-			t.del = m.Del
-			t.cw, t.id = cw, m.ID
-			n.enqueueWriteTask(n.shardOf(t.key), t)
 		case wire.MsgBatchRead:
 			m, err := wire.ParseBatchReadReq(payload, bkeys[:0])
 			if err != nil {
@@ -648,38 +620,35 @@ func (n *Node) serveConn(conn net.Conn) {
 				n.respondLocalBatchRead(cw, m.ID, m.Keys, m.Digest)
 				continue
 			}
-			keys := cloneKeys(m.Keys)
+			// Behind a storage delay the leg is served off the loop, over a
+			// pooled copy of its keys.
+			kc := copyKeys(m.Keys)
 			id, digest := m.ID, m.Digest
 			n.wg.Add(1)
 			go func() {
 				defer n.wg.Done()
-				n.respondLocalBatchRead(cw, id, keys, digest)
+				n.respondLocalBatchRead(cw, id, kc.keys, digest)
+				kc.release()
 			}()
-		case wire.MsgBatchWrite:
+		case wire.MsgBatchWrite, wire.MsgBatchWriteInternal, wire.MsgStreamPush:
 			m, err := wire.ParseBatchWriteReq(payload, bkeys[:0], bvals[:0])
-			if err != nil {
-				return
+			if err != nil || (m.Del && typ != wire.MsgBatchWriteInternal) {
+				return // batch delete is not a client feature
 			}
 			bkeys, bvals = m.Keys, m.Values
+			if typ != wire.MsgBatchWrite {
+				// A replica write: the records are copied into one pooled
+				// buffer and handed to the shard writers; the last shard to
+				// apply its share acks.
+				n.applyFrame(cw, typ, m)
+				continue
+			}
 			// Handled inline like MsgWrite, over a pooled copy that
 			// outlives the frame buffer.
 			keys, vals, arena := cloneBatch(m.Keys, m.Values)
 			g := batchGather(keys, vals, arena)
 			g.cw, g.id = cw, m.ID
 			n.coordinateWrite(g, Level(m.CL))
-		case wire.MsgBatchWriteInternal:
-			m, err := wire.ParseBatchWriteReq(payload, bkeys[:0], bvals[:0])
-			if err != nil {
-				return
-			}
-			bkeys, bvals = m.Keys, m.Values
-			keys, vals, arena := cloneBatch(m.Keys, m.Values)
-			id, ver := m.ID, m.Version
-			n.wg.Add(1)
-			go func() {
-				defer n.wg.Done()
-				n.respondLocalBatchWrite(cw, id, ver, keys, vals, arena)
-			}()
 		case wire.MsgRingUpdate:
 			u, err := wire.ParseRingUpdate(payload)
 			if err != nil {
@@ -715,33 +684,16 @@ func (n *Node) serveConn(conn net.Conn) {
 				defer n.wg.Done()
 				n.respondStream(cw, m)
 			}()
-		case wire.MsgStreamPush:
-			// A decommissioning peer re-homing one page of its arcs: same
-			// layout as an internal batch write, applied only-if-absent.
-			m, err := wire.ParseBatchWriteReq(payload, bkeys[:0], bvals[:0])
-			if err != nil {
-				return
-			}
-			bkeys, bvals = m.Keys, m.Values
-			keys, vals, arena := cloneBatch(m.Keys, m.Values)
-			id := m.ID
-			n.wg.Add(1)
-			go func() {
-				defer n.wg.Done()
-				n.respondStreamPush(cw, id, keys, vals, arena)
-			}()
 		default:
 			return // protocol error: drop the connection
 		}
 	}
 }
 
-// allOK is a shared read-only all-true slice: a replica-local batch write
-// that lands acks every key, so the encoder borrows a prefix instead of
-// allocating per response. allFail is its mirror for a batch whose WAL
-// commit failed (the whole group shares one fsync, so the batch succeeds or
-// fails as a unit).
-var allOK = func() []bool {
+// allTrue is a shared read-only all-true slice, long enough for any batch:
+// the per-key acks of a batch every key of which was acked, and the
+// tombstone column of a delete. allFalse is its mirror.
+var allTrue = func() []bool {
 	b := make([]bool, wire.MaxBatchKeys)
 	for i := range b {
 		b[i] = true
@@ -749,16 +701,43 @@ var allOK = func() []bool {
 	return b
 }()
 
-var allFail = make([]bool, wire.MaxBatchKeys)
+var allFalse = make([]bool, wire.MaxBatchKeys)
 
-// cloneKeys copies frame-aliasing keys into durable strings, for a
-// dispatched read handler, which outlives the frame buffer.
-func cloneKeys(keys []string) []string {
-	out := make([]string, len(keys))
-	for i, k := range keys {
-		out[i] = strings.Clone(k)
+// keyCopy is a pooled copy of a frame's keys, all in one buffer, for a
+// handler that outlives the frame buffer.
+type keyCopy struct {
+	keys []string
+	buf  []byte
+}
+
+var keyCopyPool = sync.Pool{New: func() any { return new(keyCopy) }}
+
+func copyKeys(keys []string) *keyCopy {
+	kc := keyCopyPool.Get().(*keyCopy)
+	total := 0
+	for _, k := range keys {
+		total += len(k)
 	}
-	return out
+	buf := kc.buf[:0]
+	if cap(buf) < total {
+		buf = make([]byte, 0, total) // never regrown below: earlier views stay put
+	}
+	kc.keys = resize(kc.keys, len(keys))
+	for i, k := range keys {
+		at := len(buf)
+		buf = append(buf, k...)
+		kc.keys[i] = pooledString(buf[at:])
+	}
+	kc.buf = buf
+	return kc
+}
+
+func (kc *keyCopy) release() {
+	clear(kc.keys)
+	if cap(kc.buf) > bufRetainCap {
+		kc.buf = nil
+	}
+	keyCopyPool.Put(kc)
 }
 
 // pooledKV copies a point write's key and value into one pooled buffer and
@@ -806,24 +785,6 @@ func (n *Node) inlineLocalReads() bool {
 	return n.cfg.ReadDelayMean == 0 && n.slowNs.Load() == 0
 }
 
-// respondLocalRead serves a replica-local read and enqueues the response,
-// streaming the value straight from the LSM store into the frame buffer —
-// no intermediate value copy. A digest answers with the version alone.
-func (n *Node) respondLocalRead(cw *connWriter, m wire.ReadReq) {
-	sh := n.shardOf(m.Key)
-	start := n.beginRead(sh, 1, time.Now())
-	fb := getBuf()
-	b, mark := wire.BeginReadResp((*fb)[:0], m.ID)
-	b, found := n.appendLocal(b, sh, m.Key, m.Digest)
-	b, err := wire.FinishReadResp(b, mark, found, wire.StatusOK, n.finishRead(sh, 1, start, time.Now()))
-	if err != nil {
-		putBuf(fb)
-		return
-	}
-	*fb = b
-	cw.enqueue(fb)
-}
-
 // appendLocal appends key's raw stored bytes (version prefix and payload) to
 // dst from shard sh, or only its version prefix for a digest.
 func (n *Node) appendLocal(dst []byte, sh int, key string, digest bool) ([]byte, bool) {
@@ -837,15 +798,30 @@ func (n *Node) appendLocal(dst []byte, sh int, key string, digest bool) ([]byte,
 	return dst, ok
 }
 
-// respondLocalBatchRead serves a replica-local sub-batch as one unit: every
+// respondLocalBatchRead serves a replica-local read leg as one unit: every
 // key is read against the LSM store in request order, values (or, for a
 // digest, versions) streaming straight into the response frame, and the
-// queue-size feedback is sampled once after the whole sub-batch — carrying
-// weight len(keys) on the coordinator side, so C3's q̂ sees the batch's true
-// cost.
+// queue-size feedback of the first key's shard is sampled once after the
+// whole leg — carrying weight len(keys) on the coordinator side, so C3's q̂
+// sees the leg's true cost.
 func (n *Node) respondLocalBatchRead(cw *connWriter, id uint64, keys []string, digest bool) {
+	sh := n.shardOf(keys[0])
+	start := n.beginRead(sh, len(keys), time.Now())
 	fb := getBuf()
-	b, err := n.serveBatchRead((*fb)[:0], id, keys, digest)
+	b, mark := wire.BeginBatchReadResp((*fb)[:0], id)
+	var err error
+	for _, k := range keys {
+		b = wire.BeginBatchReadItem(b, &mark)
+		var found bool
+		b, found = n.appendLocal(b, n.shardOf(k), k, digest)
+		if b, err = wire.FinishBatchReadItem(b, &mark, found); err != nil {
+			break
+		}
+	}
+	feedback := n.finishRead(sh, len(keys), start, time.Now())
+	if err == nil {
+		b, err = wire.FinishBatchReadResp(b, mark, feedback)
+	}
 	if err != nil {
 		// The response cannot be framed (values overflow MaxFrame): sever so
 		// the coordinator's call fails fast instead of waiting forever.
@@ -857,31 +833,13 @@ func (n *Node) respondLocalBatchRead(cw *connWriter, id uint64, keys []string, d
 	cw.enqueue(fb)
 }
 
-// serveBatchRead encodes the complete batch read-response frame for keys
-// into dst.
-func (n *Node) serveBatchRead(dst []byte, id uint64, keys []string, digest bool) ([]byte, error) {
-	sh := n.shardOf(keys[0])
-	start := n.beginRead(sh, len(keys), time.Now())
-	b, mark := wire.BeginBatchReadResp(dst, id)
-	var err error
-	for _, k := range keys {
-		b = wire.BeginBatchReadItem(b, &mark)
-		var found bool
-		b, found = n.appendLocal(b, n.shardOf(k), k, digest)
-		if b, err = wire.FinishBatchReadItem(b, &mark, found); err != nil {
-			n.finishRead(sh, len(keys), start, time.Now())
-			return dst, err
-		}
-	}
-	return wire.FinishBatchReadResp(b, mark, n.finishRead(sh, len(keys), start, time.Now()))
-}
-
-// applyStreamed lands one streamed page — keys with the raw version-prefixed
-// values they had on the sender — as one batch: one commit group per page.
-// Each value is split back into its version and payload and applied under
-// the store's last-write-wins guard (the check and the write are one critical
-// section), so a streamed pre-move value can never clobber a newer dual-routed
-// write that arrived first; a record the guard skips is still a success.
+// applyStreamed lands one page a joining node pulled — keys with the raw
+// version-prefixed values they had on the sender — as one batch: one commit
+// group per page. Each value is split back into its version and payload and
+// applied under the store's last-write-wins guard (the check and the write
+// are one critical section), so a streamed pre-move value can never clobber
+// a newer dual-routed write that arrived first; a record the guard skips is
+// still a success.
 func (n *Node) applyStreamed(keys []string, raws [][]byte) error {
 	vers := make([]uint64, len(keys))
 	vals := make([][]byte, len(keys))
@@ -891,49 +849,11 @@ func (n *Node) applyStreamed(keys []string, raws [][]byte) error {
 	return n.store.ApplyMulti(keys, vers, vals, nil)
 }
 
-// respondStreamPush applies one re-homing page from a decommissioning peer
-// (see applyStreamed). Every key acks OK whether it landed or lost to newer
-// data; only a storage failure fails the page, as a unit.
-func (n *Node) respondStreamPush(cw *connWriter, id uint64, keys []string, vals [][]byte, arena *[]byte) {
-	oks := allOK
-	if n.applyStreamed(keys, vals) != nil {
-		oks = allFail // storage wedged: the pusher must not count this page
-	}
-	n.respondBatchWriteAcks(cw, id, oks[:len(keys)], arena)
-}
-
-// respondLocalBatchWrite applies a write sub-batch under the coordinator's
-// stamp ver, shared by every record, and enqueues the per-key acks. The batch
-// lands through one WAL commit group — one fsync for the whole sub-batch — so
-// it acks or fails as a unit.
-func (n *Node) respondLocalBatchWrite(cw *connWriter, id uint64, ver uint64, keys []string, vals [][]byte, arena *[]byte) {
-	oks := allOK
-	if n.applyClientBatch(keys, ver, vals) != nil {
-		oks = allFail
-	}
-	n.respondBatchWriteAcks(cw, id, oks[:len(keys)], arena)
-}
-
-// respondBatchWriteAcks recycles arena — the pooled buffer that backed the
-// applied values (the store copied them) — and enqueues the per-key acks.
-func (n *Node) respondBatchWriteAcks(cw *connWriter, id uint64, oks []bool, arena *[]byte) {
-	putBuf(arena)
-	fb := getBuf()
-	b, err := wire.AppendBatchWriteResp((*fb)[:0], wire.BatchWriteResp{
-		ID: id, OK: oks, FB: n.feedback()})
-	if err != nil {
-		putBuf(fb)
-		cw.sever(err)
-		return
-	}
-	*fb = b
-	cw.enqueue(fb)
-}
-
 // feedback samples the node's current C3 feedback fields aggregated over
-// shards: queue sizes sum; service time averages. Replica read responses
-// carry the per-shard sample (feedbackAt) instead — a coordinator's shard-s
-// selector paces against the replicas' shard-s queues.
+// shards: queue sizes sum; service time averages. It answers clients; replica
+// responses — read answers and write acks alike — carry their first key's
+// shard sample (feedbackAt) instead, since a coordinator's shard-s selector
+// paces against the replicas' shard-s queues.
 func (n *Node) feedback() wire.Feedback {
 	var q int64
 	var svc uint64

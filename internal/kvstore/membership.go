@@ -584,11 +584,12 @@ func (n *Node) Decommission() error {
 }
 
 // streamOut pushes every arc the leave re-homes to its gainers as coalesced
-// MsgStreamPush pages — the batch-write frame layout and encoders, but
-// applied only-if-absent by the receiver so a pre-move value can never
-// clobber a newer dual-routed write already on the gainer. Push failures are
-// tolerated: the remaining replicas of each arc still hold the data, and
-// read repair re-propagates it.
+// MsgStreamPush pages — the batch-write frame layout and encoders, values
+// version-prefixed — which the gainer lands through its shard writers under
+// the last-write-wins guard, the way it lands a read repair's write-back, so
+// a pre-move value can never clobber a newer dual-routed write already on
+// the gainer. Push failures are tolerated: the remaining replicas of each arc
+// still hold the data, and read repair re-propagates it.
 func (n *Node) streamOut() {
 	t := n.topo.Load()
 	if t.prev == nil {
@@ -626,7 +627,7 @@ func (n *Node) streamOut() {
 			}
 			for _, g := range gainers {
 				if p, err := n.peer(g); err == nil {
-					p.batchWrite(wire.MsgStreamPush, 0, 0, chunk, vals, nil)
+					p.batchWrite(wire.MsgStreamPush, 0, 0, false, chunk, vals, nil)
 				}
 			}
 		}

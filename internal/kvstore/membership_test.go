@@ -356,7 +356,7 @@ func TestStreamPushDoesNotClobberNewerValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The page carries raw stored values: version prefix, then payload.
-	oks, _, _, err := p.batchWrite(wire.MsgStreamPush, 0, 0, []string{"hot", "cold"},
+	oks, _, _, err := p.batchWrite(wire.MsgStreamPush, 0, 0, false, []string{"hot", "cold"},
 		[][]byte{lsm.AppendVersioned(nil, 19, []byte("stale")), lsm.AppendVersioned(nil, 5, []byte("cold-v"))}, nil)
 	if err != nil || len(oks) != 2 || !oks[0] || !oks[1] {
 		t.Fatalf("stream push: oks=%v err=%v", oks, err)

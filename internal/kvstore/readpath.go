@@ -34,20 +34,22 @@ import (
 //     values are fetched from that replica — one extra round trip, counted as
 //     a digest fetch. Then every responder that answered older or absent is
 //     repaired under the replica-side version guard before the read returns:
-//     one guarded write per stale replica, all at once.
+//     one guarded write per stale replica, all at once — a MsgStreamPush
+//     frame, whatever its key count, which the drop-writes fault never drops.
 //   - Read repair. A probe that answered older or absent than the merged
 //     answer gets the same guarded write-back, in the background: checked
 //     once the read is decided, or when the probe settles if it lands after
 //     the answer, so no read waits on a probe.
 //
-// Every leg is an event. Remote legs ride pooled async call records completed
-// on their connection's read loop, a local leg is served on the owner's
-// goroutine (or, behind a storage delay, on one of its own), and all of them
-// land on the gather's one reusable event channel, where one owner drives
-// every sub-batch's ladder. A leg that resolves after the owner stopped
-// listening settles its own selector accounting and recycles its records;
-// the last reference recycles the gather. A read spawns no goroutine and
-// allocates nothing per replica or per key in steady state.
+// Every leg is an event. A remote leg — data, digest, probe or fetch — is
+// one MsgBatchReadInternal frame, whatever its key count, on a pooled async
+// call record completed on its connection's read loop; a local leg is served
+// on the owner's goroutine (or, behind a storage delay, on one of its own);
+// and all of them land on the gather's one reusable event channel, where one
+// owner drives every sub-batch's ladder. A leg that resolves after the owner
+// stopped listening settles its own selector accounting and recycles its
+// records; the last reference recycles the gather. A read spawns no
+// goroutine and allocates nothing per replica or per key in steady state.
 //
 // Selector accounting keeps the zero-residual invariant with batch weights:
 // every PickBatch/PickNextN/PickHedgeN of n keys is balanced by exactly one
@@ -403,19 +405,11 @@ func (g *readGather) send(si int, kind uint8, s core.ServerID) {
 	}()
 }
 
-// sendRemote puts leg c on p: one key as a point frame, the lighter one for
-// a replica to serve, several as one sub-batch frame.
+// sendRemote puts leg c on p as one MsgBatchReadInternal frame, whatever its
+// key count.
 func (g *readGather) sendRemote(p *rpcConn, c *call, keys []string, digest bool) {
-	leg, err := c.leg, error(nil)
-	if len(keys) == 1 {
-		c.isBatch = false
-		err = p.send(c, func(b []byte, id uint64) ([]byte, error) {
-			return wire.AppendReadReq(b, wire.MsgReadInternal, wire.ReadReq{ID: id, Digest: digest, Key: keys[0]})
-		})
-	} else {
-		err = p.batchReadAsync(c, wire.MsgBatchReadInternal, wire.LevelOne, digest, keys)
-	}
-	if err != nil {
+	leg := c.leg
+	if err := p.batchReadAsync(c, wire.MsgBatchReadInternal, wire.LevelOne, digest, keys); err != nil {
 		c = getCall(false, nil) // the failed send recycled the record
 		c.rg, c.leg, c.err = g, leg, err
 		g.arrive(c)

@@ -202,14 +202,8 @@ func deliver(c *call) {
 	}
 	if g := c.g; g != nil {
 		var oks []bool
-		switch {
-		case c.err != nil:
-		case c.isBatch:
-			if len(c.boks) == c.hi-c.lo {
-				oks = c.boks
-			}
-		case c.write.OK:
-			oks = allOK[:1]
+		if c.err == nil && len(c.boks) == c.hi-c.lo {
+			oks = c.boks
 		}
 		g.complete(c.from, c.lo, c.hi, oks, c.err != nil)
 		putCall(c)
@@ -279,10 +273,6 @@ func (p *rpcConn) readLoop() {
 			// even transiently.
 			m.Value = append(c.dst, m.Value...)
 			c.read = m
-			if c.rg != nil { // a one-key read-gather leg answers in the batch layout
-				c.bfound, c.bvers = append(c.bfound[:0], m.Found), append(c.bvers[:0], m.Version)
-				c.boffs, c.bbuf, c.bfb = append(c.boffs[:0], 0, len(m.Value)), m.Value, m.FB
-			}
 			deliver(c)
 		case wire.MsgWriteResp:
 			m, err := wire.ParseWriteResp(payload)
@@ -492,13 +482,13 @@ func (p *rpcConn) batchRead(typ, cl uint8, keys []string, dst []byte) (*call, er
 }
 
 // batchWriteAsync dispatches a batch write RPC at the given level and
-// version stamp without blocking, on the caller's batch call record c: a
-// waiter (batchWrite) or a write leg (see send). The per-key acks land in
-// c.boks.
-func (p *rpcConn) batchWriteAsync(c *call, typ, cl uint8, ver uint64, keys []string, vals [][]byte) error {
+// version stamp — of tombstones when del is set — without blocking, on the
+// caller's batch call record c: a waiter (batchWrite) or a write leg (see
+// send). The per-key acks land in c.boks.
+func (p *rpcConn) batchWriteAsync(c *call, typ, cl uint8, ver uint64, del bool, keys []string, vals [][]byte) error {
 	return p.send(c, func(b []byte, id uint64) ([]byte, error) {
 		return wire.AppendBatchWriteReq(b, typ,
-			wire.BatchWriteReq{ID: id, CL: cl, Version: ver, Keys: keys, Values: vals})
+			wire.BatchWriteReq{ID: id, CL: cl, Version: ver, Del: del, Keys: keys, Values: vals})
 	})
 }
 
@@ -506,9 +496,9 @@ func (p *rpcConn) batchWriteAsync(c *call, typ, cl uint8, ver uint64, keys []str
 // wait — appending the per-key acks to oks (pass a reused scratch slice; nil
 // allocates). The returned status classifies a coordinator-level failure
 // (StatusOK on success and on plain per-key failures).
-func (p *rpcConn) batchWrite(typ, cl uint8, ver uint64, keys []string, vals [][]byte, oks []bool) ([]bool, uint8, wire.Feedback, error) {
+func (p *rpcConn) batchWrite(typ, cl uint8, ver uint64, del bool, keys []string, vals [][]byte, oks []bool) ([]bool, uint8, wire.Feedback, error) {
 	c := getBatchCall(false, nil)
-	if err := p.batchWriteAsync(c, typ, cl, ver, keys, vals); err != nil {
+	if err := p.batchWriteAsync(c, typ, cl, ver, del, keys, vals); err != nil {
 		return oks, 0, wire.Feedback{}, err
 	}
 	<-c.done
@@ -518,35 +508,13 @@ func (p *rpcConn) batchWrite(typ, cl uint8, ver uint64, keys []string, vals [][]
 	return oks, status, feedback, err
 }
 
-// write performs an internal write RPC carrying the coordinator's version
-// stamp (the replica applies it under the last-write-wins guard). del marks
-// a guarded tombstone: the replica deletes instead of storing (val ignored).
-func (p *rpcConn) write(key string, val []byte, ver uint64, del bool) (wire.WriteResp, error) {
-	return p.writeTyped(wire.MsgWriteInternal, wire.LevelOne, ver, key, val, del)
-}
-
-// writeAsync dispatches a write RPC without blocking, on the caller's call
-// record c: a waiter (writeTyped) or a write leg, whose completion is
-// delivered straight to its gather — on this connection's read loop for a
-// response, or wherever failAll runs for connection death. A leg spawns
-// nothing and nothing waits on it: this is the event-driven half of the
-// write fan-out.
-func (p *rpcConn) writeAsync(c *call, typ, cl uint8, ver uint64, key string, val []byte, del bool) error {
-	return p.send(c, func(b []byte, id uint64) ([]byte, error) {
-		return wire.AppendWriteReq(b, typ,
-			wire.WriteReq{ID: id, CL: cl, Version: ver, Key: key, Value: val, Del: del})
-	})
-}
-
 // clientWrite performs a coordinated write RPC at a consistency level; the
 // coordinator stamps the version. del requests a coordinated delete.
 func (p *rpcConn) clientWrite(cl uint8, key string, val []byte, del bool) (wire.WriteResp, error) {
-	return p.writeTyped(wire.MsgWrite, cl, 0, key, val, del)
-}
-
-func (p *rpcConn) writeTyped(typ, cl uint8, ver uint64, key string, val []byte, del bool) (wire.WriteResp, error) {
 	c := getCall(false, nil)
-	if err := p.writeAsync(c, typ, cl, ver, key, val, del); err != nil {
+	if err := p.send(c, func(b []byte, id uint64) ([]byte, error) {
+		return wire.AppendWriteReq(b, wire.MsgWrite, wire.WriteReq{ID: id, CL: cl, Key: key, Value: val, Del: del})
+	}); err != nil {
 		return wire.WriteResp{}, err
 	}
 	<-c.done

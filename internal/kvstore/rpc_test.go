@@ -11,14 +11,26 @@ import (
 	"c3/internal/wire"
 )
 
-// fakeReplica serves MsgReadInternal/MsgWriteInternal on conn. Read values
-// are produced by val(key); a nil val echoes the key bytes. It exits on the
-// first connection error.
+// fakeReplica serves the client frames MsgRead/MsgWrite and the batch legs
+// MsgBatchReadInternal/MsgBatchWriteInternal on conn, acking every write.
+// Read values are produced by val(key); a nil val echoes the key bytes. It
+// exits on the first connection error.
 func fakeReplica(conn net.Conn, val func(key string, dst []byte) []byte) {
 	defer conn.Close()
 	r := wire.NewReader(conn)
-	var frame []byte
-	var scratch []byte
+	var frame, scratch []byte
+	var keys []string
+	var vals [][]byte
+	var items []wire.BatchItem
+	var oks []bool
+	value := func(key string) []byte {
+		if val != nil {
+			scratch = val(key, scratch[:0])
+		} else {
+			scratch = append(scratch[:0], key...)
+		}
+		return scratch
+	}
 	for {
 		typ, payload, err := r.Next()
 		if err != nil {
@@ -26,26 +38,46 @@ func fakeReplica(conn net.Conn, val func(key string, dst []byte) []byte) {
 		}
 		var b []byte
 		switch typ {
-		case wire.MsgReadInternal, wire.MsgRead:
+		case wire.MsgRead:
 			m, err := wire.ParseReadReq(payload)
 			if err != nil {
 				return
 			}
-			if val != nil {
-				scratch = val(m.Key, scratch[:0])
-			} else {
-				scratch = append(scratch[:0], m.Key...)
-			}
-			b, err = wire.AppendReadResp(frame[:0], wire.ReadResp{ID: m.ID, Found: true, Value: scratch})
+			b, err = wire.AppendReadResp(frame[:0], wire.ReadResp{ID: m.ID, Found: true, Value: value(m.Key)})
 			if err != nil {
 				return
 			}
-		case wire.MsgWriteInternal, wire.MsgWrite:
+		case wire.MsgWrite:
 			m, err := wire.ParseWriteReq(payload)
 			if err != nil {
 				return
 			}
 			b, err = wire.AppendWriteResp(frame[:0], wire.WriteResp{ID: m.ID, OK: true})
+			if err != nil {
+				return
+			}
+		case wire.MsgBatchReadInternal:
+			m, err := wire.ParseBatchReadReq(payload, keys[:0])
+			if err != nil || len(m.Keys) != 1 {
+				return
+			}
+			keys = m.Keys
+			items = append(items[:0], wire.BatchItem{Found: true, Value: value(m.Keys[0])})
+			b, err = wire.AppendBatchReadResp(frame[:0], wire.BatchReadResp{ID: m.ID, Items: items})
+			if err != nil {
+				return
+			}
+		case wire.MsgBatchWriteInternal:
+			m, err := wire.ParseBatchWriteReq(payload, keys[:0], vals[:0])
+			if err != nil {
+				return
+			}
+			keys, vals = m.Keys, m.Values
+			oks = oks[:0]
+			for range m.Keys {
+				oks = append(oks, true)
+			}
+			b, err = wire.AppendBatchWriteResp(frame[:0], wire.BatchWriteResp{ID: m.ID, OK: oks})
 			if err != nil {
 				return
 			}
@@ -62,7 +94,9 @@ func fakeReplica(conn net.Conn, val func(key string, dst []byte) []byte) {
 // TestRPCConnRoundTripZeroAllocs is the client half of the PR's allocation
 // budget: a steady-state pipelined RPC round trip — pooled call record,
 // pooled request frame, sharded pending table, value appended into the
-// caller's buffer — performs zero heap allocations.
+// caller's buffer — performs zero heap allocations, for the client's point
+// frames and for a one-key batch leg, the shape every coordinator→replica
+// request now takes.
 func TestRPCConnRoundTripZeroAllocs(t *testing.T) {
 	client, server := net.Pipe()
 	fixed := []byte("fixed-value-0123456789")
@@ -72,7 +106,7 @@ func TestRPCConnRoundTripZeroAllocs(t *testing.T) {
 
 	dst := make([]byte, 0, 256)
 	read := func() {
-		resp, err := p.readTyped(wire.MsgReadInternal, wire.ReadReq{Key: "steady-key"}, dst[:0])
+		resp, err := p.clientRead(wire.LevelOne, "steady-key", dst[:0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,22 +116,45 @@ func TestRPCConnRoundTripZeroAllocs(t *testing.T) {
 		dst = resp.Value[:0]
 	}
 	write := func() {
-		if _, err := p.write("steady-key", fixed, 0, false); err != nil {
+		if resp, err := p.clientWrite(wire.LevelOne, "steady-key", fixed, false); err != nil || !resp.OK {
+			t.Fatalf("resp = %+v err=%v", resp, err)
+		}
+	}
+	keys, vals := []string{"steady-key"}, [][]byte{fixed}
+	legRead := func() {
+		c, err := p.batchRead(wire.MsgBatchReadInternal, wire.LevelOne, keys, dst[:0])
+		if err != nil {
 			t.Fatal(err)
+		}
+		if len(c.bfound) != 1 || !c.bfound[0] || c.boffs[1]-c.boffs[0] != len(fixed) {
+			t.Fatalf("leg answer found=%v offs=%v", c.bfound, c.boffs)
+		}
+		dst = c.bbuf[:0]
+		putCall(c)
+	}
+	var okb [1]bool
+	legWrite := func() {
+		oks, _, _, err := p.batchWrite(wire.MsgBatchWriteInternal, wire.LevelOne, 1, false, keys, vals, okb[:0])
+		if err != nil || len(oks) != 1 || !oks[0] {
+			t.Fatalf("leg ack = %v err=%v", oks, err)
 		}
 	}
 	for i := 0; i < 64; i++ {
 		read()
 		write()
+		legRead()
+		legWrite()
 	}
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates on channel handoffs")
 	}
-	if n := testing.AllocsPerRun(300, read); n > 0 {
-		t.Errorf("read round trip allocates %.1f/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(300, write); n > 0 {
-		t.Errorf("write round trip allocates %.1f/op, want 0", n)
+	for _, rt := range []struct {
+		name string
+		f    func()
+	}{{"read", read}, {"write", write}, {"one-key read leg", legRead}, {"one-key write leg", legWrite}} {
+		if n := testing.AllocsPerRun(300, rt.f); n > 0 {
+			t.Errorf("%s round trip allocates %.1f/op, want 0", rt.name, n)
+		}
 	}
 }
 
@@ -111,6 +168,15 @@ func TestRPCConnRoundTripZeroAllocs(t *testing.T) {
 // copy. The floor leaves headroom for background flush/compaction noise,
 // and any regression above it fails here before it shows up in
 // BENCH_kv.json.
+//
+// Behind a storage delay (ReadDelayMean > 0, every replica read of the
+// slow_replica workload) a replica serves each leg on a goroutine of its own
+// over a pooled copy of the leg's keys, and the coordinator serves its own
+// leg on one too. The Get keeps its pin of 3. A QUORUM MultiGetAt of 8 keys
+// and of 64 keys may take at most 16: what it allocates grows with its
+// sub-batches — at most one per replica group, 3 on a 3-node ring, each a
+// data leg and a digest leg — not with its keys. Both measure 15; they took
+// 29 and 107 while a replica cloned each key of a dispatched leg.
 func TestClusterReadAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -119,16 +185,27 @@ func TestClusterReadAllocBudget(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates on channel handoffs")
 	}
 	for _, repair := range []float64{-1, 1} {
-		if n := pointReadAllocs(t, repair); n > 3 {
+		if n, _ := readAllocs(t, Config{Seed: 7, ReadRepair: repair}); n > 3 {
 			t.Errorf("cluster point read (ReadRepair %v) allocates %.2f/op, want <= 3", repair, n)
+		}
+	}
+	get, batches := readAllocs(t, Config{Seed: 7, ReadRepair: -1, ReadDelayMean: 20 * time.Microsecond}, 8, 64)
+	if get > 3 {
+		t.Errorf("cluster point read behind a storage delay allocates %.2f/op, want <= 3", get)
+	}
+	for i, nk := range []int{8, 64} {
+		if batches[i] > 16 {
+			t.Errorf("cluster QUORUM %d-key batch read behind a storage delay allocates %.2f/op, want <= 16", nk, batches[i])
 		}
 	}
 }
 
-// pointReadAllocs measures a CL=ONE Get's allocations on a live durable
-// 3-node cluster with the given read-repair probability.
-func pointReadAllocs(t *testing.T, repair float64) float64 {
-	c, err := StartCluster(3, Config{Seed: 7, ReadRepair: repair, DataDir: t.TempDir()})
+// readAllocs measures, on a live durable 3-node cluster under cfg, a CL=ONE
+// Get's allocations and those of a QUORUM MultiGetAt of each of the given
+// sizes.
+func readAllocs(t *testing.T, cfg Config, batchSizes ...int) (float64, []float64) {
+	cfg.DataDir = t.TempDir()
+	c, err := StartCluster(3, cfg)
 	if err != nil {
 		t.Fatalf("StartCluster: %v", err)
 	}
@@ -140,15 +217,13 @@ func pointReadAllocs(t *testing.T, repair float64) float64 {
 	defer cl.Close()
 	const nKeys = 64
 	val := []byte("alloc-budget-value-0123456789abcdef")
-	for i := 0; i < nKeys; i++ {
-		// At ALL: the measured CL=ONE reads may land on any replica.
-		if err := cl.PutAt(fmt.Sprintf("alloc-key-%03d", i), val, All); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-	}
 	keys := make([]string, nKeys)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("alloc-key-%03d", i)
+		// At ALL: the measured CL=ONE reads may land on any replica.
+		if err := cl.PutAt(keys[i], val, All); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
 	}
 	i := 0
 	get := func() {
@@ -161,25 +236,47 @@ func pointReadAllocs(t *testing.T, repair float64) float64 {
 	for j := 0; j < 128; j++ {
 		get() // warm pools and buffer growth out of the measurement
 	}
-	return testing.AllocsPerRun(500, get)
+	getAllocs := testing.AllocsPerRun(500, get)
+	var batchAllocs []float64
+	for _, nk := range batchSizes {
+		batch := keys[:nk]
+		mget := func() {
+			_, found, err := cl.MultiGetAt(batch, Quorum)
+			if err != nil {
+				t.Fatalf("MultiGetAt: %v", err)
+			}
+			for j, ok := range found {
+				if !ok {
+					t.Fatalf("MultiGetAt: key %s missing", batch[j])
+				}
+			}
+		}
+		for j := 0; j < 128; j++ {
+			mget()
+		}
+		batchAllocs = append(batchAllocs, testing.AllocsPerRun(300, mget))
+	}
+	return getAllocs, batchAllocs
 }
 
 // TestClusterWriteAllocBudget is the write twin of TestClusterReadAllocBudget:
 // a QUORUM PutAt and an 8-key QUORUM MultiPutAt through the client on a live
 // 3-node cluster, in memory and durable, with client, coordinator fan-out and
 // every replica's apply charged to each op, both through the one write
-// coordinator. The point write may not exceed 1 alloc/op and the batch 14;
-// both shapes measure 0 and 12 in memory and durable alike. They took 6 and
+// coordinator. The point write may not exceed 1 alloc/op and the batch 5;
+// both shapes measure 0 and 5 in memory and durable alike. They took 6 and
 // 42 in memory and 12 and 54 durable while every replica cloned its keys and
 // the store allocated a value arena, plus a commit group and its channel per
-// touched shard. A write's keys now ride in the pooled buffer that carries
-// its values, and the store copies each record into its memtable slot. On a
-// 3-node RF=3 ring every key shares one write fan, so the batch is one
-// sub-batch, two async frames and one local apply; what it still allocates
-// is the key and value columns of each node's pooled copy, the coordinator's
-// per-key acks, the client's ack slice, and the goroutines of the
-// coordinator's local leg and of each replica's apply. The shard count is
-// fixed because a batch applies per touched shard.
+// touched shard; the batch then took 12 while the coordinator's local leg
+// and each replica's frame applied on a goroutine of their own. A write's
+// keys ride in the pooled buffer that carries its values, the store copies
+// each record into its memtable slot, and every replica write — a frame or
+// the coordinator's own leg — lands through the shard writers as pooled
+// tasks. On a 3-node RF=3 ring every key shares one write fan, so the batch
+// is one sub-batch, two async frames and one local leg; what it still
+// allocates is the key and value columns of the coordinator's pooled copy,
+// its per-key acks, and the client's two ack slices. The shard count is fixed
+// because a write is cut into one task per touched shard.
 func TestClusterWriteAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -227,8 +324,8 @@ func clusterWriteAllocs(t *testing.T, cfg Config) {
 	if n := testing.AllocsPerRun(500, put); n > 1 {
 		t.Errorf("cluster QUORUM point write allocates %.2f/op, want <= 1", n)
 	}
-	if n := testing.AllocsPerRun(500, mput); n > 14 {
-		t.Errorf("cluster QUORUM 8-key batch write allocates %.2f/op, want <= 14", n)
+	if n := testing.AllocsPerRun(500, mput); n > 5 {
+		t.Errorf("cluster QUORUM 8-key batch write allocates %.2f/op, want <= 5", n)
 	}
 }
 
@@ -322,7 +419,7 @@ func TestRPCConnPoolReuseUnderFailure(t *testing.T) {
 				defer wg.Done()
 				for i := 0; ; i++ {
 					key := fmt.Sprintf("r%d-g%d-i%d", round, g, i)
-					resp, err := p.readTyped(wire.MsgReadInternal, wire.ReadReq{Key: key}, nil)
+					resp, err := p.clientRead(wire.LevelOne, key, nil)
 					if err != nil {
 						failedOps.Add(1)
 						return
@@ -341,7 +438,7 @@ func TestRPCConnPoolReuseUnderFailure(t *testing.T) {
 		if !p.dead() {
 			t.Fatal("connection not marked dead after transport failure")
 		}
-		if _, err := p.readTyped(wire.MsgReadInternal, wire.ReadReq{Key: "post-mortem"}, nil); err == nil {
+		if _, err := p.clientRead(wire.LevelOne, "post-mortem", nil); err == nil {
 			t.Fatal("read on dead connection succeeded")
 		}
 		p.close()
@@ -365,7 +462,7 @@ func TestRPCConnConcurrentPipelining(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("g%d-i%d", g, i)
-				resp, err := p.readTyped(wire.MsgReadInternal, wire.ReadReq{Key: key}, nil)
+				resp, err := p.clientRead(wire.LevelOne, key, nil)
 				if err != nil {
 					t.Errorf("read: %v", err)
 					return

@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"c3/internal/core"
+	"c3/internal/lsm"
 	"c3/internal/wire"
 )
 
@@ -21,18 +22,22 @@ import (
 //     batches alike (coordinateWrite): a point write is a batch of one. The
 //     serve loop partitions the keys by write fan, stamps one version, and
 //     charges a pooled writeGather with one leg per (sub-batch, replica).
-//     Remote legs go out as writeAsync/batchWriteAsync calls completed on
-//     their connection's read loop; a one-key local leg is queued to the
-//     key's shard writer. The gather counts acks per key and answers the
+//     A remote leg goes out as one MsgBatchWriteInternal frame, whatever its
+//     key count, completed on its connection's read loop; the local leg goes
+//     to the shard writers. The gather counts acks per key and answers the
 //     moment every key is decided, from whichever goroutine delivered the
 //     deciding leg — onto the client's connection, or to a RESP handler
 //     blocked on a channel: sync is async plus a wait. A point write
 //     allocates nothing and spawns nothing in steady state.
-//   - Each shard runs one writer goroutine draining a queue of writeTasks.
-//     The writer batches whatever is pending into a single ApplyMulti — one
-//     memtable lock, one WAL commit group per drain — so pipelined writes
-//     against one shard share a group commit while never contending with
-//     sibling shards' locks or fsyncs.
+//   - Every replica write lands through one path (applyFrame, applyLeg): a
+//     leg frame, a hint replay, a stream push — read repair's write-back or
+//     a decommission page — and the coordinator's own leg alike. Its
+//     records are laid out in shard order and each touched shard gets one
+//     pooled writeTask. Each shard runs one writer goroutine draining its
+//     queue of tasks into a single ApplyMulti — one memtable lock, one WAL
+//     commit group per drain — so pipelined writes against one shard share
+//     a group commit while never contending with sibling shards' locks or
+//     fsyncs. No replica write spawns a goroutine per frame or per leg.
 //   - Reads dispatch through a small pool of readWorkers via an unbuffered
 //     handoff: a parked worker takes the request with zero allocations; if
 //     every worker is busy the request falls back to a spawned goroutine,
@@ -229,70 +234,42 @@ func (n *Node) coordinateWrite(g *writeGather, lvl Level) {
 	}
 }
 
-// dispatch sends the leg carrying keys lo..hi to replica s. A one-key local
-// leg is queued to its shard writer and a leg on an established connection
-// goes out as an async RPC, both completing elsewhere; a multi-key local
-// apply and a leg that needs a dial — the legs that can block — run as
-// goroutines, off the serve loop.
+// dispatch sends the leg carrying keys lo..hi to replica s. A local leg goes
+// to the shard writers and a leg on an established connection goes out as an
+// async batch frame, both completing elsewhere; a leg that needs a dial — the
+// one that can block — runs as a goroutine, off the serve loop.
 func (g *writeGather) dispatch(s core.ServerID, lo, hi int) {
 	n := g.n
-	switch {
-	case s == n.id && hi-lo == 1:
-		t := getWriteTask()
-		t.kind, t.g, t.idx = taskGather, g, lo
-		t.key, t.ver, t.val, t.del = g.keys[lo], g.ver, g.vals[lo], g.del
-		n.enqueueWriteTask(n.shardOf(t.key), t)
-	case s == n.id:
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			err := n.applyClientBatch(g.keys[lo:hi], g.ver, g.vals[lo:hi])
-			g.complete(s, lo, hi, acked(err, hi-lo), false)
-		}()
-	default:
-		if p, ok := n.peerReady(s); ok {
-			g.send(p, s, lo, hi)
+	if s == n.id {
+		n.applyLeg(g, lo, hi)
+		return
+	}
+	if p, ok := n.peerReady(s); ok {
+		g.send(p, s, lo, hi)
+		return
+	}
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		p, err := n.peer(s)
+		if err != nil {
+			g.complete(s, lo, hi, nil, true)
 			return
 		}
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			p, err := n.peer(s)
-			if err != nil {
-				g.complete(s, lo, hi, nil, true)
-				return
-			}
-			g.send(p, s, lo, hi)
-		}()
-	}
+		g.send(p, s, lo, hi)
+	}()
 }
 
-// send puts a remote leg on an established connection: writeAsync for one
-// key (the only frame that carries Del), batchWriteAsync for a sub-batch.
-// Either completes on the connection's read loop; a dispatch that never
-// started completes here, as a transport failure.
+// send puts a remote leg on an established connection as one
+// MsgBatchWriteInternal frame, whatever its key count; it completes on the
+// connection's read loop. A dispatch that never started completes here, as
+// a transport failure.
 func (g *writeGather) send(p *rpcConn, s core.ServerID, lo, hi int) {
-	c := getCall(false, nil)
+	c := getBatchCall(false, nil)
 	c.g, c.from, c.lo, c.hi = g, s, lo, hi
-	var err error
-	if hi-lo == 1 {
-		err = p.writeAsync(c, wire.MsgWriteInternal, wire.LevelOne, g.ver, g.keys[lo], g.vals[lo], g.del)
-	} else {
-		c.isBatch = true
-		err = p.batchWriteAsync(c, wire.MsgBatchWriteInternal, wire.LevelOne, g.ver, g.keys[lo:hi], g.vals[lo:hi])
-	}
-	if err != nil {
+	if err := p.batchWriteAsync(c, wire.MsgBatchWriteInternal, wire.LevelOne, g.ver, g.del, g.keys[lo:hi], g.vals[lo:hi]); err != nil {
 		g.complete(s, lo, hi, nil, true)
 	}
-}
-
-// acked is a local apply's per-key outcome in complete's terms: every key of
-// the batch applied, or none (one WAL commit group succeeds or fails whole).
-func acked(err error, n int) []bool {
-	if err != nil {
-		return nil
-	}
-	return allOK[:n]
 }
 
 // complete resolves one leg: oks[i-lo] reports whether replica from applied
@@ -381,9 +358,9 @@ func (g *writeGather) answer() {
 func (g *writeGather) ackFlags() []bool {
 	switch g.failed {
 	case 0:
-		return allOK[:len(g.keys)]
+		return allTrue[:len(g.keys)]
 	case len(g.keys):
-		return allFail[:len(g.keys)]
+		return allFalse[:len(g.keys)]
 	}
 	oks := make([]bool, len(g.keys))
 	for i := range g.acks {
@@ -400,120 +377,257 @@ func (g *writeGather) release() {
 	writeGatherPool.Put(g)
 }
 
-// writeTask kinds: a replica-internal write acks its own connection; a
-// gather leg reports into its coordinator's writeGather.
-const (
-	taskInternal uint8 = iota
-	taskGather
-)
+// The replica side: one apply path. Every write a node applies for a
+// coordinator comes through here, at any key count, from three sources —
+// serveConn with a MsgBatchWriteInternal frame (a coordinator's leg or a
+// hint replay) or a MsgStreamPush frame (a read repair's write-back or a
+// decommission page), and the coordinator with its own leg of a gather
+// (applyLeg). The records are laid out in shard order, each touched shard
+// gets one pooled task, and each shard's writer folds whatever tasks are
+// pending into one ApplyMulti. The frame is acked, or the leg completed,
+// when its last task finishes, with an OK flag per key.
 
-// writeTask is one queued replica-local write bound for a shard's writer.
-type writeTask struct {
-	kind uint8
-	key  string
-	ver  uint64
-	val  []byte
-	del  bool
+// replicaWrite is one write frame or local leg in flight. Pooled; its slices
+// keep their capacity across lives.
+type replicaWrite struct {
+	n     *Node
+	keys  []string // shard order
+	vers  []uint64
+	vals  [][]byte
+	pos   []int32 // shard order -> request order
+	oks   []bool  // request order
+	del   bool    // every record a guarded tombstone
+	heal  bool    // a stream push: exempt from the drop-writes fault
+	buf   []byte  // a frame's records, copied out of the frame buffer
+	offs  []int   // per-shard cursors, scratch of layout
+	tasks []writeTask
+	open  atomic.Int32 // tasks not yet finished
 
-	// taskInternal: the response route and the pooled buffer backing val.
-	cw *connWriter
-	id uint64
-	vb *[]byte
-
-	// taskGather: the coordinator-side gather owning val's buffer, and the
-	// key's index in it.
-	g   *writeGather
-	idx int
+	// The answer route: a frame is acked on cw under id with the feedback of
+	// its first key's shard; a leg completes keys lo.. of g.
+	cw      *connWriter
+	id      uint64
+	fbShard int
+	g       *writeGather
+	lo      int
 }
 
-var writeTaskPool = sync.Pool{New: func() any { return new(writeTask) }}
+// writeTask is one replicaWrite's records on shard sh: keys[lo:hi].
+type writeTask struct {
+	rw         *replicaWrite
+	sh, lo, hi int
+}
 
-func getWriteTask() *writeTask { return writeTaskPool.Get().(*writeTask) }
+var replicaWritePool = sync.Pool{New: func() any { return new(replicaWrite) }}
 
-func putWriteTask(t *writeTask) {
-	*t = writeTask{}
-	writeTaskPool.Put(t)
+// applyFrame lands a MsgBatchWriteInternal frame, every record under its one
+// stamp, or a MsgStreamPush frame, whose version-prefixed values each keep
+// their own version, and acks it on cw. The records are copied out of the
+// frame buffer.
+func (n *Node) applyFrame(cw *connWriter, typ uint8, m wire.BatchWriteReq) {
+	rw := replicaWritePool.Get().(*replicaWrite)
+	rw.n, rw.cw, rw.id, rw.del, rw.heal = n, cw, m.ID, m.Del, typ == wire.MsgStreamPush
+	rw.fbShard = n.shardOf(m.Keys[0])
+	rw.layout(m.Keys, m.Version, m.Values, true)
+	rw.submit()
+}
+
+// applyLeg lands keys lo..hi of g on this node, the coordinator's own leg,
+// and completes the leg. The records stay views of the gather's buffer,
+// which outlives its legs.
+func (n *Node) applyLeg(g *writeGather, lo, hi int) {
+	rw := replicaWritePool.Get().(*replicaWrite)
+	rw.n, rw.g, rw.lo, rw.del = n, g, lo, g.del
+	rw.layout(g.keys[lo:hi], g.ver, g.vals[lo:hi], false)
+	rw.submit()
+}
+
+// layout lays the records out in shard order under version ver — a stream
+// push's versions split off its values — copying every key and value into
+// rw.buf when copyOut is set, and cuts one task per touched shard.
+func (rw *replicaWrite) layout(keys []string, ver uint64, vals [][]byte, copyOut bool) {
+	n := rw.n
+	offs := resize(rw.offs, len(n.st)+1)
+	clear(offs)
+	total := 0
+	for i, k := range keys {
+		offs[n.shardOf(k)+1]++
+		total += len(k) + len(vals[i])
+	}
+	rw.tasks = rw.tasks[:0]
+	for sh := range n.st {
+		if offs[sh+1] > 0 {
+			rw.tasks = append(rw.tasks, writeTask{rw: rw, sh: sh, lo: offs[sh], hi: offs[sh] + offs[sh+1]})
+		}
+		offs[sh+1] += offs[sh]
+	}
+	rw.keys, rw.vers, rw.vals = resize(rw.keys, len(keys)), resize(rw.vers, len(keys)), resize(rw.vals, len(keys))
+	rw.pos, rw.oks = resize(rw.pos, len(keys)), resize(rw.oks, len(keys))
+	buf := rw.buf[:0]
+	if copyOut && cap(buf) < total {
+		buf = make([]byte, 0, total) // never regrown below: earlier views stay put
+	}
+	for i, k := range keys {
+		v := vals[i]
+		if copyOut {
+			at := len(buf)
+			buf = append(buf, k...)
+			k = pooledString(buf[at:])
+			at = len(buf)
+			buf = append(buf, v...)
+			v = buf[at:len(buf):len(buf)]
+		}
+		sh := n.shardOf(k)
+		at := offs[sh]
+		offs[sh]++
+		rw.keys[at], rw.vers[at], rw.vals[at], rw.pos[at] = k, ver, v, int32(i)
+		if rw.heal {
+			rw.vers[at], rw.vals[at] = lsm.SplitVersioned(v)
+		}
+	}
+	rw.buf, rw.offs = buf, offs
+}
+
+// submit hands every task to its shard's writer. The write may be answered
+// and recycled as soon as its last task is queued, so rw is not touched
+// after that.
+func (rw *replicaWrite) submit() {
+	n, tasks := rw.n, rw.tasks
+	rw.open.Store(int32(len(tasks)))
+	for i := range tasks {
+		n.enqueueWriteTask(&tasks[i])
+	}
+}
+
+// records is the task's share of the write, in ApplyMulti's columns.
+func (t *writeTask) records() ([]string, []uint64, [][]byte, []bool) {
+	rw := t.rw
+	var dels []bool
+	if rw.del {
+		dels = allTrue[:t.hi-t.lo]
+	}
+	return rw.keys[t.lo:t.hi], rw.vers[t.lo:t.hi], rw.vals[t.lo:t.hi], dels
+}
+
+// finish records the task's outcome for each of its keys; the write's last
+// task to finish answers it.
+func (t *writeTask) finish(err error) {
+	rw := t.rw
+	for i := t.lo; i < t.hi; i++ {
+		rw.oks[rw.pos[i]] = err == nil
+	}
+	if rw.open.Add(-1) == 0 {
+		rw.answer()
+	}
+}
+
+// answer acks the frame, or completes the leg, and recycles the write.
+func (rw *replicaWrite) answer() {
+	n := rw.n
+	if g := rw.g; g != nil {
+		g.complete(n.id, rw.lo, rw.lo+len(rw.oks), rw.oks, false)
+	} else {
+		fb := getBuf()
+		b, err := wire.AppendBatchWriteResp((*fb)[:0], wire.BatchWriteResp{
+			ID: rw.id, OK: rw.oks, FB: n.feedbackAt(rw.fbShard)})
+		if err != nil {
+			putBuf(fb)
+			rw.cw.sever(err)
+		} else {
+			*fb = b
+			rw.cw.enqueue(fb)
+		}
+	}
+	clear(rw.keys) // views of a recycled buffer
+	clear(rw.vals)
+	buf := rw.buf
+	if cap(buf) > bufRetainCap {
+		buf = nil
+	}
+	*rw = replicaWrite{keys: rw.keys, vers: rw.vers, vals: rw.vals, pos: rw.pos, oks: rw.oks,
+		buf: buf, offs: rw.offs, tasks: rw.tasks}
+	replicaWritePool.Put(rw)
 }
 
 // writeQueueDepth bounds each shard's pending writeTasks; maxApplyBatch
-// bounds how many a writer folds into one ApplyMulti (one WAL commit group).
+// bounds how many records a writer folds into one ApplyMulti (one WAL commit
+// group) beyond the first task's.
 const (
 	writeQueueDepth = 256
 	maxApplyBatch   = 64
 )
 
-// enqueueWriteTask hands t to shard sh's writer. When the queue is full the
-// task falls back to a spawned goroutine applying directly against the
-// shard — backpressure without ever blocking the serve loop.
-func (n *Node) enqueueWriteTask(sh int, t *writeTask) {
+// enqueueWriteTask hands t to its shard's writer. When the queue is full the
+// task falls back to a goroutine of its own applying directly against the
+// shard — backpressure without ever blocking the serve loop, and at most one
+// goroutine per shard task, never one per record.
+func (n *Node) enqueueWriteTask(t *writeTask) {
 	select {
-	case n.st[sh].wq <- t:
+	case n.st[t.sh].wq <- t:
 	default:
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
-			n.applyDirect(sh, t)
+			one := [1]*writeTask{t}
+			n.applyTasks(n.store.Shard(t.sh), one[:], nil)
 		}()
 	}
 }
 
-// applier is local storage's one write entry, as the whole sharded store or
-// as a single shard of it.
-type applier interface {
-	ApplyMulti(keys []string, vers []uint64, vals [][]byte, dels []bool) error
+// fold is a shard writer's scratch: several tasks' records side by side.
+type fold struct {
+	keys []string
+	vers []uint64
+	vals [][]byte
+	dels []bool
 }
 
-// applyClient lands a batch of client writes in local storage. Every
-// replica-side apply of a coordinated write — shard writer drain, queue
-// overflow, internal batch write, the coordinator's multi-key local leg — comes
-// through here, which makes it the one place the drop-writes fault injection
-// has to look. Repair and streaming call the store directly: they heal what
-// an injected drop broke.
-func (n *Node) applyClient(st applier, keys []string, vers []uint64, vals [][]byte, dels []bool) error {
-	if n.dropWrites.Load() {
-		return errWriteDropped
+// applyTasks lands tasks on shard st as one ApplyMulti — one memtable lock,
+// one WAL commit group — and finishes each; f is scratch for more than one
+// task. Under the drop-writes fault a leg's task fails without applying,
+// while a stream push still lands: read repair and streaming heal what an
+// injected drop broke.
+func (n *Node) applyTasks(st *lsm.Store, tasks []*writeTask, f *fold) {
+	drop := n.dropWrites.Load()
+	keep := tasks[:0]
+	for _, t := range tasks {
+		if drop && !t.rw.heal {
+			t.finish(errWriteDropped)
+		} else {
+			keep = append(keep, t)
+		}
 	}
-	return st.ApplyMulti(keys, vers, vals, dels)
-}
-
-var sharedVersPool = sync.Pool{New: func() any { return new([]uint64) }}
-
-// applyClientBatch is applyClient for a batch write's sub-batch, whose
-// records all carry the coordinator's one stamp: the per-record version
-// column the store takes is filled from a pooled scratch.
-func (n *Node) applyClientBatch(keys []string, ver uint64, vals [][]byte) error {
-	vp := sharedVersPool.Get().(*[]uint64)
-	vers := (*vp)[:0]
-	for range keys {
-		vers = append(vers, ver)
+	var err error
+	switch len(keep) {
+	case 0:
+		return
+	case 1:
+		err = st.ApplyMulti(keep[0].records())
+	default:
+		f.keys, f.vers, f.vals, f.dels = f.keys[:0], f.vers[:0], f.vals[:0], f.dels[:0]
+		for _, t := range keep {
+			keys, vers, vals, _ := t.records()
+			f.keys, f.vers, f.vals = append(f.keys, keys...), append(f.vers, vers...), append(f.vals, vals...)
+			for range keys {
+				f.dels = append(f.dels, t.rw.del)
+			}
+		}
+		err = st.ApplyMulti(f.keys, f.vers, f.vals, f.dels)
 	}
-	err := n.applyClient(n.store, keys, vers, vals, nil)
-	*vp = vers
-	sharedVersPool.Put(vp)
-	return err
-}
-
-// applyDirect applies one task bypassing the shard writer (queue-overflow
-// fallback): same store, same version guard, just a batch of one.
-func (n *Node) applyDirect(sh int, t *writeTask) {
-	err := n.applyClient(n.store.Shard(sh),
-		[]string{t.key}, []uint64{t.ver}, [][]byte{t.val}, []bool{t.del})
-	n.finishWriteTask(sh, t, err)
+	for _, t := range keep {
+		t.finish(err)
+	}
 }
 
 // writeWorker is shard sh's writer goroutine: it drains pending tasks and
-// applies them as one ApplyMulti — a single memtable lock acquisition and one
-// WAL commit group per drain — then completes each task. Unrelated shards'
-// writers never share a lock or an fsync group.
+// applies them as one ApplyMulti, then completes each task. Unrelated
+// shards' writers never share a lock or an fsync group.
 func (n *Node) writeWorker(sh int) {
 	defer n.wg.Done()
 	q := n.st[sh].wq
-	shard := n.store.Shard(sh)
+	st := n.store.Shard(sh)
 	tasks := make([]*writeTask, 0, maxApplyBatch)
-	keys := make([]string, 0, maxApplyBatch)
-	vers := make([]uint64, 0, maxApplyBatch)
-	vals := make([][]byte, 0, maxApplyBatch)
-	dels := make([]bool, 0, maxApplyBatch)
+	var f fold
 	for {
 		var t *writeTask
 		select {
@@ -522,19 +636,21 @@ func (n *Node) writeWorker(sh int) {
 			for {
 				select {
 				case t := <-q:
-					n.finishWriteTask(sh, t, errClosed)
+					t.finish(errClosed)
 				default:
 					return
 				}
 			}
 		}
 		tasks = append(tasks[:0], t)
+		records := t.hi - t.lo
 		yielded := false
 	fold:
-		for len(tasks) < maxApplyBatch {
+		for records < maxApplyBatch {
 			select {
 			case t2 := <-q:
 				tasks = append(tasks, t2)
+				records += t2.hi - t2.lo
 			default:
 				// Yield once before committing the fold: a runnable handler
 				// about to enqueue gets to run now and its task joins this
@@ -548,43 +664,8 @@ func (n *Node) writeWorker(sh int) {
 				runtime.Gosched()
 			}
 		}
-		keys, vers, vals, dels = keys[:0], vers[:0], vals[:0], dels[:0]
-		for _, t := range tasks {
-			keys = append(keys, t.key)
-			vers = append(vers, t.ver)
-			vals = append(vals, t.val)
-			dels = append(dels, t.del)
-		}
-		err := n.applyClient(shard, keys, vers, vals, dels)
-		for i, t := range tasks {
-			n.finishWriteTask(sh, t, err)
-			tasks[i] = nil
-		}
-	}
-}
-
-// finishWriteTask completes one applied (or failed) task: an internal write
-// acks its peer and recycles its value buffer; a gather leg reports into
-// its coordinator's gather (which owns the buffer).
-func (n *Node) finishWriteTask(sh int, t *writeTask, err error) {
-	switch t.kind {
-	case taskGather:
-		g, i := t.g, t.idx
-		putWriteTask(t)
-		g.complete(n.id, i, i+1, acked(err, 1), false)
-	default:
-		cw, id, vb := t.cw, t.id, t.vb
-		putWriteTask(t)
-		putBuf(vb)
-		fb := getBuf()
-		b, encErr := wire.AppendWriteResp((*fb)[:0], wire.WriteResp{
-			ID: id, OK: err == nil, FB: n.feedbackAt(sh)})
-		if encErr != nil {
-			putBuf(fb)
-			return
-		}
-		*fb = b
-		cw.enqueue(fb)
+		n.applyTasks(st, tasks, &f)
+		clear(tasks)
 	}
 }
 

@@ -49,7 +49,10 @@ func TestGenerateCorpus(t *testing.T) {
 	digest := must(AppendBatchReadReq(nil, MsgBatchReadInternal, BatchReadReq{ID: 6, CL: LevelQuorum,
 		Digest: true, Keys: []string{"k0", "k1"}}))
 	writeEntry(dir+"seed-batch-read-digest", digest[5:])
-	unknown := must(AppendReadReq(nil, MsgReadInternal, ReadReq{ID: 7, Digest: true, Key: "k"}))
+	unknown := must(AppendReadReq(nil, MsgRead, ReadReq{ID: 7, Digest: true, Key: "k"}))
 	unknown[5+8] |= 1 << 3 // a CL bit no version knows: must fail parse
 	writeEntry(dir+"seed-read-unknown-flag", unknown[5:])
+	del := must(AppendBatchWriteReq(nil, MsgBatchWriteInternal, BatchWriteReq{ID: 8, Version: 42,
+		Del: true, Keys: []string{"k0", "k1"}, Values: [][]byte{nil, nil}}))
+	writeEntry(dir+"seed-batch-write-del", del[5:])
 }

@@ -47,6 +47,35 @@ func TestWriteReqUnknownFlagsRejected(t *testing.T) {
 	}
 }
 
+// TestBatchWriteReqDelFlagRoundtrip pins the batch write's flags byte, which
+// carries the same Del bit: it survives encode→decode in both states, sits
+// between the version and the key count, and an unknown bit fails parse.
+func TestBatchWriteReqDelFlagRoundtrip(t *testing.T) {
+	for _, del := range []bool{false, true} {
+		in := BatchWriteReq{ID: 8, Version: 43, Del: del, Keys: []string{"a", "b"},
+			Values: [][]byte{[]byte("x"), nil}}
+		frame, err := AppendBatchWriteReq(nil, MsgBatchWriteInternal, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := ParseBatchWriteReq(frame[5:], nil, nil)
+		if err != nil {
+			t.Fatalf("del=%v: %v", del, err)
+		}
+		if out.Del != del || out.ID != 8 || out.Version != 43 || len(out.Keys) != 2 || out.Keys[1] != "b" {
+			t.Fatalf("del=%v: round-trip = %+v", del, out)
+		}
+		payload := frame[5:]
+		if got := payload[17] == writeFlagDel; got != del { // after id (8) + cl (1) + version (8)
+			t.Fatalf("del=%v: flags byte = %#x", del, payload[17])
+		}
+		payload[17] |= 0x80
+		if _, err := ParseBatchWriteReq(payload, nil, nil); err == nil {
+			t.Fatalf("del=%v: unknown batch flag bit accepted", del)
+		}
+	}
+}
+
 // TestReadRespEmptyValueFound pins miss-vs-empty at the wire layer: a found
 // response with a zero-length value is distinct from a not-found response.
 func TestReadRespEmptyValueFound(t *testing.T) {

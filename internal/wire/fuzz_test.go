@@ -23,7 +23,7 @@ func FuzzDecode(f *testing.F) {
 		return AppendReadReq(dst, MsgRead, ReadReq{ID: 1, Key: "user0001"})
 	}))
 	f.Add(seed(func(dst []byte) ([]byte, error) {
-		return AppendReadReq(dst, MsgReadInternal, ReadReq{ID: 14, CL: LevelQuorum, Digest: true, Key: "user0001"})
+		return AppendReadReq(dst, MsgRead, ReadReq{ID: 14, CL: LevelQuorum, Digest: true, Key: "user0001"})
 	}))
 	f.Add(seed(func(dst []byte) ([]byte, error) {
 		return AppendBatchReadReq(dst, MsgBatchReadInternal, BatchReadReq{ID: 15, Digest: true, Keys: []string{"a", "b"}})
@@ -85,7 +85,7 @@ func FuzzDecode(f *testing.F) {
 		// Every parser must survive every input. Reuse scratch across calls
 		// like the serving loops do, so the fuzzer also exercises slice reuse.
 		if m, err := ParseReadReq(b); err == nil {
-			enc, err := AppendReadReq(nil, MsgReadInternal, m)
+			enc, err := AppendReadReq(nil, MsgRead, m)
 			if err == nil {
 				back, err := ParseReadReq(enc[5:])
 				if err != nil || back != m {
@@ -127,10 +127,10 @@ func FuzzDecode(f *testing.F) {
 			}
 		}
 		if m, err := ParseBatchWriteReq(b, keys[:0], vals); err == nil {
-			enc, err := AppendBatchWriteReq(nil, MsgBatchWrite, m)
+			enc, err := AppendBatchWriteReq(nil, MsgBatchWriteInternal, m)
 			if err == nil {
 				back, err := ParseBatchWriteReq(enc[5:], nil, nil)
-				if err != nil || len(back.Keys) != len(m.Keys) {
+				if err != nil || len(back.Keys) != len(m.Keys) || back.Del != m.Del {
 					t.Fatalf("batch write req re-decode mismatch (err=%v)", err)
 				}
 			}
@@ -221,6 +221,9 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint64(1<<63), []byte("\x00\x00"), []byte("x"), true)
 
 	f.Fuzz(func(t *testing.T, id uint64, keyBlob, valBlob []byte, read bool) {
+		// The batch write's Del bit is derived from the id, so the committed
+		// corpus keeps loading and still reaches both states.
+		del := id&1 == 1
 		keys := splitBlob(keyBlob)
 		if len(keys) == 0 || len(keys) > MaxBatchKeys {
 			return
@@ -254,18 +257,18 @@ func FuzzRoundTrip(f *testing.F) {
 				vals[i] = []byte(vparts[i])
 			}
 		}
-		in := BatchWriteReq{ID: id, Keys: keys, Values: vals}
-		enc, err := AppendBatchWriteReq(nil, MsgBatchWrite, in)
+		in := BatchWriteReq{ID: id, Del: del, Keys: keys, Values: vals}
+		enc, err := AppendBatchWriteReq(nil, MsgBatchWriteInternal, in)
 		if err != nil {
 			return
 		}
 		r := NewReader(bytes.NewReader(enc))
 		typ, payload, err := r.Next()
-		if err != nil || typ != MsgBatchWrite {
+		if err != nil || typ != MsgBatchWriteInternal {
 			t.Fatalf("frame: typ=%d err=%v", typ, err)
 		}
 		out, err := ParseBatchWriteReq(payload, nil, nil)
-		if err != nil || out.ID != id || len(out.Keys) != len(keys) {
+		if err != nil || out.ID != id || out.Del != del || len(out.Keys) != len(keys) {
 			t.Fatalf("decode: %+v err=%v", out, err)
 		}
 		for i := range keys {

@@ -161,9 +161,9 @@ func TestAppendEncodersMatchWriter(t *testing.T) {
 	w := NewWriter(&buf)
 	for _, step := range []func() error{
 		func() error { return w.WriteReadResp(rr) },
-		func() error { return w.WriteWrite(MsgWriteInternal, wr) },
+		func() error { return w.WriteWrite(MsgWrite, wr) },
 		func() error { return w.WriteWriteResp(wa) },
-		func() error { return w.WriteRead(MsgReadInternal, rq) },
+		func() error { return w.WriteRead(MsgRead, rq) },
 	} {
 		if err := step(); err != nil {
 			t.Fatal(err)
@@ -178,13 +178,13 @@ func TestAppendEncodersMatchWriter(t *testing.T) {
 	if app, err = AppendReadResp(app, rr); err != nil {
 		t.Fatal(err)
 	}
-	if app, err = AppendWriteReq(app, MsgWriteInternal, wr); err != nil {
+	if app, err = AppendWriteReq(app, MsgWrite, wr); err != nil {
 		t.Fatal(err)
 	}
 	if app, err = AppendWriteResp(app, wa); err != nil {
 		t.Fatal(err)
 	}
-	if app, err = AppendReadReq(app, MsgReadInternal, rq); err != nil {
+	if app, err = AppendReadReq(app, MsgRead, rq); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), app) {
@@ -237,10 +237,10 @@ func TestEncodeDecodeRoundtripZeroAllocs(t *testing.T) {
 		if frame, err = AppendWriteResp(frame, WriteResp{ID: 10}); err != nil {
 			t.Fatal(err)
 		}
-		if frame, err = AppendReadReq(frame, MsgReadInternal, ReadReq{ID: 11, Key: "key"}); err != nil {
+		if frame, err = AppendReadReq(frame, MsgRead, ReadReq{ID: 11, Key: "key"}); err != nil {
 			t.Fatal(err)
 		}
-		if frame, err = AppendWriteReq(frame, MsgWriteInternal, WriteReq{ID: 12, Key: "key", Value: val}); err != nil {
+		if frame, err = AppendWriteReq(frame, MsgWrite, WriteReq{ID: 12, Key: "key", Value: val}); err != nil {
 			t.Fatal(err)
 		}
 		src.Reset(frame)
@@ -260,12 +260,12 @@ func TestEncodeDecodeRoundtripZeroAllocs(t *testing.T) {
 				if _, err := ParseWriteResp(payload); err != nil {
 					t.Fatal(err)
 				}
-			case MsgReadInternal:
+			case MsgRead:
 				m, err := ParseReadReq(payload)
 				if err != nil || m.Key != "key" {
 					t.Fatal(err)
 				}
-			case MsgWriteInternal:
+			case MsgWrite:
 				m, err := ParseWriteReq(payload)
 				if err != nil || m.Key != "key" || len(m.Value) != len(val) {
 					t.Fatal(err)

@@ -8,7 +8,7 @@ import "testing"
 func TestReadReqDigestFlagRoundtrip(t *testing.T) {
 	for _, digest := range []bool{false, true} {
 		for _, cl := range []uint8{LevelOne, LevelQuorum, LevelAll} {
-			frame, err := AppendReadReq(nil, MsgReadInternal, ReadReq{ID: 9, CL: cl, Digest: digest, Key: "k"})
+			frame, err := AppendReadReq(nil, MsgRead, ReadReq{ID: 9, CL: cl, Digest: digest, Key: "k"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,7 +40,7 @@ func TestReadReqDigestFlagRoundtrip(t *testing.T) {
 // request whose meaning it only partly understood — and an encoder refuses
 // a level that would spill into the flag bits.
 func TestReadReqUnknownFlagsRejected(t *testing.T) {
-	frame, err := AppendReadReq(nil, MsgReadInternal, ReadReq{ID: 1, Key: "k"})
+	frame, err := AppendReadReq(nil, MsgRead, ReadReq{ID: 1, Key: "k"})
 	if err != nil {
 		t.Fatal(err)
 	}

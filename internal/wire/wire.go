@@ -43,31 +43,37 @@ import (
 	"unsafe"
 )
 
-// Message types.
+// Message types. Client→coordinator requests come as point or batch frames;
+// coordinator→replica traffic is batch frames only, whatever its key count:
+// MsgBatchReadInternal for every read leg, MsgBatchWriteInternal for every
+// write leg and hint replay, MsgStreamPush for read-repair write-backs and
+// decommission pages. Two slots are reserved for the retired point internal
+// frames, so every other type keeps its byte value.
 const (
 	// MsgRead is a client→coordinator read.
 	MsgRead uint8 = iota + 1
-	// MsgReadInternal is a coordinator→replica read (served locally by
-	// the replica rather than re-coordinated).
-	MsgReadInternal
+	// Reserved: the retired coordinator→replica point read.
+	_
 	MsgReadResp
 	// MsgWrite is a client→coordinator write.
 	MsgWrite
-	// MsgWriteInternal is a coordinator→replica write.
-	MsgWriteInternal
+	// Reserved: the retired coordinator→replica point write.
+	_
 	MsgWriteResp
 	// MsgBatchRead is a client→coordinator multi-key read: one frame carries
 	// every key of a MultiGet, amortizing framing, rate-limiter decisions,
 	// and flushes over the whole batch.
 	MsgBatchRead
-	// MsgBatchReadInternal is a coordinator→replica sub-batch: the subset of
-	// a batch's keys owned by one replica, coalesced into a single frame and
-	// served as one unit against the storage engine.
+	// MsgBatchReadInternal is a coordinator→replica read leg: the subset of
+	// a read's keys owned by one replica group — one key or many — coalesced
+	// into a single frame and served as one unit against the storage engine.
 	MsgBatchReadInternal
 	MsgBatchReadResp
 	// MsgBatchWrite is a client→coordinator multi-key write.
 	MsgBatchWrite
-	// MsgBatchWriteInternal is a coordinator→replica write sub-batch.
+	// MsgBatchWriteInternal is a coordinator→replica write leg (or a hint
+	// replay) under one version stamp: one key or many, puts or, with Del,
+	// guarded tombstones.
 	MsgBatchWriteInternal
 	MsgBatchWriteResp
 	// MsgRingUpdate announces a versioned topology (see membership.go). It is
@@ -85,13 +91,14 @@ const (
 	// MsgStreamChunk answers a MsgStreamReq with one page of key/value pairs
 	// (or a wrong-epoch rejection).
 	MsgStreamChunk
-	// MsgStreamPush carries one page of a decommissioning node's key ranges
-	// to a gainer. Same payload layout as MsgBatchWriteInternal (encode with
-	// AppendBatchWriteReq, decode with ParseBatchWriteReq, acked by
-	// MsgBatchWriteResp), but the values are raw version-prefixed storage
-	// bytes and the receiver applies each pair under the last-write-wins
-	// guard — a streamed pre-move value must never clobber a newer
-	// dual-routed write.
+	// MsgStreamPush carries records that each keep their own version: one
+	// page of a decommissioning node's key ranges to a gainer, or a read
+	// repair's write-back to a stale replica. Same payload layout as
+	// MsgBatchWriteInternal (encode with AppendBatchWriteReq, decode with
+	// ParseBatchWriteReq, acked by MsgBatchWriteResp), but the values are raw
+	// version-prefixed storage bytes and the receiver applies each pair under
+	// the last-write-wins guard — a streamed pre-move value must never
+	// clobber a newer dual-routed write.
 	MsgStreamPush
 )
 
@@ -174,11 +181,10 @@ type Feedback struct {
 	ServiceNs int64
 }
 
-// ReadReq asks for a key. Internal requests are replica-local reads. CL is
-// the requested consistency level (client frames only; internal reads are
-// always replica-local and ignore it). Digest asks an internal read for the
-// stored version alone: a found response carries the 8-byte version prefix
-// and no payload, so it decodes with Found, Version and an empty Value.
+// ReadReq asks a coordinator for a key at consistency level CL. Digest
+// (meaningful on internal batch reads, see BatchReadReq) asks for the stored
+// version alone: a found response carries the 8-byte version prefix and no
+// payload, so it decodes with Found, Version and an empty Value.
 // Coordinators ignore it on client frames.
 type ReadReq struct {
 	ID     uint64
@@ -229,7 +235,8 @@ type WriteResp struct {
 }
 
 // BatchReadReq asks for many keys in one frame (MsgBatchRead /
-// MsgBatchReadInternal). CL and Digest as in ReadReq.
+// MsgBatchReadInternal). CL and Digest as in ReadReq; an internal read is
+// always replica-local and ignores CL.
 type BatchReadReq struct {
 	ID     uint64
 	CL     uint8
@@ -256,12 +263,16 @@ type BatchReadResp struct {
 
 // BatchWriteReq stores many key/value pairs in one frame (MsgBatchWrite /
 // MsgBatchWriteInternal). One Version stamps the whole batch — versions
-// compare per key, so a shared stamp is sound. CL and Version as in
-// WriteReq.
+// compare per key, so a shared stamp is sound. CL, Version and Del as in
+// WriteReq; Del makes every record a guarded tombstone (values ignored) and
+// rides in the same mandatory flags byte, here between Version and the key
+// count. Only a coordinator→replica leg may set it: batch delete is not a
+// client feature.
 type BatchWriteReq struct {
 	ID      uint64
 	CL      uint8
 	Version uint64
+	Del     bool
 	Keys    []string
 	Values  [][]byte
 }
@@ -341,7 +352,7 @@ func appendFeedback(dst []byte, fb Feedback) []byte {
 }
 
 // AppendReadReq appends a complete framed read request of the given type
-// (MsgRead or MsgReadInternal) to dst. On error dst is returned unchanged.
+// (MsgRead) to dst. On error dst is returned unchanged.
 func AppendReadReq(dst []byte, typ uint8, m ReadReq) ([]byte, error) {
 	dst, start := beginFrame(dst, typ)
 	dst, err := appendReadCL(appendU64(dst, m.ID), m.CL, m.Digest)
@@ -414,15 +425,10 @@ func FinishReadResp(dst []byte, m ReadRespMark, found bool, status uint8, fb Fee
 }
 
 // AppendWriteReq appends a complete framed write request of the given type
-// (MsgWrite or MsgWriteInternal) to dst.
+// (MsgWrite) to dst.
 func AppendWriteReq(dst []byte, typ uint8, m WriteReq) ([]byte, error) {
 	dst, start := beginFrame(dst, typ)
-	dst = appendU64(append(appendU64(dst, m.ID), m.CL), m.Version)
-	var flags uint8
-	if m.Del {
-		flags |= writeFlagDel
-	}
-	dst = append(dst, flags)
+	dst = appendWriteHead(dst, m.ID, m.CL, m.Version, m.Del)
 	dst, err := appendStr(dst, m.Key)
 	if err != nil {
 		return dst[:start], err
@@ -431,6 +437,16 @@ func AppendWriteReq(dst []byte, typ uint8, m WriteReq) ([]byte, error) {
 		return dst[:start], err
 	}
 	return endFrame(dst, start)
+}
+
+// appendWriteHead appends the head every write request shares: id, CL,
+// version and the flags byte.
+func appendWriteHead(dst []byte, id uint64, cl uint8, ver uint64, del bool) []byte {
+	var flags uint8
+	if del {
+		flags |= writeFlagDel
+	}
+	return append(appendU64(append(appendU64(dst, id), cl), ver), flags)
 }
 
 // AppendWriteResp appends a complete framed write acknowledgement to dst.
@@ -484,8 +500,7 @@ func AppendBatchWriteReq(dst []byte, typ uint8, m BatchWriteReq) ([]byte, error)
 		return dst, fmt.Errorf("wire: batch write %d keys vs %d values", len(m.Keys), len(m.Values))
 	}
 	dst, start := beginFrame(dst, typ)
-	dst = appendU64(append(appendU64(dst, m.ID), m.CL), m.Version)
-	dst, err := appendBatchCount(dst, len(m.Keys))
+	dst, err := appendBatchCount(appendWriteHead(dst, m.ID, m.CL, m.Version, m.Del), len(m.Keys))
 	if err != nil {
 		return dst[:start], err
 	}
@@ -643,8 +658,7 @@ func (w *Writer) buffer(b []byte, err error) error {
 	return err
 }
 
-// WriteRead buffers a read request frame of the given type (MsgRead or
-// MsgReadInternal).
+// WriteRead buffers a read request frame of the given type (MsgRead).
 func (w *Writer) WriteRead(typ uint8, m ReadReq) error {
 	return w.buffer(AppendReadReq(w.buf[:0], typ, m))
 }
@@ -654,8 +668,7 @@ func (w *Writer) WriteReadResp(m ReadResp) error {
 	return w.buffer(AppendReadResp(w.buf[:0], m))
 }
 
-// WriteWrite buffers a write request frame of the given type (MsgWrite or
-// MsgWriteInternal).
+// WriteWrite buffers a write request frame of the given type (MsgWrite).
 func (w *Writer) WriteWrite(typ uint8, m WriteReq) error {
 	return w.buffer(AppendWriteReq(w.buf[:0], typ, m))
 }
@@ -805,8 +818,8 @@ func (d *decoder) readCL() (cl uint8, digest bool) {
 	return b & levelMask, b&readFlagDigest != 0
 }
 
-// ParseReadReq decodes a MsgRead/MsgReadInternal payload. The returned Key
-// aliases b (see the package contract).
+// ParseReadReq decodes a MsgRead payload. The returned Key aliases b (see
+// the package contract).
 func ParseReadReq(b []byte) (ReadReq, error) {
 	d := decoder{b: b}
 	m := ReadReq{ID: d.u64()}
@@ -828,19 +841,24 @@ func ParseReadResp(b []byte) (ReadResp, error) {
 	return m, d.err
 }
 
-// ParseWriteReq decodes a MsgWrite/MsgWriteInternal payload. The returned
-// Key and Value alias b (see the package contract).
+// ParseWriteReq decodes a MsgWrite payload. The returned Key and Value alias
+// b (see the package contract).
 func ParseWriteReq(b []byte) (WriteReq, error) {
 	d := decoder{b: b}
-	m := WriteReq{ID: d.u64(), CL: d.u8(), Version: d.u64()}
-	flags := d.u8()
-	if flags&^writeFlagDel != 0 {
-		d.err = errors.New("wire: unknown write flags")
-	}
-	m.Del = flags&writeFlagDel != 0
+	m := WriteReq{ID: d.u64(), CL: d.u8(), Version: d.u64(), Del: d.writeFlags()}
 	m.Key = d.str()
 	m.Value = d.bytes()
 	return m, d.err
+}
+
+// writeFlags decodes a write request's flags byte into its Del bit,
+// rejecting unknown bits: a Del misread as a put would resurrect the key.
+func (d *decoder) writeFlags() bool {
+	flags := d.u8()
+	if flags&^writeFlagDel != 0 && d.err == nil {
+		d.err = errors.New("wire: unknown write flags")
+	}
+	return flags&writeFlagDel != 0
 }
 
 // ParseWriteResp decodes a MsgWriteResp payload.
@@ -909,7 +927,7 @@ func ParseBatchReadResp(b []byte, items []BatchItem) (BatchReadResp, error) {
 // b (see the package contract).
 func ParseBatchWriteReq(b []byte, keys []string, values [][]byte) (BatchWriteReq, error) {
 	d := decoder{b: b}
-	m := BatchWriteReq{ID: d.u64(), CL: d.u8(), Version: d.u64()}
+	m := BatchWriteReq{ID: d.u64(), CL: d.u8(), Version: d.u64(), Del: d.writeFlags()}
 	n := d.batchCount()
 	keys, values = keys[:0], values[:0]
 	for i := 0; i < n && d.err == nil; i++ {

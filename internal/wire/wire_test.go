@@ -38,12 +38,22 @@ func TestReadReqRoundtrip(t *testing.T) {
 	}
 }
 
+// TestInternalReadTypePreserved: a one-key read leg — every coordinator→
+// replica read is a batch frame, whatever its key count — keeps its type
+// byte and its key across the Writer and Reader.
 func TestInternalReadTypePreserved(t *testing.T) {
-	typ, _ := roundtrip(t, func(w *Writer) error {
-		return w.WriteRead(MsgReadInternal, ReadReq{ID: 1, Key: "k"})
+	typ, payload := roundtrip(t, func(w *Writer) error {
+		frame, err := AppendBatchReadReq(nil, MsgBatchReadInternal, BatchReadReq{ID: 1, Keys: []string{"k"}})
+		if err != nil {
+			return err
+		}
+		return w.WriteRaw(frame)
 	})
-	if typ != MsgReadInternal {
-		t.Fatalf("type = %d, want MsgReadInternal", typ)
+	if typ != MsgBatchReadInternal {
+		t.Fatalf("type = %d, want MsgBatchReadInternal", typ)
+	}
+	if m, err := ParseBatchReadReq(payload, nil); err != nil || len(m.Keys) != 1 || m.Keys[0] != "k" {
+		t.Fatalf("m = %+v err=%v", m, err)
 	}
 }
 
@@ -79,8 +89,8 @@ func TestReadRespNotFound(t *testing.T) {
 
 func TestWriteReqRoundtrip(t *testing.T) {
 	in := WriteReq{ID: 11, Key: "k", Value: bytes.Repeat([]byte{0xAB}, 1024)}
-	typ, payload := roundtrip(t, func(w *Writer) error { return w.WriteWrite(MsgWriteInternal, in) })
-	if typ != MsgWriteInternal {
+	typ, payload := roundtrip(t, func(w *Writer) error { return w.WriteWrite(MsgWrite, in) })
+	if typ != MsgWrite {
 		t.Fatalf("type = %d", typ)
 	}
 	out, err := ParseWriteReq(payload)
@@ -249,6 +259,26 @@ func BenchmarkReadRespRoundtrip(b *testing.B) {
 		}
 		if _, err := ParseReadResp(payload); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestMessageTypeBytesStable pins every message type's byte value: retiring
+// the point internal frames reserved their slots (2 and 5) rather than
+// renumbering the types after them, so a frame keeps its meaning across
+// versions.
+func TestMessageTypeBytesStable(t *testing.T) {
+	for _, c := range []struct {
+		typ, want uint8
+	}{
+		{MsgRead, 1}, {MsgReadResp, 3}, {MsgWrite, 4}, {MsgWriteResp, 6},
+		{MsgBatchRead, 7}, {MsgBatchReadInternal, 8}, {MsgBatchReadResp, 9},
+		{MsgBatchWrite, 10}, {MsgBatchWriteInternal, 11}, {MsgBatchWriteResp, 12},
+		{MsgRingUpdate, 13}, {MsgRingAck, 14}, {MsgJoinReq, 15},
+		{MsgStreamReq, 16}, {MsgStreamChunk, 17}, {MsgStreamPush, 18},
+	} {
+		if c.typ != c.want {
+			t.Errorf("message type %d, want %d", c.typ, c.want)
 		}
 	}
 }
