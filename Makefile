@@ -25,10 +25,11 @@ crash:
 
 # Every allocation pin, non-short and without the race detector (whose
 # instrumentation allocates): the hot-path zero-alloc round trips and the
-# per-op budgets of the cluster read, write and compaction paths. Run for
-# any change to a read, write or storage path.
+# per-op budgets of the cluster read, write and compaction paths, and the
+# RESP server's pipelined commands. Run for any change to a read, write,
+# storage or gateway path.
 allocs:
-	$(GO) test -count=1 -run 'AllocBudget|ZeroAllocs' ./internal/core ./internal/wire ./internal/lsm ./internal/kvstore
+	$(GO) test -count=1 -run 'AllocBudget|ZeroAllocs' ./internal/core ./internal/wire ./internal/lsm ./internal/kvstore ./internal/resp
 
 # c3vet over the whole tree (plus staticcheck/govulncheck when installed).
 lint:

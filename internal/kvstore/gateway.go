@@ -30,8 +30,9 @@ import (
 // read paths copy what they keep (the read ladder copies its keys into its
 // own arena), so reads pass views; a write's keys and values are copied into
 // one pooled buffer before entering the write coordinator, whose gather
-// recycles it after the last leg (the store copies what it keeps). Returned
-// values are fresh memory owned by the caller — one buffer per MGET.
+// recycles it after the last leg (the store copies what it keeps). GET
+// returns fresh memory owned by the caller; MGET fills the caller's
+// resp.MGetReply, its values packed into the reply's reused buffer.
 // Found/miss travels as an explicit bool end to end — a present-but-empty
 // value reaches RESP as a zero-length bulk string, a miss as a nil reply,
 // never conflated.
@@ -137,20 +138,23 @@ func (b *respBackend) writeSync(g *writeGather) error {
 	return ErrWriteFailed
 }
 
-// MGet coordinates a batch read; vals[i]/found[i] report keys[i]. A missing
-// key has found[i] false and vals[i] nil; a present empty value has found[i]
-// true and vals[i] a zero-length non-nil slice. The values share one buffer.
-func (b *respBackend) MGet(keys [][]byte) ([][]byte, []bool, error) {
+// MGet coordinates a batch read into r: r.Vals[i]/r.Found[i] report
+// keys[i]. A missing key has Found[i] false and Vals[i] nil; a present empty
+// value has Found[i] true and Vals[i] a zero-length non-nil slice. The values
+// share r.Buf, and r.Keys holds the string views of the keys the read ladder
+// takes, so a caller reusing r allocates nothing per call.
+func (b *respBackend) MGet(keys [][]byte, r *resp.MGetReply) error {
 	if len(keys) > wire.MaxBatchKeys {
-		return nil, nil, errBatchTooLarge
+		return errBatchTooLarge
 	}
-	sk := make([]string, len(keys))
-	for i, k := range keys {
+	sk := r.Keys[:0]
+	for _, k := range keys {
 		if len(k) > wire.MaxKeyLen {
-			return nil, nil, errKeyTooLong
+			return errKeyTooLong
 		}
-		sk[i] = pooledString(k) // the gather copies the keys it keeps
+		sk = append(sk, pooledString(k)) // the gather copies the keys it keeps
 	}
+	r.Keys = sk
 	g := b.n.newReadGather(uint8(b.lvl), sk, readValues)
 	g.run()
 	total := 0
@@ -158,18 +162,23 @@ func (b *respBackend) MGet(keys [][]byte) ([][]byte, []bool, error) {
 		v, _, _ := g.value(g.at[i])
 		total += len(v)
 	}
-	buf := make([]byte, 0, total)
-	vals := make([][]byte, len(keys))
-	found := make([]bool, len(keys))
+	if r.Buf == nil || cap(r.Buf) < total {
+		r.Buf = make([]byte, 0, total)
+	}
+	buf, vals, found := r.Buf[:0], r.Vals[:0], r.Found[:0]
 	for i := range keys {
-		if v, _, ok := g.value(g.at[i]); ok {
+		v, _, ok := g.value(g.at[i])
+		var val []byte
+		if ok {
 			at := len(buf)
-			buf = append(buf, v...)
-			vals[i], found[i] = buf[at:len(buf):len(buf)], true
+			buf = append(buf, v...) // within capacity: earlier views stay put
+			val = buf[at:len(buf):len(buf)]
 		}
+		vals, found = append(vals, val), append(found, ok)
 	}
 	g.release()
-	return vals, found, nil
+	r.Buf, r.Vals, r.Found = buf, vals, found
+	return nil
 }
 
 // MSet coordinates a batch write under one shared version stamp. Per-key

@@ -1,9 +1,11 @@
 package kvstore
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -20,6 +22,19 @@ import (
 // at the given level, returning a connected RESP client.
 func startGateway(t *testing.T, n int, cfg Config, lvl Level) (*Cluster, *resp.Client) {
 	t.Helper()
+	c, addr := startGatewayAddr(t, n, cfg, lvl)
+	rc, err := resp.DialClient(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rc.Close() })
+	return c, rc
+}
+
+// startGatewayAddr boots an n-node cluster, fronts node 0 with a RESP
+// server at the given level, and returns the server's address.
+func startGatewayAddr(t *testing.T, n int, cfg Config, lvl Level) (*Cluster, string) {
+	t.Helper()
 	c, err := StartCluster(n, cfg)
 	if err != nil {
 		t.Fatalf("StartCluster: %v", err)
@@ -32,12 +47,7 @@ func startGateway(t *testing.T, n int, cfg Config, lvl Level) (*Cluster, *resp.C
 	}
 	go srv.Serve(ln)
 	t.Cleanup(srv.Close)
-	rc, err := resp.DialClient(ln.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rc.Close() })
-	return c, rc
+	return c, ln.Addr().String()
 }
 
 func do(t *testing.T, rc *resp.Client, args ...string) resp.Reply {
@@ -392,4 +402,101 @@ func TestStatsSnapshotRace(t *testing.T) {
 	wg.Wait()
 	c.Nodes[1].SetSlowdown(0)
 	c.Nodes[2].SetDropWrites(false)
+}
+
+// TestGatewayPipelinedReadYourWrites sends one pipelined stream of writes and
+// reads over a few shared keys to a QUORUM gateway. The server runs the
+// stream's commands concurrently, yet every reply matches a model that
+// applies the commands one by one: each read sees the connection's earlier
+// writes. The stream has no DEL: an applied tombstone is unversioned, so a
+// quorum read can still lose it to a lagging replica's older value (the
+// tombstone gap, which versioned tombstones close).
+func TestGatewayPipelinedReadYourWrites(t *testing.T) {
+	_, addr := startGatewayAddr(t, 3, Config{Seed: 98}, Quorum)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(20 * time.Second))
+
+	rng := rand.New(rand.NewPCG(98, 0))
+	model := map[string]string{}
+	key := func() string { return fmt.Sprintf("pk%d", rng.IntN(6)) }
+	bulk := func(k string) string {
+		if v, ok := model[k]; ok {
+			return v
+		}
+		return "(nil)"
+	}
+	var req []byte
+	var want []string
+	for i := 0; i < 300; i++ {
+		var args []string
+		switch op := rng.IntN(10); {
+		case op < 3:
+			k, v := key(), fmt.Sprintf("v%d", i)
+			args = []string{"SET", k, v}
+			model[k] = v
+			want = append(want, "OK")
+		case op < 6:
+			k := key()
+			args = []string{"GET", k}
+			want = append(want, bulk(k))
+		case op < 8:
+			args = []string{"MSET"}
+			for j := 0; j < 3; j++ {
+				k, v := key(), fmt.Sprintf("m%d.%d", i, j)
+				args = append(args, k, v)
+				model[k] = v
+			}
+			want = append(want, "OK")
+		default:
+			args = []string{"MGET"}
+			var vals []string
+			for j := 0; j < 3; j++ {
+				k := key()
+				args = append(args, k)
+				vals = append(vals, bulk(k))
+			}
+			want = append(want, "["+strings.Join(vals, " ")+"]")
+		}
+		b := make([][]byte, len(args))
+		for j, a := range args {
+			b[j] = []byte(a)
+		}
+		req = resp.AppendCommand(req, b)
+	}
+	go conn.Write(req) // the server may push back before the whole stream is in
+
+	br := bufio.NewReader(conn)
+	for i, w := range want {
+		r, err := resp.ReadReply(br)
+		if err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+		if got := renderReply(r); got != w {
+			t.Fatalf("reply %d = %q, want %q", i, got, w)
+		}
+	}
+}
+
+// renderReply flattens a reply: a bulk or status as its string, nil as
+// "(nil)", an integer in decimal, an array as its elements in brackets.
+func renderReply(r resp.Reply) string {
+	switch {
+	case r.IsNil:
+		return "(nil)"
+	case r.Kind == '-':
+		return "-" + r.Str
+	case r.Kind == ':':
+		return fmt.Sprint(r.Int)
+	case r.Kind == '*':
+		var parts []string
+		for _, e := range r.Elems {
+			parts = append(parts, renderReply(e))
+		}
+		return "[" + strings.Join(parts, " ") + "]"
+	}
+	return r.Str
 }

@@ -108,9 +108,15 @@ type wal struct {
 	exit  chan struct{} // closed when the committer goroutine returns
 	texit chan struct{} // closed when the periodic sync goroutine returns
 
-	// ioMu serializes file writes/fsyncs against rotation closing the file.
-	ioMu  sync.Mutex
-	dirty bool // bytes written since the last fsync (guarded by ioMu)
+	// ioMu serializes file writes (and strict-mode fsyncs) against rotation
+	// swapping the file. The periodic fsync runs outside it under syncMu,
+	// which rotation and crash also take, so neither closes a file while an
+	// fsync of it is in flight.
+	ioMu   sync.Mutex
+	dirty  bool // bytes written since the last fsync began (guarded by ioMu)
+	syncMu sync.Mutex
+
+	syncHook func() // tests only: called by fsyncNow just before it fsyncs
 
 	syncs atomic.Uint64 // fsync count (group commits)
 	appds atomic.Uint64 // records appended
@@ -317,19 +323,32 @@ func (w *wal) syncLoop() {
 }
 
 // fsyncNow flushes the file if anything was written since the last fsync.
+// It takes the file and clears dirty under ioMu, then fsyncs outside it, so
+// commit groups keep writing meanwhile; a write that lands during the fsync
+// sets dirty again for the next one.
 func (w *wal) fsyncNow() error {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	w.ioMu.Lock()
-	defer w.ioMu.Unlock()
-	if !w.dirty {
+	f, dirty := w.f, w.dirty
+	w.dirty = false
+	w.ioMu.Unlock()
+	if !dirty {
 		return nil
 	}
-	//lint:allow lockscope ioMu exists to serialize exactly this fsync against group commits; appenders never block on it
-	err := w.f.Sync()
-	if err == nil {
-		w.dirty = false
-		w.syncs.Add(1)
+	if w.syncHook != nil {
+		w.syncHook()
 	}
-	return err
+	//lint:allow lockscope syncMu only keeps rotate and crash from closing the file mid-fsync; commit groups never take it
+	err := f.Sync()
+	if err != nil {
+		w.ioMu.Lock()
+		w.dirty = true
+		w.ioMu.Unlock()
+		return err
+	}
+	w.syncs.Add(1)
+	return nil
 }
 
 // sync blocks until every record appended so far is durable on disk — a real
@@ -365,6 +384,8 @@ func (w *wal) rotate(num uint64) error {
 		f.Close()
 		return err
 	}
+	w.syncMu.Lock() // an fsync in flight finishes before the old file closes
+	defer w.syncMu.Unlock()
 	w.mu.Lock()
 	w.ioMu.Lock()
 	old := w.f
@@ -421,9 +442,11 @@ func (w *wal) crash() {
 	close(w.quit)
 	<-w.exit
 	<-w.texit
+	w.syncMu.Lock() // a flush's fsync (sync) may still be in flight
 	w.ioMu.Lock()
 	w.f.Close()
 	w.ioMu.Unlock()
+	w.syncMu.Unlock()
 }
 
 // replayWAL reads records from path in order, calling apply for each valid

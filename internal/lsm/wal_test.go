@@ -3,6 +3,7 @@ package lsm
 import (
 	"errors"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -96,5 +97,49 @@ func TestWALCrashReleasesWaiters(t *testing.T) {
 	<-crashed
 	if err := w.lockAppend(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("append after crash: %v, want ErrClosed", err)
+	}
+}
+
+// A periodic fsync does not hold up commit groups: a group written while
+// the background fsync of an earlier one is still in flight completes
+// without waiting for it.
+func TestWALCommitsDuringPeriodicFsync(t *testing.T) {
+	w, err := openWAL(t.TempDir(), 1, false, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.close()
+	inSync, release := make(chan struct{}), make(chan struct{})
+	var first, freed sync.Once
+	unblock := func() { freed.Do(func() { close(release) }) }
+	defer unblock()
+	w.syncHook = func() {
+		first.Do(func() {
+			close(inSync)
+			<-release
+		})
+	}
+	if err := w.wait(logOne(t, w, "a")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-inSync:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the periodic fsync never started")
+	}
+	done := make(chan error, 1)
+	g := logOne(t, w, "b")
+	go func() { done <- w.wait(g) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("group written during the fsync: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a commit group waited for the periodic fsync")
+	}
+	unblock()
+	if err := w.sync(); err != nil {
+		t.Fatalf("sync after the fsync finished: %v", err)
 	}
 }

@@ -173,13 +173,13 @@ func (f *fakeBackend) Del(key []byte) (bool, error) {
 	return ok, nil
 }
 
-func (f *fakeBackend) MGet(keys [][]byte) ([][]byte, []bool, error) {
-	vals := make([][]byte, len(keys))
-	found := make([]bool, len(keys))
-	for i, k := range keys {
-		vals[i], found[i], _ = f.Get(k)
+func (f *fakeBackend) MGet(keys [][]byte, into *MGetReply) error {
+	into.Vals, into.Found = into.Vals[:0], into.Found[:0]
+	for _, k := range keys {
+		v, ok, _ := f.Get(k)
+		into.Vals, into.Found = append(into.Vals, v), append(into.Found, ok)
 	}
-	return vals, found, nil
+	return nil
 }
 
 func (f *fakeBackend) MSet(keys, vals [][]byte) error {

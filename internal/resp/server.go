@@ -2,16 +2,20 @@ package resp
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"net"
 	"sync"
 )
 
 // Backend is what a Server fronts: the five data commands the gateway maps
 // onto the store's point and batch paths, plus an INFO payload. Argument
-// slices alias the connection's parse arena and are valid only for the call —
+// slices alias memory the server reuses and are valid only for the call —
 // implementations retain copies. Returned values are owned by the caller.
+// A Server calls a Backend from several goroutines at once, also for one
+// connection.
 //
 // The miss-vs-empty contract: Get/MGet report existence through the found
 // flag, never through value length — a present empty value is ([]byte{},
@@ -21,16 +25,42 @@ type Backend interface {
 	Get(key []byte) (val []byte, found bool, err error)
 	Set(key, val []byte) error
 	Del(key []byte) (deleted bool, err error)
-	MGet(keys [][]byte) (vals [][]byte, found []bool, err error)
+	MGet(keys [][]byte, into *MGetReply) error
 	MSet(keys, vals [][]byte) error
 	Info() string
 }
 
-// Server accepts RESP connections and drives a Backend. Each connection runs
-// as a goroutine pair mirroring the kvstore conn-writer pattern: the read
-// loop decodes, executes, and enqueues encoded replies; the write loop drains
-// the queue and flushes once it runs dry, so pipelined commands coalesce into
-// few write syscalls while replies stay in command order.
+// MGetReply is the caller-owned memory an MGet fills. The caller reuses one
+// across calls, so a steady stream of MGETs allocates nothing: the backend
+// truncates every field and appends.
+type MGetReply struct {
+	Vals  [][]byte // Vals[i] is keys[i]'s value, a view of Buf; nil on a miss
+	Found []bool   // Found[i] reports whether keys[i] exists
+	Buf   []byte   // the bytes of every found value
+	Keys  []string // backend scratch, e.g. string views of the keys
+}
+
+// Server accepts RESP connections and drives a Backend. A connection runs up
+// to pipelineDepth commands at once and answers them strictly in command
+// order:
+//
+//   - The reader goroutine decodes a command into a slot of the connection's
+//     ring. A lone command — nothing in flight and no more input buffered —
+//     runs on the reader itself, the one-hop path of an unpipelined client.
+//     Pipelined commands copy their arguments into the slot and go to the
+//     connection's workers, started on demand up to the depth.
+//   - Two commands conflict when they share a key and at least one of them
+//     writes (SET, DEL, MSET). A command starts only after every earlier
+//     conflicting command has finished, so a connection reads its own
+//     writes. Every other command (QUIT, INFO, CONFIG, …) waits for all
+//     earlier commands and runs on the reader.
+//   - When every slot is busy the reader stops reading, and TCP pushes back
+//     on the client.
+//   - The writer goroutine drains the ring in order. It flushes before it
+//     waits on an unfinished head and when the ring runs dry, so replies to
+//     pipelined commands coalesce into few write syscalls.
+//
+// QUIT and a protocol error deliver every earlier reply, then close.
 type Server struct {
 	b Backend
 
@@ -109,77 +139,332 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// replyPool recycles encoded-reply buffers between the read and write loops.
-var replyPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+// pipelineDepth is how many commands one connection runs at once.
+const pipelineDepth = 16
 
-const replyRetainCap = 64 << 10
+// retainCap bounds the buffers a slot keeps between commands: one huge
+// command must not pin its arena for the connection's lifetime.
+const retainCap = 64 << 10
 
-func getReply() *[]byte { return replyPool.Get().(*[]byte) }
+// cmdKind classifies a command for the conflict rule.
+type cmdKind uint8
 
-func putReply(b *[]byte) {
-	if b == nil || cap(*b) > replyRetainCap {
-		return
-	}
-	*b = (*b)[:0]
-	replyPool.Put(b)
+const (
+	cmdOther cmdKind = iota // waits for every earlier command, runs on the reader
+	cmdGet
+	cmdMGet
+	cmdSet
+	cmdDel
+	cmdMSet
+)
+
+func (k cmdKind) writes() bool { return k >= cmdSet }
+
+// slot is one command of a connection's ring, from decode to its reply
+// leaving. Its buffers are reused by every command that lands in it.
+type slot struct {
+	kind  cmdKind
+	bit   uint32   // this slot's ring position as a bit of deps
+	deps  uint32   // ring positions of earlier unfinished conflicting commands
+	done  bool     // reply is final (guarded by conn.mu)
+	quit  bool     // close the connection after this reply
+	cmd   [][]byte // the command: views of argv or, inline, of the Reader's arena
+	argv  [][]byte
+	arena []byte
+	keys  []uint64 // hashes of the keys the command names
+	reply []byte
+	mkeys [][]byte // MSET scratch
+	mvals [][]byte
+	mget  MGetReply
 }
 
-// handle runs one connection's goroutine pair until the client disconnects,
-// errs at the protocol level, or sends QUIT.
-func (s *Server) handle(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
+// own copies args into the slot: the Reader's arena is reused by the next
+// decode, and the command outlives it.
+func (sl *slot) own(args [][]byte) {
+	n := 0
+	for _, a := range args {
+		n += len(a)
+	}
+	if cap(sl.arena) < n {
+		sl.arena = make([]byte, 0, n)
+	}
+	arena, argv := sl.arena[:0], sl.argv[:0]
+	for _, a := range args {
+		at := len(arena)
+		arena = append(arena, a...) // within capacity: earlier views stay put
+		argv = append(argv, arena[at:len(arena):len(arena)])
+	}
+	sl.arena, sl.argv, sl.cmd = arena, argv, argv
+}
 
-	out := make(chan *[]byte, 128)
-	var wwg sync.WaitGroup
-	wwg.Add(1)
-	go func() {
-		defer wwg.Done()
-		w := bufio.NewWriterSize(conn, 64<<10)
-		for b := range out {
-			w.Write(*b)
-			putReply(b)
-			if len(out) == 0 {
-				if w.Flush() != nil {
-					// Drain without writing; the read loop notices the dead
-					// connection on its own.
-					for b := range out {
-						putReply(b)
-					}
-					return
-				}
+var keySeed = maphash.MakeSeed()
+
+// hashKeys records the hashes of the keys the command names. A collision
+// only orders two commands that could have overlapped.
+func (sl *slot) hashKeys() {
+	sl.keys = sl.keys[:0]
+	step := 1
+	if sl.kind == cmdMSet {
+		step = 2
+	}
+	for i := 1; i < len(sl.cmd); i += step {
+		sl.keys = append(sl.keys, maphash.Bytes(keySeed, sl.cmd[i]))
+		if sl.kind == cmdGet || sl.kind == cmdSet {
+			break
+		}
+	}
+}
+
+// conflicts reports whether sl must wait for the earlier command o.
+func (sl *slot) conflicts(o *slot) bool {
+	if !sl.kind.writes() && !o.kind.writes() {
+		return false
+	}
+	for _, a := range sl.keys {
+		for _, b := range o.keys {
+			if a == b {
+				return true
 			}
 		}
-		w.Flush()
-	}()
-	defer wwg.Wait()
-	defer close(out)
+	}
+	return false
+}
 
-	r := NewReader(conn)
-	var scratch []byte // upper-cased command name
+// recycle drops what a finished command left in the slot, and any buffer a
+// large command grew past retainCap together with the views into it.
+func (sl *slot) recycle() {
+	sl.cmd, sl.reply, sl.quit = nil, sl.reply[:0], false
+	if cap(sl.reply) > retainCap {
+		sl.reply = nil
+	}
+	if cap(sl.arena) > retainCap {
+		sl.arena, sl.argv, sl.mkeys, sl.mvals = nil, nil, nil, nil
+	}
+	if cap(sl.mget.Buf) > retainCap {
+		sl.mget = MGetReply{}
+	}
+}
+
+// conn is one connection's state: the ring of slots, indexed by the
+// monotonic counters head (next reply to write) and tail (next slot to fill).
+// The reader owns the slot at tail until it publishes it by advancing tail.
+type conn struct {
+	s     *Server
+	nc    net.Conn
+	r     *Reader
+	name  []byte     // upper-cased command name (reader only)
+	ready chan *slot // commands whose conflicts have all finished
+
+	mu      sync.Mutex
+	rcond   sync.Cond // on mu: the reader waits for a free slot or a drain
+	wcond   sync.Cond // on mu: the writer waits for the head to finish
+	ring    [pipelineDepth]slot
+	head    uint64
+	tail    uint64
+	running int  // published commands not yet done
+	queued  int  // commands handed to the workers and not yet done
+	workers int  // worker goroutines started
+	closing bool // the reader is done; the writer exits once the ring is empty
+
+	wg sync.WaitGroup // writer and workers
+}
+
+// handle runs one connection until the client disconnects, errs at the
+// protocol level, or sends QUIT.
+func (s *Server) handle(nc net.Conn) {
+	defer s.wg.Done()
+	c := &conn{s: s, nc: nc, r: NewReader(nc), ready: make(chan *slot, pipelineDepth)}
+	c.rcond.L, c.wcond.L = &c.mu, &c.mu
+	for i := range c.ring {
+		c.ring[i].bit = 1 << i
+	}
+	c.wg.Add(1)
+	go c.writeLoop()
+	c.readLoop()
+
+	c.mu.Lock()
+	for c.running > 0 {
+		c.rcond.Wait()
+	}
+	c.closing = true
+	c.wcond.Signal()
+	c.mu.Unlock()
+	close(c.ready)
+	c.wg.Wait()
+
+	s.mu.Lock()
+	delete(s.conns, nc)
+	s.mu.Unlock()
+	nc.Close()
+}
+
+// readLoop decodes and admits commands until the connection ends.
+func (c *conn) readLoop() {
 	for {
-		args, err := r.Next()
+		args, err := c.r.Next()
 		if err != nil {
 			if errors.Is(err, ErrProtocol) {
-				rb := getReply()
-				*rb = AppendError((*rb)[:0], "ERR "+err.Error())
-				out <- rb
+				sl := c.admit(cmdOther, nil)
+				sl.reply = AppendError(sl.reply, "ERR "+err.Error())
+				sl.quit = true
+				c.complete(sl, false)
 			}
 			return
 		}
-		rb := getReply()
-		var quit bool
-		*rb, scratch, quit = s.dispatch((*rb)[:0], scratch, args)
-		out <- rb
+		kind := c.classify(args[0])
+		sl := c.admit(kind, args)
+		if sl == nil {
+			continue // handed to the workers
+		}
+		if kind == cmdOther {
+			c.other(sl)
+		} else {
+			c.exec(sl)
+		}
+		quit := sl.quit
+		c.complete(sl, false)
 		if quit {
 			return
 		}
 	}
+}
+
+// classify upper-cases the command name into c.name and returns its kind.
+func (c *conn) classify(name []byte) cmdKind {
+	c.name = upperInto(c.name, name)
+	switch string(c.name) { // does not allocate
+	case "GET":
+		return cmdGet
+	case "MGET":
+		return cmdMGet
+	case "SET":
+		return cmdSet
+	case "DEL":
+		return cmdDel
+	case "MSET":
+		return cmdMSet
+	}
+	return cmdOther
+}
+
+// admit takes the slot at tail for a command, waiting while every slot is
+// busy, and for cmdOther until every earlier command is done. It returns
+// the slot when the command is to run on the reader, or nil when the
+// command went to the workers (now, or once its conflicts finish).
+func (c *conn) admit(kind cmdKind, args [][]byte) *slot {
+	inline := kind == cmdOther || c.r.r.Buffered() == 0
+	c.mu.Lock()
+	for c.tail-c.head == pipelineDepth || (kind == cmdOther && c.running > 0) {
+		c.rcond.Wait()
+	}
+	// running only falls while the reader waits or works, so a zero seen
+	// here holds until the reader publishes the next command.
+	inline = inline && c.running == 0
+	sl := &c.ring[c.tail%pipelineDepth]
+	sl.kind, sl.deps, sl.done = kind, 0, false
+	if inline {
+		sl.cmd = args
+		c.tail++
+		c.running++
+		c.mu.Unlock()
+		return sl
+	}
+	c.mu.Unlock()
+
+	sl.own(args)
+	sl.hashKeys()
+
+	c.mu.Lock()
+	for i := c.head; i < c.tail; i++ {
+		if o := &c.ring[i%pipelineDepth]; !o.done && sl.conflicts(o) {
+			sl.deps |= o.bit
+		}
+	}
+	c.tail++
+	c.running++
+	if sl.deps == 0 {
+		c.dispatch(sl)
+	}
+	c.mu.Unlock()
+	return nil
+}
+
+// dispatch hands a runnable command to the workers, starting one when every
+// worker already has a command. Called with c.mu held.
+func (c *conn) dispatch(sl *slot) {
+	c.ready <- sl // buffered to the ring's size: never blocks
+	c.queued++
+	if c.queued > c.workers {
+		c.workers++
+		c.wg.Add(1)
+		go c.work()
+	}
+}
+
+func (c *conn) work() {
+	defer c.wg.Done()
+	for sl := range c.ready {
+		c.exec(sl)
+		c.complete(sl, true)
+	}
+}
+
+// complete marks sl's reply final, releases the commands that waited on it
+// and wakes the writer and the reader.
+func (c *conn) complete(sl *slot, worker bool) {
+	c.mu.Lock()
+	sl.done = true
+	c.running--
+	if worker {
+		c.queued--
+	}
+	for i := c.head; i < c.tail; i++ {
+		if o := &c.ring[i%pipelineDepth]; o.deps&sl.bit != 0 {
+			if o.deps &^= sl.bit; o.deps == 0 {
+				c.dispatch(o)
+			}
+		}
+	}
+	c.wcond.Signal()
+	if c.running == 0 {
+		c.rcond.Signal()
+	}
+	c.mu.Unlock()
+}
+
+// writeLoop writes replies in command order until the reader is done and
+// the ring is empty.
+func (c *conn) writeLoop() {
+	defer c.wg.Done()
+	w := bufio.NewWriterSize(c.nc, 64<<10)
+	dead := false // a write failed: w's error sticks, and it writes nothing more
+	c.mu.Lock()
+	for {
+		sl := &c.ring[c.head%pipelineDepth]
+		if c.head == c.tail || !sl.done {
+			if c.head == c.tail && c.closing {
+				break
+			}
+			if w.Buffered() > 0 && !dead {
+				c.mu.Unlock()
+				if dead = w.Flush() != nil; dead {
+					c.nc.Close() // stops the reader
+				}
+				c.mu.Lock()
+				continue
+			}
+			c.wcond.Wait()
+			continue
+		}
+		c.mu.Unlock()
+		w.Write(sl.reply)
+		sl.recycle()
+		c.mu.Lock()
+		c.head++
+		c.rcond.Signal()
+	}
+	c.mu.Unlock()
+	w.Flush()
 }
 
 // upperInto upper-cases b into dst (grown as needed) without allocating in
@@ -194,94 +479,123 @@ func upperInto(dst, b []byte) []byte {
 	return dst
 }
 
-// dispatch executes one command and appends its encoded reply to dst. quit
-// reports a QUIT (reply enqueued, then the connection closes).
-func (s *Server) dispatch(dst, scratch []byte, args [][]byte) (_, _ []byte, quit bool) {
-	scratch = upperInto(scratch, args[0])
-	cmd := string(scratch) // does not allocate in switch comparisons below
-	switch cmd {
-	case "PING":
-		if len(args) >= 2 {
-			return AppendBulk(dst, args[1]), scratch, false
-		}
-		return AppendSimple(dst, "PONG"), scratch, false
-	case "ECHO":
+// exec runs one data command and encodes its reply into the slot.
+func (c *conn) exec(sl *slot) {
+	b, args, dst := c.s.b, sl.cmd, sl.reply[:0]
+	switch sl.kind {
+	case cmdGet:
 		if len(args) != 2 {
-			return wrongArity(dst, "echo"), scratch, false
+			dst = wrongArity(dst, "get")
+			break
 		}
-		return AppendBulk(dst, args[1]), scratch, false
-	case "GET":
-		if len(args) != 2 {
-			return wrongArity(dst, "get"), scratch, false
+		val, found, err := b.Get(args[1])
+		switch {
+		case err != nil:
+			dst = AppendError(dst, "ERR "+err.Error())
+		case !found:
+			dst = AppendNil(dst)
+		default:
+			dst = AppendBulk(dst, val)
 		}
-		val, found, err := s.b.Get(args[1])
-		if err != nil {
-			return AppendError(dst, "ERR "+err.Error()), scratch, false
-		}
-		if !found {
-			return AppendNil(dst), scratch, false
-		}
-		return AppendBulk(dst, val), scratch, false
-	case "SET":
+	case cmdSet:
 		// SET key value [EX ...|PX ...|NX|XX] — options are accepted and
 		// ignored (the store has no TTLs), which keeps redis-benchmark and
 		// memtier command lines working.
 		if len(args) < 3 {
-			return wrongArity(dst, "set"), scratch, false
+			dst = wrongArity(dst, "set")
+		} else if err := b.Set(args[1], args[2]); err != nil {
+			dst = AppendError(dst, "ERR "+err.Error())
+		} else {
+			dst = AppendSimple(dst, "OK")
 		}
-		if err := s.b.Set(args[1], args[2]); err != nil {
-			return AppendError(dst, "ERR "+err.Error()), scratch, false
-		}
-		return AppendSimple(dst, "OK"), scratch, false
-	case "DEL":
+	case cmdDel:
 		if len(args) < 2 {
-			return wrongArity(dst, "del"), scratch, false
+			dst = wrongArity(dst, "del")
+			break
 		}
 		n := int64(0)
+		var err error
 		for _, k := range args[1:] {
-			deleted, err := s.b.Del(k)
-			if err != nil {
-				return AppendError(dst, "ERR "+err.Error()), scratch, false
+			var deleted bool
+			if deleted, err = b.Del(k); err != nil {
+				break
 			}
 			if deleted {
 				n++
 			}
 		}
-		return AppendInt(dst, n), scratch, false
-	case "MGET":
-		if len(args) < 2 {
-			return wrongArity(dst, "mget"), scratch, false
-		}
-		vals, found, err := s.b.MGet(args[1:])
 		if err != nil {
-			return AppendError(dst, "ERR "+err.Error()), scratch, false
+			dst = AppendError(dst, "ERR "+err.Error())
+		} else {
+			dst = AppendInt(dst, n)
+		}
+	case cmdMGet:
+		if len(args) < 2 {
+			dst = wrongArity(dst, "mget")
+			break
+		}
+		m := &sl.mget
+		if err := b.MGet(args[1:], m); err != nil {
+			dst = AppendError(dst, "ERR "+err.Error())
+			break
 		}
 		dst = AppendArray(dst, len(args)-1)
-		for i := range vals {
-			if i < len(found) && found[i] {
-				dst = AppendBulk(dst, vals[i])
+		for i := range args[1:] {
+			if i < len(m.Found) && m.Found[i] && i < len(m.Vals) {
+				dst = AppendBulk(dst, m.Vals[i])
 			} else {
 				dst = AppendNil(dst)
 			}
 		}
-		return dst, scratch, false
-	case "MSET":
+	case cmdMSet:
 		if len(args) < 3 || len(args)%2 != 1 {
-			return wrongArity(dst, "mset"), scratch, false
+			dst = wrongArity(dst, "mset")
+			break
 		}
-		pairs := (len(args) - 1) / 2
-		keys := make([][]byte, 0, pairs)
-		vals := make([][]byte, 0, pairs)
+		// A key named twice takes its last value, as in Redis: one
+		// version stamp covers the batch, so the store could not tell
+		// the two writes apart.
+		keys, vals := sl.mkeys[:0], sl.mvals[:0]
+	pairs:
 		for i := 1; i+1 < len(args); i += 2 {
+			for j, k := range keys {
+				if bytes.Equal(k, args[i]) {
+					vals[j] = args[i+1]
+					continue pairs
+				}
+			}
 			keys = append(keys, args[i])
 			vals = append(vals, args[i+1])
 		}
-		if err := s.b.MSet(keys, vals); err != nil {
-			return AppendError(dst, "ERR "+err.Error()), scratch, false
+		sl.mkeys, sl.mvals = keys, vals
+		if err := b.MSet(keys, vals); err != nil {
+			dst = AppendError(dst, "ERR "+err.Error())
+		} else {
+			dst = AppendSimple(dst, "OK")
 		}
-		return AppendSimple(dst, "OK"), scratch, false
+	}
+	sl.reply = dst
+}
+
+// other runs a command outside the five data commands, on the reader, with
+// c.name holding its upper-cased name.
+func (c *conn) other(sl *slot) {
+	args, dst := sl.cmd, sl.reply[:0]
+	switch string(c.name) {
+	case "PING":
+		if len(args) >= 2 {
+			dst = AppendBulk(dst, args[1])
+		} else {
+			dst = AppendSimple(dst, "PONG")
+		}
+	case "ECHO":
+		if len(args) != 2 {
+			dst = wrongArity(dst, "echo")
+		} else {
+			dst = AppendBulk(dst, args[1])
+		}
 	case "INFO":
-		return AppendBulk(dst, []byte(s.b.Info())), scratch, false
+		dst = AppendBulk(dst, []byte(c.s.b.Info()))
 	case "CONFIG":
 		// CONFIG GET answers benchmark-compatible stubs; everything else is
 		// an acked no-op.
@@ -290,22 +604,26 @@ func (s *Server) dispatch(dst, scratch []byte, args [][]byte) (_, _ []byte, quit
 			dst = AppendBulk(dst, args[2])
 			switch string(upperInto(nil, args[2])) {
 			case "MAXMEMORY":
-				return AppendBulk(dst, []byte("0")), scratch, false
+				dst = AppendBulk(dst, []byte("0"))
 			case "APPENDONLY":
-				return AppendBulk(dst, []byte("no")), scratch, false
+				dst = AppendBulk(dst, []byte("no"))
 			default: // "save" and friends
-				return AppendBulk(dst, nil), scratch, false
+				dst = AppendBulk(dst, nil)
 			}
+		} else {
+			dst = AppendSimple(dst, "OK")
 		}
-		return AppendSimple(dst, "OK"), scratch, false
 	case "SELECT":
-		return AppendSimple(dst, "OK"), scratch, false
+		dst = AppendSimple(dst, "OK")
 	case "COMMAND":
-		return AppendArray(dst, 0), scratch, false
+		dst = AppendArray(dst, 0)
 	case "QUIT":
-		return AppendSimple(dst, "OK"), scratch, true
+		dst = AppendSimple(dst, "OK")
+		sl.quit = true
+	default:
+		dst = AppendError(dst, fmt.Sprintf("ERR unknown command '%s'", args[0]))
 	}
-	return AppendError(dst, fmt.Sprintf("ERR unknown command '%s'", args[0])), scratch, false
+	sl.reply = dst
 }
 
 func wrongArity(dst []byte, cmd string) []byte {
