@@ -227,6 +227,32 @@ func TestBatchSurvivesReplicaCrashMidBatch(t *testing.T) {
 	}
 }
 
+// TestMultiPutKeyNamedTwiceKeepsLastValue: a batch that names a key more
+// than once leaves the key's last value on every replica, and acks each
+// place the key was named.
+func TestMultiPutKeyNamedTwiceKeepsLastValue(t *testing.T) {
+	c, cl := startTestCluster(t, 3, Config{Seed: 38})
+	keys := []string{"dup", "solo", "dup", "pair", "dup", "pair"}
+	vals := [][]byte{[]byte("first"), []byte("s"), []byte("middle"), []byte("p1"), []byte("last"), []byte("p2")}
+	oks, err := cl.MultiPutAt(keys, vals, All)
+	if err != nil {
+		t.Fatalf("MultiPut: %v", err)
+	}
+	for i, ok := range oks {
+		if !ok {
+			t.Fatalf("key %q at %d not acked", keys[i], i)
+		}
+	}
+	want := map[string]string{"dup": "last", "solo": "s", "pair": "p2"}
+	for _, n := range c.Nodes { // RF 3 on 3 nodes: every node holds every key
+		for k, w := range want {
+			if v, _, ok := n.store.GetVersioned(nil, k); !ok || string(v) != w {
+				t.Fatalf("node %d: %q = %q (found %v), want %q", n.id, k, v, ok, w)
+			}
+		}
+	}
+}
+
 // TestMultiPutAllReplicasDown: a batch write whose keys' whole replica groups
 // are unreachable must surface ErrWriteFailed with every ok false — the
 // batch counterpart of the ack-on-failure regression.

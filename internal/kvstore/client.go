@@ -265,6 +265,7 @@ func (c *Client) multiGetChunk(lvl Level, keys []string, vals [][]byte, found []
 // the caller can retry just the failed keys. oks is returned even alongside
 // a transport error: chunks that went out before the failure keep their
 // acks (those writes were applied), and the failed chunk's keys stay false.
+// A key named more than once takes its last value.
 func (c *Client) MultiPut(keys []string, vals [][]byte) (oks []bool, err error) {
 	return c.MultiPutAt(keys, vals, One)
 }

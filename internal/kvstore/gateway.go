@@ -141,21 +141,24 @@ func (b *respBackend) writeSync(g *writeGather) error {
 // MGet coordinates a batch read into r: r.Vals[i]/r.Found[i] report
 // keys[i]. A missing key has Found[i] false and Vals[i] nil; a present empty
 // value has Found[i] true and Vals[i] a zero-length non-nil slice. The values
-// share r.Buf, and r.Keys holds the string views of the keys the read ladder
-// takes, so a caller reusing r allocates nothing per call.
+// share r.Buf, so a caller reusing r allocates nothing per call.
 func (b *respBackend) MGet(keys [][]byte, r *resp.MGetReply) error {
 	if len(keys) > wire.MaxBatchKeys {
 		return errBatchTooLarge
 	}
-	sk := r.Keys[:0]
 	for _, k := range keys {
 		if len(k) > wire.MaxKeyLen {
 			return errKeyTooLong
 		}
-		sk = append(sk, pooledString(k)) // the gather copies the keys it keeps
 	}
-	r.Keys = sk
-	g := b.n.newReadGather(uint8(b.lvl), sk, readValues)
+	sk := keyViewsPool.Get().(*[]string)
+	for _, k := range keys {
+		*sk = append(*sk, pooledString(k))
+	}
+	g := b.n.newReadGather(uint8(b.lvl), *sk, readValues) // copies the keys it keeps
+	clear(*sk)
+	*sk = (*sk)[:0]
+	keyViewsPool.Put(sk)
 	g.run()
 	total := 0
 	for i := range keys {
@@ -180,6 +183,10 @@ func (b *respBackend) MGet(keys [][]byte, r *resp.MGetReply) error {
 	r.Buf, r.Vals, r.Found = buf, vals, found
 	return nil
 }
+
+// keyViewsPool recycles MGet's string views of its keys, which live only
+// until the read gather has copied them.
+var keyViewsPool = sync.Pool{New: func() any { return new([]string) }}
 
 // MSet coordinates a batch write under one shared version stamp. Per-key
 // shortfalls surface as an error (RESP MSET has no partial-success reply).

@@ -16,6 +16,7 @@ import (
 
 	"c3/internal/obs"
 	"c3/internal/resp"
+	"c3/internal/wire"
 )
 
 // startGateway boots an n-node cluster and fronts node 0 with a RESP server
@@ -478,6 +479,43 @@ func TestGatewayPipelinedReadYourWrites(t *testing.T) {
 		if got := renderReply(r); got != w {
 			t.Fatalf("reply %d = %q, want %q", i, got, w)
 		}
+	}
+}
+
+// TestGatewayMSetBatchRules: an MSET that names a key twice leaves its last
+// value on every replica, and MGET and MSET over wire.MaxBatchKeys keys are
+// refused quickly, with nothing written.
+func TestGatewayMSetBatchRules(t *testing.T) {
+	c, rc := startGateway(t, 3, Config{Seed: 99}, All)
+	do(t, rc, "MSET", "d", "first", "e", "x", "d", "last")
+	for _, n := range c.Nodes {
+		if v, _, ok := n.store.GetVersioned(nil, "d"); !ok || string(v) != "last" {
+			t.Fatalf("node %d: d = %q (found %v), want \"last\"", n.id, v, ok)
+		}
+	}
+
+	const over = wire.MaxBatchKeys + 1
+	mset, mget := []string{"MSET"}, []string{"MGET"}
+	for i := 0; i < over; i++ {
+		k := fmt.Sprintf("big%d", i)
+		mset, mget = append(mset, k, "v"), append(mget, k)
+	}
+	want := fmt.Sprintf("-ERR batch exceeds %d keys", wire.MaxBatchKeys)
+	for _, args := range [][]string{mset, mget} {
+		start := time.Now()
+		r, err := rc.Do(args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := renderReply(r); got != want {
+			t.Fatalf("%s of %d keys: reply %q, want %q", args[0], over, got, want)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("%s of %d keys took %v to refuse", args[0], over, d)
+		}
+	}
+	if r := do(t, rc, "GET", "big0"); !r.IsNil {
+		t.Fatalf("GET big0 = %q after a refused MSET", renderReply(r))
 	}
 }
 

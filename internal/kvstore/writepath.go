@@ -125,11 +125,39 @@ func pointGather(key string, val []byte, del bool, buf *[]byte) *writeGather {
 }
 
 // batchGather draws a gather for a batch write answered key by key. The
-// gather takes keys and vals (it may reorder them); vals are backed by buf.
+// gather takes keys and vals (it may reorder them, and lastValueWins
+// rewrites vals); vals are backed by buf.
 func batchGather(keys []string, vals [][]byte, buf *[]byte) *writeGather {
+	lastValueWins(keys, vals)
 	g := writeGatherPool.Get().(*writeGather)
 	g.keys, g.vals, g.buf, g.batch = keys, vals, buf, true
 	return g
+}
+
+// lastIndexPool recycles lastValueWins's index from key to its last place.
+var lastIndexPool = sync.Pool{New: func() any { return make(map[string]int32) }}
+
+// lastValueWins makes every occurrence of a key named more than once in a
+// batch carry the key's last value, as Redis MSET does. The batch shares one
+// version stamp, so a replica applies a key's first occurrence and its guard
+// skips the rest as equal versions: without this, the first value would
+// win. Each occurrence stays in the batch and is acked in its own place.
+// Linear in the batch, which the caller has bounded (wire.MaxBatchKeys).
+func lastValueWins(keys []string, vals [][]byte) {
+	if len(keys) < 2 {
+		return
+	}
+	last := lastIndexPool.Get().(map[string]int32)
+	for i, k := range keys {
+		last[k] = int32(i)
+	}
+	if len(last) < len(keys) {
+		for i, k := range keys {
+			vals[i] = vals[last[k]]
+		}
+	}
+	clear(last)
+	lastIndexPool.Put(last)
 }
 
 // writeSub is one sub-batch of a coordinated write: keys lo..hi of the

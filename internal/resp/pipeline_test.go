@@ -305,6 +305,60 @@ func TestPipelineQuitAndProtocolErrorDeliverEarlierReplies(t *testing.T) {
 	}
 }
 
+// capBackend refuses batches over 4096 keys, as the kvstore gateway does.
+type capBackend struct{ *fakeBackend }
+
+var errBatchTooLarge = errors.New("batch exceeds 4096 keys")
+
+func (c capBackend) MGet(keys [][]byte, into *MGetReply) error {
+	if len(keys) > 4096 {
+		return errBatchTooLarge
+	}
+	return c.fakeBackend.MGet(keys, into)
+}
+
+func (c capBackend) MSet(keys, vals [][]byte) error {
+	if len(keys) > 4096 {
+		return errBatchTooLarge
+	}
+	return c.fakeBackend.MSet(keys, vals)
+}
+
+// A pipeline of the largest MSETs and MGETs a command can carry, each
+// sharing no key with the others, is answered quickly: the server's work
+// before the backend refuses them — copying, hashing, the conflict checks
+// against every earlier command — grows with the key count, not with its
+// square.
+func TestPipelineOversizedBatchesAnswerQuickly(t *testing.T) {
+	conn := serve(t, capBackend{newFakeBackend()})
+	const pairs = (MaxArgs - 1) / 2
+	var req []byte
+	var want []string
+	args := make([][]byte, 0, MaxArgs)
+	for c := 0; c < 8; c++ {
+		args = append(args[:0], []byte("MSET"))
+		if c%2 == 1 {
+			args[0] = []byte("MGET")
+		}
+		for i := 0; i < pairs; i++ {
+			args = append(args, fmt.Appendf(nil, "k%d.%d", c, i))
+			if c%2 == 0 {
+				args = append(args, []byte("v"))
+			}
+		}
+		req = AppendCommand(req, args)
+		want = append(want, "ERR "+errBatchTooLarge.Error())
+	}
+	req = AppendCommand(req, [][]byte{[]byte("MSET"), []byte("k"), []byte("v")})
+	want = append(want, "OK")
+	start := time.Now()
+	go conn.Write(req)
+	expectReplies(t, bufio.NewReader(conn), want...)
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("oversized batches took %v to answer", d)
+	}
+}
+
 // constBackend answers every read with one value and acks every write,
 // allocating nothing.
 type constBackend struct{ val []byte }

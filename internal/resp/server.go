@@ -2,12 +2,13 @@ package resp
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"hash/maphash"
 	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Backend is what a Server fronts: the five data commands the gateway maps
@@ -37,7 +38,6 @@ type MGetReply struct {
 	Vals  [][]byte // Vals[i] is keys[i]'s value, a view of Buf; nil on a miss
 	Found []bool   // Found[i] reports whether keys[i] exists
 	Buf   []byte   // the bytes of every found value
-	Keys  []string // backend scratch, e.g. string views of the keys
 }
 
 // Server accepts RESP connections and drives a Backend. A connection runs up
@@ -47,13 +47,21 @@ type MGetReply struct {
 //   - The reader goroutine decodes a command into a slot of the connection's
 //     ring. A lone command — nothing in flight and no more input buffered —
 //     runs on the reader itself, the one-hop path of an unpipelined client.
-//     Pipelined commands copy their arguments into the slot and go to the
-//     connection's workers, started on demand up to the depth.
+//     Pipelined commands copy their arguments into scratch memory drawn
+//     from a shared pool and go to the server's workers: a parked worker
+//     takes one without allocating, and a worker starts only when none is
+//     parked. An idle connection keeps its reader and writer and no memory
+//     of its last commands.
 //   - Two commands conflict when they share a key and at least one of them
 //     writes (SET, DEL, MSET). A command starts only after every earlier
 //     conflicting command has finished, so a connection reads its own
 //     writes. Every other command (QUIT, INFO, CONFIG, …) waits for all
 //     earlier commands and runs on the reader.
+//   - Commands on different keys overlap, so other connections can see a
+//     pipeline's effects out of command order: after SET a 1; SET b 1 sent
+//     in one write, another client may read b's new value and a's old one.
+//     Redis never reorders so; a client that needs one write visible before
+//     the next waits for its reply first.
 //   - When every slot is busy the reader stops reading, and TCP pushes back
 //     on the client.
 //   - The writer goroutine drains the ring in order. It flushes before it
@@ -63,6 +71,10 @@ type MGetReply struct {
 // QUIT and a protocol error deliver every earlier reply, then close.
 type Server struct {
 	b Backend
+
+	work    chan *slot   // unbuffered: a parked worker takes a runnable command
+	idle    atomic.Int32 // workers parked on work
+	workers sync.WaitGroup
 
 	mu     sync.Mutex
 	lns    map[net.Listener]struct{}
@@ -75,6 +87,7 @@ type Server struct {
 func NewServer(b Backend) *Server {
 	return &Server{
 		b:     b,
+		work:  make(chan *slot),
 		lns:   make(map[net.Listener]struct{}),
 		conns: make(map[net.Conn]struct{}),
 	}
@@ -125,9 +138,10 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // Close stops every listener, severs every connection, and waits for the
-// connection goroutines to drain.
+// connection goroutines and the workers to drain.
 func (s *Server) Close() {
 	s.mu.Lock()
+	first := !s.closed
 	s.closed = true
 	for ln := range s.lns {
 		ln.Close()
@@ -137,14 +151,42 @@ func (s *Server) Close() {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
+	if first {
+		close(s.work) // no connection is left to hand a worker a command
+		s.workers.Wait()
+	}
+}
+
+// maxIdleWorkers bounds the workers parked between bursts: a worker that
+// finishes while this many are parked exits.
+const maxIdleWorkers = 256
+
+// worker runs commands of any connection, starting with sl, until the
+// server closes or enough other workers are parked.
+func (s *Server) worker(sl *slot) {
+	defer s.workers.Done()
+	for ok := true; ok; {
+		sl.c.exec(sl)
+		sl.c.complete(sl)
+		if s.idle.Add(1) > maxIdleWorkers {
+			s.idle.Add(-1)
+			return
+		}
+		sl, ok = <-s.work
+		s.idle.Add(-1)
+	}
 }
 
 // pipelineDepth is how many commands one connection runs at once.
 const pipelineDepth = 16
 
-// retainCap bounds the buffers a slot keeps between commands: one huge
-// command must not pin its arena for the connection's lifetime.
-const retainCap = 64 << 10
+// retainCap and retainArgs bound what a pooled scratch keeps between
+// commands, in bytes and in arguments: one huge command must not pin its
+// buffers in the pool.
+const (
+	retainCap  = 64 << 10
+	retainArgs = 1024
+)
 
 // cmdKind classifies a command for the conflict rule.
 type cmdKind uint8
@@ -160,100 +202,116 @@ const (
 
 func (k cmdKind) writes() bool { return k >= cmdSet }
 
-// slot is one command of a connection's ring, from decode to its reply
-// leaving. Its buffers are reused by every command that lands in it.
-type slot struct {
-	kind  cmdKind
-	bit   uint32   // this slot's ring position as a bit of deps
-	deps  uint32   // ring positions of earlier unfinished conflicting commands
-	done  bool     // reply is final (guarded by conn.mu)
-	quit  bool     // close the connection after this reply
-	cmd   [][]byte // the command: views of argv or, inline, of the Reader's arena
+// scratch is the memory one command uses from decode until its reply is
+// written. A slot draws one from scratchPool when a command lands in it and
+// returns it after the reply, so an idle connection holds none.
+type scratch struct {
 	argv  [][]byte
 	arena []byte
-	keys  []uint64 // hashes of the keys the command names
+	keys  []uint64 // sorted hashes of the keys the command names
 	reply []byte
 	mkeys [][]byte // MSET scratch
 	mvals [][]byte
 	mget  MGetReply
 }
 
-// own copies args into the slot: the Reader's arena is reused by the next
-// decode, and the command outlives it.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// release returns sc to the pool, or drops it when a large command grew any
+// of its buffers past what the pool keeps.
+func (sc *scratch) release() {
+	if max(cap(sc.arena), cap(sc.reply), cap(sc.mget.Buf)) > retainCap ||
+		max(cap(sc.argv), cap(sc.keys), cap(sc.mkeys), cap(sc.mget.Vals)) > retainArgs {
+		return
+	}
+	// An inline MSET's lists view the connection's parse arena: drop them.
+	clear(sc.mkeys)
+	clear(sc.mvals)
+	sc.reply = sc.reply[:0]
+	scratchPool.Put(sc)
+}
+
+// slot is one command of a connection's ring, from decode to its reply
+// leaving.
+type slot struct {
+	c    *conn
+	kind cmdKind
+	bit  uint32   // this slot's ring position as a bit of deps
+	deps uint32   // ring positions of earlier unfinished conflicting commands
+	done bool     // reply is final (guarded by conn.mu)
+	quit bool     // close the connection after this reply
+	cmd  [][]byte // the command: views of sc.argv or, inline, of the Reader's arena
+	sc   *scratch
+}
+
+// own copies args into the slot's scratch: the Reader's arena is reused by
+// the next decode, and the command outlives it.
 func (sl *slot) own(args [][]byte) {
-	n := 0
+	sc, n := sl.sc, 0
 	for _, a := range args {
 		n += len(a)
 	}
-	if cap(sl.arena) < n {
-		sl.arena = make([]byte, 0, n)
+	if cap(sc.arena) < n {
+		sc.arena = make([]byte, 0, n)
 	}
-	arena, argv := sl.arena[:0], sl.argv[:0]
+	arena, argv := sc.arena[:0], sc.argv[:0]
 	for _, a := range args {
 		at := len(arena)
 		arena = append(arena, a...) // within capacity: earlier views stay put
 		argv = append(argv, arena[at:len(arena):len(arena)])
 	}
-	sl.arena, sl.argv, sl.cmd = arena, argv, argv
+	sc.arena, sc.argv, sl.cmd = arena, argv, argv
 }
 
 var keySeed = maphash.MakeSeed()
 
-// hashKeys records the hashes of the keys the command names. A collision
-// only orders two commands that could have overlapped.
+// hashKeys records the sorted hashes of the keys the command names. A
+// collision only orders two commands that could have overlapped.
 func (sl *slot) hashKeys() {
-	sl.keys = sl.keys[:0]
+	keys := sl.sc.keys[:0]
 	step := 1
 	if sl.kind == cmdMSet {
 		step = 2
 	}
 	for i := 1; i < len(sl.cmd); i += step {
-		sl.keys = append(sl.keys, maphash.Bytes(keySeed, sl.cmd[i]))
+		keys = append(keys, maphash.Bytes(keySeed, sl.cmd[i]))
 		if sl.kind == cmdGet || sl.kind == cmdSet {
 			break
 		}
 	}
+	slices.Sort(keys)
+	sl.sc.keys = keys
 }
 
-// conflicts reports whether sl must wait for the earlier command o.
+// conflicts reports whether sl must wait for the earlier command o: they
+// share a key and one of them writes. Both key lists are sorted, so the
+// check is one merge, linear in the two commands' key counts.
 func (sl *slot) conflicts(o *slot) bool {
 	if !sl.kind.writes() && !o.kind.writes() {
 		return false
 	}
-	for _, a := range sl.keys {
-		for _, b := range o.keys {
-			if a == b {
-				return true
-			}
+	a, b := sl.sc.keys, o.sc.keys
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] == b[0]:
+			return true
+		case a[0] < b[0]:
+			a = a[1:]
+		default:
+			b = b[1:]
 		}
 	}
 	return false
-}
-
-// recycle drops what a finished command left in the slot, and any buffer a
-// large command grew past retainCap together with the views into it.
-func (sl *slot) recycle() {
-	sl.cmd, sl.reply, sl.quit = nil, sl.reply[:0], false
-	if cap(sl.reply) > retainCap {
-		sl.reply = nil
-	}
-	if cap(sl.arena) > retainCap {
-		sl.arena, sl.argv, sl.mkeys, sl.mvals = nil, nil, nil, nil
-	}
-	if cap(sl.mget.Buf) > retainCap {
-		sl.mget = MGetReply{}
-	}
 }
 
 // conn is one connection's state: the ring of slots, indexed by the
 // monotonic counters head (next reply to write) and tail (next slot to fill).
 // The reader owns the slot at tail until it publishes it by advancing tail.
 type conn struct {
-	s     *Server
-	nc    net.Conn
-	r     *Reader
-	name  []byte     // upper-cased command name (reader only)
-	ready chan *slot // commands whose conflicts have all finished
+	s    *Server
+	nc   net.Conn
+	r    *Reader
+	name []byte // upper-cased command name (reader only)
 
 	mu      sync.Mutex
 	rcond   sync.Cond // on mu: the reader waits for a free slot or a drain
@@ -262,21 +320,19 @@ type conn struct {
 	head    uint64
 	tail    uint64
 	running int  // published commands not yet done
-	queued  int  // commands handed to the workers and not yet done
-	workers int  // worker goroutines started
 	closing bool // the reader is done; the writer exits once the ring is empty
 
-	wg sync.WaitGroup // writer and workers
+	wg sync.WaitGroup // the writer
 }
 
 // handle runs one connection until the client disconnects, errs at the
 // protocol level, or sends QUIT.
 func (s *Server) handle(nc net.Conn) {
 	defer s.wg.Done()
-	c := &conn{s: s, nc: nc, r: NewReader(nc), ready: make(chan *slot, pipelineDepth)}
+	c := &conn{s: s, nc: nc, r: NewReader(nc)}
 	c.rcond.L, c.wcond.L = &c.mu, &c.mu
 	for i := range c.ring {
-		c.ring[i].bit = 1 << i
+		c.ring[i].c, c.ring[i].bit = c, 1<<i
 	}
 	c.wg.Add(1)
 	go c.writeLoop()
@@ -289,7 +345,6 @@ func (s *Server) handle(nc net.Conn) {
 	c.closing = true
 	c.wcond.Signal()
 	c.mu.Unlock()
-	close(c.ready)
 	c.wg.Wait()
 
 	s.mu.Lock()
@@ -305,9 +360,9 @@ func (c *conn) readLoop() {
 		if err != nil {
 			if errors.Is(err, ErrProtocol) {
 				sl := c.admit(cmdOther, nil)
-				sl.reply = AppendError(sl.reply, "ERR "+err.Error())
+				sl.sc.reply = AppendError(sl.sc.reply, "ERR "+err.Error())
 				sl.quit = true
-				c.complete(sl, false)
+				c.complete(sl)
 			}
 			return
 		}
@@ -322,7 +377,7 @@ func (c *conn) readLoop() {
 			c.exec(sl)
 		}
 		quit := sl.quit
-		c.complete(sl, false)
+		c.complete(sl)
 		if quit {
 			return
 		}
@@ -362,6 +417,7 @@ func (c *conn) admit(kind cmdKind, args [][]byte) *slot {
 	inline = inline && c.running == 0
 	sl := &c.ring[c.tail%pipelineDepth]
 	sl.kind, sl.deps, sl.done = kind, 0, false
+	sl.sc = scratchPool.Get().(*scratch)
 	if inline {
 		sl.cmd = args
 		c.tail++
@@ -389,35 +445,23 @@ func (c *conn) admit(kind cmdKind, args [][]byte) *slot {
 	return nil
 }
 
-// dispatch hands a runnable command to the workers, starting one when every
-// worker already has a command. Called with c.mu held.
+// dispatch hands a runnable command to a parked worker, or starts one when
+// none is parked. Called with c.mu held.
 func (c *conn) dispatch(sl *slot) {
-	c.ready <- sl // buffered to the ring's size: never blocks
-	c.queued++
-	if c.queued > c.workers {
-		c.workers++
-		c.wg.Add(1)
-		go c.work()
-	}
-}
-
-func (c *conn) work() {
-	defer c.wg.Done()
-	for sl := range c.ready {
-		c.exec(sl)
-		c.complete(sl, true)
+	select {
+	case c.s.work <- sl:
+	default:
+		c.s.workers.Add(1)
+		go c.s.worker(sl)
 	}
 }
 
 // complete marks sl's reply final, releases the commands that waited on it
 // and wakes the writer and the reader.
-func (c *conn) complete(sl *slot, worker bool) {
+func (c *conn) complete(sl *slot) {
 	c.mu.Lock()
 	sl.done = true
 	c.running--
-	if worker {
-		c.queued--
-	}
 	for i := c.head; i < c.tail; i++ {
 		if o := &c.ring[i%pipelineDepth]; o.deps&sl.bit != 0 {
 			if o.deps &^= sl.bit; o.deps == 0 {
@@ -457,8 +501,9 @@ func (c *conn) writeLoop() {
 			continue
 		}
 		c.mu.Unlock()
-		w.Write(sl.reply)
-		sl.recycle()
+		w.Write(sl.sc.reply)
+		sl.sc.release()
+		sl.sc, sl.cmd, sl.quit = nil, nil, false
 		c.mu.Lock()
 		c.head++
 		c.rcond.Signal()
@@ -481,7 +526,7 @@ func upperInto(dst, b []byte) []byte {
 
 // exec runs one data command and encodes its reply into the slot.
 func (c *conn) exec(sl *slot) {
-	b, args, dst := c.s.b, sl.cmd, sl.reply[:0]
+	b, args, dst := c.s.b, sl.cmd, sl.sc.reply[:0]
 	switch sl.kind {
 	case cmdGet:
 		if len(args) != 2 {
@@ -534,7 +579,7 @@ func (c *conn) exec(sl *slot) {
 			dst = wrongArity(dst, "mget")
 			break
 		}
-		m := &sl.mget
+		m := &sl.sc.mget
 		if err := b.MGet(args[1:], m); err != nil {
 			dst = AppendError(dst, "ERR "+err.Error())
 			break
@@ -552,35 +597,24 @@ func (c *conn) exec(sl *slot) {
 			dst = wrongArity(dst, "mset")
 			break
 		}
-		// A key named twice takes its last value, as in Redis: one
-		// version stamp covers the batch, so the store could not tell
-		// the two writes apart.
-		keys, vals := sl.mkeys[:0], sl.mvals[:0]
-	pairs:
+		keys, vals := sl.sc.mkeys[:0], sl.sc.mvals[:0]
 		for i := 1; i+1 < len(args); i += 2 {
-			for j, k := range keys {
-				if bytes.Equal(k, args[i]) {
-					vals[j] = args[i+1]
-					continue pairs
-				}
-			}
-			keys = append(keys, args[i])
-			vals = append(vals, args[i+1])
+			keys, vals = append(keys, args[i]), append(vals, args[i+1])
 		}
-		sl.mkeys, sl.mvals = keys, vals
+		sl.sc.mkeys, sl.sc.mvals = keys, vals
 		if err := b.MSet(keys, vals); err != nil {
 			dst = AppendError(dst, "ERR "+err.Error())
 		} else {
 			dst = AppendSimple(dst, "OK")
 		}
 	}
-	sl.reply = dst
+	sl.sc.reply = dst
 }
 
 // other runs a command outside the five data commands, on the reader, with
 // c.name holding its upper-cased name.
 func (c *conn) other(sl *slot) {
-	args, dst := sl.cmd, sl.reply[:0]
+	args, dst := sl.cmd, sl.sc.reply[:0]
 	switch string(c.name) {
 	case "PING":
 		if len(args) >= 2 {
@@ -623,7 +657,7 @@ func (c *conn) other(sl *slot) {
 	default:
 		dst = AppendError(dst, fmt.Sprintf("ERR unknown command '%s'", args[0]))
 	}
-	sl.reply = dst
+	sl.sc.reply = dst
 }
 
 func wrongArity(dst []byte, cmd string) []byte {
