@@ -3,7 +3,9 @@
 // Quick scale and reports its headline metrics via b.ReportMetric, so
 // `go test -bench=. -benchmem` regenerates (a scaled version of) the paper's
 // entire evaluation. The full-scale runs live behind `cmd/c3bench -scale
-// full`; EXPERIMENTS.md records paper-vs-measured numbers.
+// full`, which prints each report's paper-vs-measured lines, and the
+// ordering assertions in internal/bench/shape_test.go hold the reproduction
+// to the paper's shape.
 package c3_test
 
 import (
@@ -97,7 +99,3 @@ func BenchmarkExtQuorumReads(b *testing.B) { runFigure(b, "ext-quorum") }
 
 // Extension (§8): speculative retries atop C3.
 func BenchmarkExtSpecRetryAtopC3(b *testing.B) { runFigure(b, "ext-spec") }
-
-// Live TCP store: the network hot path's throughput/latency/alloc record
-// (machine-readable trajectory in BENCH_kv.json via cmd/c3bench).
-func BenchmarkKVStoreHotPath(b *testing.B) { runFigure(b, "kv") }

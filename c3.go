@@ -44,8 +44,8 @@
 // invariant checks.
 //
 // Everything is driven by explicit timestamps, so the same client runs under
-// simulated or wall-clock time. See examples/ for runnable programs, and
-// DESIGN.md / EXPERIMENTS.md for the paper reproduction.
+// simulated or wall-clock time. See examples/ for runnable programs,
+// DESIGN.md for the design, and cmd/c3bench for the paper reproduction.
 package c3
 
 import (

@@ -1,6 +1,7 @@
 // Command c3bench regenerates the paper's evaluation: every table and figure
 // (Figures 1–15 plus the §5 text experiments and the ablations), rendered as
-// text reports.
+// text reports, plus the live membership-churn experiment (elastic). The
+// live store's other numbers come from the measurement spine, benchmark/.
 //
 // Usage:
 //
@@ -23,20 +24,8 @@ func main() {
 	fig := flag.String("fig", "all", "experiment id (see -list) or 'all'")
 	scale := flag.String("scale", "medium", "quick | medium | full")
 	seeds := flag.Int("seeds", 0, "repetitions per configuration (0 = scale default)")
-	kvjson := flag.String("kvjson", "BENCH_kv.json",
-		"path for the machine-readable live-store benchmark record (written when the kv experiment runs; empty disables)")
-	tailjson := flag.String("tailjson", "BENCH_tail.json",
-		"path for the machine-readable tail-tolerance benchmark record (written when the tail experiment runs; empty disables)")
-	batchjson := flag.String("batchjson", "BENCH_batch.json",
-		"path for the machine-readable batch scatter-gather benchmark record (written when the batch experiment runs; empty disables)")
 	elasticjson := flag.String("elasticjson", "BENCH_elastic.json",
 		"path for the machine-readable membership-churn benchmark record (written when the elastic experiment runs; empty disables)")
-	durablejson := flag.String("durablejson", "BENCH_durable.json",
-		"path for the machine-readable durability benchmark record (written when the durable experiment runs; empty disables)")
-	consistencyjson := flag.String("consistencyjson", "BENCH_consistency.json",
-		"path for the machine-readable tunable-consistency benchmark record (written when the consistency experiment runs; empty disables)")
-	shards := flag.Int("shards", 0,
-		"per-node shard count for live-cluster experiments (0 = GOMAXPROCS; 1 reproduces the pre-sharding layout)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.Parse()
 
@@ -51,10 +40,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	o := bench.Options{Scale: sc, Seeds: *seeds, KVJSONPath: *kvjson,
-		TailJSONPath: *tailjson, BatchJSONPath: *batchjson,
-		ElasticJSONPath: *elasticjson, DurableJSONPath: *durablejson,
-		ConsistencyJSONPath: *consistencyjson, Shards: *shards}
+	o := bench.Options{Scale: sc, Seeds: *seeds, ElasticJSONPath: *elasticjson}
 
 	runners := bench.All()
 	if *fig != "all" {

@@ -2,8 +2,9 @@
 // the paper, each regenerating the corresponding rows/series on this
 // repository's substrates (internal/cassim for §5, internal/queuesim for §6,
 // closed-form evaluation for the illustrative figures). cmd/c3bench and the
-// top-level benchmarks (bench_test.go) both drive these runners; the
-// paper-vs-measured record lives in EXPERIMENTS.md.
+// top-level benchmarks (bench_test.go) both drive these runners; each
+// report prints its paper-vs-measured lines, and shape_test.go asserts the
+// paper's orderings.
 package bench
 
 import (
@@ -40,29 +41,9 @@ func ParseScale(s string) (Scale, error) {
 type Options struct {
 	Scale Scale
 	Seeds int // number of repetitions; 0 takes a scale-based default
-	// KVJSONPath, when non-empty, makes the kv runner also write its
-	// machine-readable result (BENCH_kv.json) to this path.
-	KVJSONPath string
-	// TailJSONPath, when non-empty, makes the tail runner also write its
-	// machine-readable result (BENCH_tail.json) to this path.
-	TailJSONPath string
-	// BatchJSONPath, when non-empty, makes the batch runner also write its
-	// machine-readable result (BENCH_batch.json) to this path.
-	BatchJSONPath string
 	// ElasticJSONPath, when non-empty, makes the elastic runner also write
 	// its machine-readable result (BENCH_elastic.json) to this path.
 	ElasticJSONPath string
-	// DurableJSONPath, when non-empty, makes the durable runner also write
-	// its machine-readable result (BENCH_durable.json) to this path.
-	DurableJSONPath string
-	// ConsistencyJSONPath, when non-empty, makes the consistency runner also
-	// write its machine-readable result (BENCH_consistency.json) to this path.
-	ConsistencyJSONPath string
-	// Shards overrides the per-node shard count for the live-cluster
-	// benchmarks. 0 takes the kvstore default (GOMAXPROCS); 1 reproduces
-	// the pre-sharding single-writer layout, making the sharding win
-	// ablatable from the command line.
-	Shards int
 }
 
 func (o Options) seeds() int {
@@ -196,12 +177,7 @@ func All() []Runner {
 		{"ext-token", "extension: token-aware clients (§7)", ExtTokenAware},
 		{"ext-quorum", "extension: quorum reads (§7)", ExtQuorum},
 		{"ext-spec", "extension: reissues atop C3 (§8)", ExtC3Spec},
-		{"kv", "live TCP store throughput/latency (network hot path)", KV},
-		{"tail", "tail tolerance under injected failures (hedged vs unhedged)", Tail},
-		{"batch", "batch scatter-gather: MultiGet vs pipelined point gets", Batch},
 		{"elastic", "membership churn: p99 through a live join and decommission", Elastic},
-		{"durable", "durability tax: WAL group commit, fsync, recovery time", Durable},
-		{"consistency", "tunable consistency: stale reads and quorum latency", Consistency},
 	}
 }
 

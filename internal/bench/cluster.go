@@ -305,7 +305,7 @@ func FigSpec(o Options) *Report {
 	r.printf("  p99 DS-SPEC/DS = %.2fx (paper: retries degraded p99 up to 5x)", p99[1]/p99[0])
 	r.printf("  KNOWN DEVIATION: the paper's blowup needs disks whose per-op cost grows under")
 	r.printf("  contention; this model's seek cost is load-independent, so the extra duplicate")
-	r.printf("  load is absorbed instead of cascading. See EXPERIMENTS.md.")
+	r.printf("  load is absorbed instead of cascading. See DESIGN.md, Experiments.")
 	r.Metric("spec_p99_ratio", p99[1]/p99[0])
 	return r
 }

@@ -2,11 +2,10 @@ package bench
 
 import "runtime"
 
-// Meta records the configuration that produced a BENCH_*.json record, so
-// cross-PR comparisons (scripts/bench_guard.sh) can refuse to compare runs
-// that measured different things. Hardware-ish fields (gomaxprocs, num_cpu,
-// go_version) are advisory — the guard warns on them; semantic fields
-// (scale, shards, sync_policy) are hard mismatches.
+// Meta records the configuration a benchmark record was measured under. The
+// elastic runner stamps BENCH_elastic.json with it, and the measurement
+// spine's stamp (benchmark/stamp.go) embeds it, so the spine's compare
+// refuses two result sets measured under different settings.
 type Meta struct {
 	GoVersion  string `json:"go_version"`
 	GOOS       string `json:"goos"`
@@ -18,15 +17,9 @@ type Meta struct {
 	SyncPolicy string `json:"sync_policy"`
 }
 
-// Sync policies a benchmark cluster can run under. These name what the
-// emitting runner actually configured, not an lsm option verbatim.
-const (
-	// SyncInMemory: no DataDir, no WAL — nothing to sync.
-	SyncInMemory = "in-memory"
-	// SyncPeriodic: WAL-backed with the kvstore serving default (ack after
-	// write(2), background fsync every 20ms).
-	SyncPeriodic = "periodic-20ms"
-)
+// SyncInMemory is the sync policy of a cluster with no DataDir and no WAL:
+// nothing to sync.
+const SyncInMemory = "in-memory"
 
 func scaleName(s Scale) string {
 	switch s {

@@ -4,8 +4,8 @@ import "testing"
 
 // These tests assert the *shape* of the paper's results — who wins and in
 // which direction — at Quick scale with a couple of seeds. Absolute values
-// belong to EXPERIMENTS.md; ordering violations here mean the reproduction
-// is broken.
+// are what cmd/c3bench's reports print; ordering violations here mean the
+// reproduction is broken.
 
 func opts() Options { return Options{Scale: Quick, Seeds: 2} }
 

@@ -350,7 +350,8 @@ func TestPointGetAllReplicasDownFails(t *testing.T) {
 func TestReadBudgetBoundsStalledReads(t *testing.T) {
 	const stall = 400 * time.Millisecond
 	cfg := Config{Seed: 39, ReadBudget: 60 * time.Millisecond, ReadRepair: -1}
-	cfg.Hedge.Disabled = true // the stall is everywhere; a hedge cannot rescue
+	// The stall is everywhere; a hedge cannot rescue, so none fires.
+	cfg.Hedge.MinDelay, cfg.Hedge.MaxDelay = time.Hour, time.Hour
 	c, cl := startTestCluster(t, 3, cfg)
 	keys, vals := batchKeysVals("budget", 8)
 	putBatchAndSettle(t, cl, keys, vals)

@@ -73,18 +73,43 @@ func TestQuorumPutGetRoundtrip(t *testing.T) {
 // TestQuorumReadYourWritesWithLaggingReplica: a replica that silently drops
 // writes (the fault-injection hook) must not make an acked QUORUM write
 // invisible to a QUORUM read — the read quorum always overlaps the write
-// quorum on a replica that applied it.
+// quorum on a replica that applied it. Every key is first written at ALL
+// while the group is healthy, so the lagging replica holds an old value and
+// a stale read shows up as that value rather than as a miss. The guarantee
+// must hold whichever replica the strategy ranks first, with every read
+// probing the lagging replica (whose write-backs it drops too) and with read
+// repair off, where nothing but the level's overlap keeps the read fresh.
 func TestQuorumReadYourWritesWithLaggingReplica(t *testing.T) {
-	c, cl := startTestCluster(t, 3, Config{Seed: 22}) // RF=3: one group
-	c.Nodes[2].SetDropWrites(true)
-	for i := 0; i < 40; i++ {
-		k := fmt.Sprintf("lag-%d", i)
-		if err := cl.PutAt(k, []byte("v-"+k), Quorum); err != nil {
-			t.Fatalf("PutAt(%s): %v", k, err)
-		}
-		v, ok, err := cl.GetAt(k, Quorum)
-		if err != nil || !ok || string(v) != "v-"+k {
-			t.Fatalf("stale or missing quorum read of %s: %q,%v,%v", k, v, ok, err)
+	for _, strategy := range []string{StratC3, StratRR} {
+		for _, rc := range []struct {
+			name   string
+			repair float64
+		}{{"repair-every-read", 1}, {"repair-off", -1}} {
+			t.Run(strategy+"/"+rc.name, func(t *testing.T) {
+				// RF=3: one group.
+				c, cl := startTestCluster(t, 3, Config{Seed: 22, Strategy: strategy, ReadRepair: rc.repair})
+				const nKeys, rounds = 40, 3
+				for i := 0; i < nKeys; i++ {
+					k := fmt.Sprintf("lag-%d", i)
+					if err := cl.PutAt(k, []byte("old-"+k), All); err != nil {
+						t.Fatalf("PutAt(%s, ALL): %v", k, err)
+					}
+				}
+				c.Nodes[2].SetDropWrites(true)
+				for r := 1; r <= rounds; r++ {
+					for i := 0; i < nKeys; i++ {
+						k := fmt.Sprintf("lag-%d", i)
+						want := fmt.Sprintf("v%d-%s", r, k)
+						if err := cl.PutAt(k, []byte(want), Quorum); err != nil {
+							t.Fatalf("PutAt(%s): %v", k, err)
+						}
+						v, ok, err := cl.GetAt(k, Quorum)
+						if err != nil || !ok || string(v) != want {
+							t.Fatalf("stale or missing quorum read of %s: %q,%v,%v, want %q", k, v, ok, err, want)
+						}
+					}
+				}
+			})
 		}
 	}
 }

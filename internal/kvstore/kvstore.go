@@ -112,10 +112,6 @@ type Config struct {
 // layer Cassandra pairs with replica selection as "speculative retry" (and
 // the paper's §8 reissues atop C3).
 type HedgeConfig struct {
-	// Disabled turns speculative reads off. Reads then ride on the replicas
-	// they were sent to until those respond, fail (failing over to the
-	// next-ranked replica), or the read budget expires.
-	Disabled bool
 	// MinDelay floors the adaptive hedge delay (default 250µs), bounding
 	// duplicate load when the RTT estimate collapses on a fast LAN.
 	MinDelay time.Duration

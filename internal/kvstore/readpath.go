@@ -488,12 +488,9 @@ func (g *readGather) wait() {
 	n := g.n
 	budget := getTimer(n.cfg.ReadBudget)
 	defer putTimer(budget)
-	var hedgeC <-chan time.Time
-	if !n.cfg.Hedge.Disabled {
-		hedge := getTimer(n.hedgeDelay())
-		defer putTimer(hedge)
-		hedgeC = hedge.C
-	}
+	hedge := getTimer(n.hedgeDelay())
+	defer putTimer(hedge)
+	hedgeC := hedge.C
 	for g.live > 0 {
 		select {
 		case c := <-g.ev:

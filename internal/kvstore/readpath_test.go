@@ -75,7 +75,7 @@ func TestQuorumReadDispatchShape(t *testing.T) {
 // and batch read, one of them with values and the rest with versions.
 func TestAllReadsEveryReplica(t *testing.T) {
 	cfg := Config{Seed: 32, ReadRepair: -1}
-	cfg.Hedge.Disabled = true
+	cfg.Hedge.MinDelay, cfg.Hedge.MaxDelay = time.Hour, time.Hour // no hedge fires
 	c, cl := startTestCluster(t, 3, cfg)
 	keys := ladderKeys("all", 8)
 	putAll(t, cl, keys, "v-")

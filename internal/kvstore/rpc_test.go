@@ -166,8 +166,8 @@ func TestRPCConnRoundTripZeroAllocs(t *testing.T) {
 // read repair off and with every read probing the rest of its group: probes
 // are pooled legs like any other, with no goroutine and no key or group
 // copy. The floor leaves headroom for background flush/compaction noise,
-// and any regression above it fails here before it shows up in
-// BENCH_kv.json.
+// and any regression above it fails here before it shows up in the
+// spine's steady_read allocs_per_op.
 //
 // Behind a storage delay (ReadDelayMean > 0, every replica read of the
 // slow_replica workload) a replica serves each leg on a goroutine of its own

@@ -455,7 +455,9 @@ func TestHedgedReadCutsTailUnderSlowReplica(t *testing.T) {
 	}
 	run := func(disabled bool) (maxLatency time.Duration, hedges, wins uint64) {
 		cfg := Config{Seed: 27, Strategy: StratRND}
-		cfg.Hedge.Disabled = disabled
+		if disabled { // a delay no read lives to see: the hedge never fires
+			cfg.Hedge.MinDelay, cfg.Hedge.MaxDelay = time.Hour, time.Hour
+		}
 		c, _ := startTestCluster(t, 3, cfg)
 		defer c.Close()
 		cl, err := Dial([]string{c.Nodes[0].Addr()})

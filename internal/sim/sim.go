@@ -5,7 +5,7 @@
 // Both evaluation substrates (internal/queuesim for the paper's §6 model and
 // internal/cassim for the §5 Cassandra-like cluster) run on this engine. The
 // engine is single-threaded by design: determinism is what makes every
-// experiment in EXPERIMENTS.md exactly reproducible from its seed.
+// simulated experiment of cmd/c3bench exactly reproducible from its seed.
 package sim
 
 import (
