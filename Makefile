@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race crash allocs lint vet cover bench spine loc clean
+.PHONY: build test race crash allocs lint vet cover bench spine loc figures clean
 
 build:
 	$(GO) build ./...
@@ -57,6 +57,12 @@ spine:
 # simplification is judged by. PKG narrows it: make loc PKG=internal/kvstore
 loc:
 	./scripts/loc.sh $(PKG)
+
+# Every simulated paper figure at quick scale, timing lines stripped: the
+# byte-for-byte check for a change to the selection path. Compare with the
+# parent's output using cmp.
+figures:
+	./scripts/figures.sh
 
 clean:
 	rm -rf bin

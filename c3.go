@@ -34,14 +34,16 @@
 //	    ServiceTime: resp.ServiceTime,
 //	}, rtt, time.Now().UnixNano())
 //
-// A request that is cancelled, times out locally, or loses its connection
-// before the reply must release its accounting with Client.OnAbandon — never
-// synthesize feedback for it. Speculative (hedged) duplicates are recorded
-// with Client.PickHedge / Client.OnHedge, which skip the rate controller:
-// a hedge duplicates a request it already admitted. Every send must be
-// balanced by exactly one OnResponse or OnAbandon, or the outstanding-
-// request term of q̂ drifts; Client.Outstanding exposes the count for
-// invariant checks.
+// Every selection event carries the number of keys n it stands for; Pick
+// and OnResponse are the one-key forms of PickBatch and OnResponseN. A
+// request that is cancelled, times out locally, or loses its connection
+// before the reply must release its accounting with Client.OnAbandonN —
+// never synthesize feedback for it. Speculative (hedged) duplicates are
+// picked with Client.PickHedgeN, which skips the rate controller: a hedge
+// duplicates a request it already admitted. Every send of n keys must be
+// balanced by exactly one OnResponseN or OnAbandonN of the same n, or the
+// outstanding-request term of q̂ drifts; Client.Outstanding exposes the
+// count for invariant checks.
 //
 // Everything is driven by explicit timestamps, so the same client runs under
 // simulated or wall-clock time. See examples/ for runnable programs,

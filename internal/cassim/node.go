@@ -356,14 +356,14 @@ func (n *node) dispatchRead(primary core.ServerID, op *readOp) {
 	// so the read completes at the ReadConsistency-th response.
 	for i := 1; i < op.needed && i < len(op.ranked); i++ {
 		s := op.ranked[i]
-		n.sel.OnSend(s, now)
+		n.sel.OnSendN(s, 1, now)
 		n.sendRead(op, s, now)
 		sentTo[s] = true
 	}
 	if op.repair {
 		for _, s := range n.e.groups[op.group] {
 			if !sentTo[s] {
-				n.sel.OnSend(s, now)
+				n.sel.OnSendN(s, 1, now)
 				n.sendRead(op, s, now)
 			}
 		}
@@ -392,7 +392,7 @@ func (n *node) armSpeculation(op *readOp) {
 		next := op.ranked[op.attempts]
 		op.attempts++
 		n.e.res.SpeculativeRetries++
-		n.sel.OnSend(next, n.e.s.Now())
+		n.sel.OnSendN(next, 1, n.e.s.Now())
 		n.sendRead(op, next, n.e.s.Now())
 	})
 }
@@ -434,7 +434,7 @@ func (n *node) onReadReply(j *job, fb core.Feedback) {
 	now := n.e.s.Now()
 	op := j.op
 	rtt := time.Duration(now - j.tSent)
-	n.sel.OnResponse(core.ServerID(j.exec.id), fb, rtt, now)
+	n.sel.OnResponseN(core.ServerID(j.exec.id), 1, fb, rtt, now)
 	if op.done {
 		return
 	}

@@ -1,7 +1,7 @@
 package core
 
 // Zero-allocation regression tests: the steady-state selection hot path —
-// Rank, Best, Pick and OnResponse, for every ranker — must not allocate.
+// Rank, Best, Pick and OnResponseN, for every ranker — must not allocate.
 // A regression here silently reintroduces GC pressure on the exact path
 // whose overhead C3 exists to remove, so these fail loudly.
 
@@ -17,8 +17,8 @@ import (
 func warmRanker(r Ranker, group []ServerID) {
 	dst := make([]ServerID, len(group))
 	for i, s := range group {
-		r.OnSend(s, int64(i))
-		r.OnResponse(s, Feedback{QueueSize: float64(i + 1), ServiceTime: time.Millisecond},
+		r.OnSendN(s, 1, int64(i))
+		r.OnResponseN(s, 1, Feedback{QueueSize: float64(i + 1), ServiceTime: time.Millisecond},
 			2*time.Millisecond, int64(i+1))
 	}
 	r.Rank(dst, group, 10)
@@ -79,9 +79,11 @@ func TestOnResponseSteadyStateZeroAllocs(t *testing.T) {
 	fb := Feedback{QueueSize: 2, ServiceTime: time.Millisecond}
 	for name, r := range allocTestRankers() {
 		warmRanker(r, group)
-		assertZeroAllocs(t, name+".OnResponse", func() {
-			r.OnSend(1, 30)
-			r.OnResponse(1, fb, 2*time.Millisecond, 30)
+		assertZeroAllocs(t, name+".OnResponseN", func() {
+			r.OnSendN(1, 1, 30)
+			r.OnResponseN(1, 1, fb, 2*time.Millisecond, 30)
+			r.OnSendN(1, 8, 31)
+			r.OnResponseN(1, 8, fb, 2*time.Millisecond, 31)
 		})
 	}
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // TestCubicBatchAccountingMatchesPointLoop: OnSendN/OnResponseN/OnAbandonN on
-// the C3 ranker must be exactly equivalent to n repetitions of the point
-// calls — outstanding counts and every EWMA, so the score function cannot
+// the C3 ranker must match n repetitions of the one-key events — outstanding
+// counts exactly, every EWMA up to rounding — so the score function cannot
 // tell batch traffic from the point traffic it stands for.
 func TestCubicBatchAccountingMatchesPointLoop(t *testing.T) {
 	const n = 32
@@ -23,12 +23,12 @@ func TestCubicBatchAccountingMatchesPointLoop(t *testing.T) {
 
 	// Prime both with one point response so the EWMAs are initialized and the
 	// closed-form fold exercises the non-initial branch.
-	batch.OnResponse(s, fb, rtt, 0)
-	point.OnResponse(s, fb, rtt, 0)
+	batch.OnResponseN(s, 1, fb, rtt, 0)
+	point.OnResponseN(s, 1, fb, rtt, 0)
 
 	batch.OnSendN(s, n, 1)
 	for i := 0; i < n; i++ {
-		point.OnSend(s, 1)
+		point.OnSendN(s, 1, 1)
 	}
 	if got, want := batch.Outstanding(s), point.Outstanding(s); got != want || got != n {
 		t.Fatalf("outstanding after OnSendN = %v, point loop = %v, want %d", got, want, n)
@@ -38,7 +38,7 @@ func TestCubicBatchAccountingMatchesPointLoop(t *testing.T) {
 	rtt2 := 8 * time.Millisecond
 	batch.OnResponseN(s, n, fb2, rtt2, 2)
 	for i := 0; i < n; i++ {
-		point.OnResponse(s, fb2, rtt2, 2)
+		point.OnResponseN(s, 1, fb2, rtt2, 2)
 	}
 	if got, want := batch.Outstanding(s), point.Outstanding(s); got != want || got != 0 {
 		t.Fatalf("outstanding after OnResponseN = %v, point loop = %v, want 0", got, want)
@@ -56,7 +56,7 @@ func TestCubicBatchAccountingMatchesPointLoop(t *testing.T) {
 	if got := batch.Outstanding(s); got != 0 {
 		t.Fatalf("outstanding after OnAbandonN = %v, want 0", got)
 	}
-	// Abandoning more than outstanding clamps at zero, as the point call does.
+	// Abandoning more than outstanding clamps at zero.
 	batch.OnAbandonN(s, n, 6)
 	if got := batch.Outstanding(s); got != 0 {
 		t.Fatalf("outstanding after over-abandon = %v, want 0", got)
@@ -116,13 +116,45 @@ func TestClientPickBatchAccountsNConsumesOneToken(t *testing.T) {
 	}
 }
 
-// TestClientBatchFallbackForPointRankers: rankers without BatchRanker get n
-// repeated point calls, so accounting still balances.
-func TestClientBatchFallbackForPointRankers(t *testing.T) {
-	c := NewClient(NewLeastResponseTime(nil, 0.9, 1), ClientConfig{})
-	c.OnSendN(4, 8, 0) // LRT keeps no outstanding state; must simply not panic
-	c.OnResponseN(4, 8, Feedback{}, time.Millisecond, 1)
-	c.OnAbandonN(4, 8, 2)
+// TestRTTRankersWeighBatchFeedback: LRT and WRND fold an n-key response's
+// RTT with weight n, as n one-key responses would, and keep no in-flight
+// state for OnSendN/OnAbandonN to move.
+func TestRTTRankersWeighBatchFeedback(t *testing.T) {
+	const n = 8
+	const s = ServerID(4)
+	smoothedRTT := func(r Ranker) float64 {
+		switch r := r.(type) {
+		case *LeastResponseTime:
+			return r.rt[r.idx(s)].Value()
+		case *WeightedRandom:
+			return r.rt[r.idx(s)].Value()
+		}
+		t.Fatalf("%s keeps no smoothed RTT", r.Name())
+		return 0
+	}
+	for _, mk := range []func() Ranker{
+		func() Ranker { return NewLeastResponseTime(nil, 0.9, 1) },
+		func() Ranker { return NewWeightedRandom(nil, 0.9, 1) },
+	} {
+		batch := NewClient(mk(), ClientConfig{})
+		point := NewClient(mk(), ClientConfig{})
+		// Initialize both EWMAs so the weighted fold takes its closed form.
+		batch.OnResponse(s, Feedback{}, time.Millisecond, 0)
+		point.OnResponse(s, Feedback{}, time.Millisecond, 0)
+
+		batch.OnSendN(s, n, 1)
+		batch.OnResponseN(s, n, Feedback{}, 9*time.Millisecond, 2)
+		batch.OnAbandonN(s, n, 3) // nothing in flight to release
+		for i := 0; i < n; i++ {
+			point.OnSendN(s, 1, 1)
+			point.OnResponse(s, Feedback{}, 9*time.Millisecond, 2)
+		}
+		got, want := smoothedRTT(batch.Ranker()), smoothedRTT(point.Ranker())
+		if math.Abs(got-want) > 1e-12 || got < 0.008 {
+			t.Fatalf("%s: smoothed RTT after an %d-key response = %v, %d one-key responses = %v",
+				batch.Name(), n, got, n, want)
+		}
+	}
 }
 
 // TestClientPickHedgeNCountsKeys: a batch hedge duplicates every key it

@@ -2,7 +2,7 @@ package core
 
 // Microbenchmarks for the selection hot path: Rank across all rankers, the
 // Best top-1 fast path, Client.Pick with and without rate control, and the
-// OnResponse feedback path. CI runs a short -bench=BenchmarkRank smoke so
+// OnResponseN feedback path. CI runs a short -bench=BenchmarkRank smoke so
 // regressions here fail loudly; DESIGN.md records the before/after numbers
 // versus the seed's map-based implementation.
 
@@ -138,7 +138,7 @@ func BenchmarkOnResponseC3(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.OnResponse(group[i%3], fb, 2*time.Millisecond, int64(i))
+		r.OnResponseN(group[i%3], 1, fb, 2*time.Millisecond, int64(i))
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -26,12 +27,11 @@ type Client struct {
 	ranker  Ranker
 	best    BestPicker         // cached type assertion of ranker; nil if unsupported
 	tracker OutstandingTracker // cached type assertion of ranker; nil if unsupported
-	batch   BatchRanker        // cached type assertion of ranker; nil if unsupported
 	cfg     ClientConfig
 	reg     *Registry          // shared with the ranker when it holds one
 	rc      []*ratelimit.Cubic // dense, indexed by reg.Index
 
-	hedges uint64 // hedged (duplicated) dispatches recorded via OnHedge
+	hedges uint64 // keys duplicated by PickHedgeN
 
 	scratch []ServerID
 }
@@ -50,9 +50,6 @@ func NewClient(r Ranker, cfg ClientConfig) *Client {
 	if ot, ok := r.(OutstandingTracker); ok {
 		c.tracker = ot
 	}
-	if br, ok := r.(BatchRanker); ok {
-		c.batch = br
-	}
 	if cfg.RateControl {
 		if rh, ok := r.(RegistryHolder); ok {
 			c.reg = rh.Registry()
@@ -65,9 +62,6 @@ func NewClient(r Ranker, cfg ClientConfig) *Client {
 
 // Name reports the underlying strategy name.
 func (c *Client) Name() string { return c.ranker.Name() }
-
-// RateControlled reports whether rate control is enabled.
-func (c *Client) RateControlled() bool { return c.cfg.RateControl }
 
 // Ranker exposes the underlying ranker (for substrate glue such as gossip
 // feeding a DynamicSnitch).
@@ -94,15 +88,31 @@ func (c *Client) limiter(s ServerID) *ratelimit.Cubic {
 	return l
 }
 
-// Pick ranks the replica group and reserves the best replica that is within
-// its send rate: the token is consumed and the send is recorded with the
-// ranker. When every replica is over rate, ok is false and retryAt is the
-// earliest time a token will free up — the caller should backpressure until
-// then (GroupScheduler does this bookkeeping).
-//
-// Without rate control, Pick always succeeds with the top-ranked replica.
+// Pick is PickBatch for a single key — the point request of Algorithm 1.
 func (c *Client) Pick(group []ServerID, now int64) (s ServerID, ok bool, retryAt int64) {
-	if len(group) == 0 {
+	return c.PickBatch(group, 1, now)
+}
+
+// PickBatch ranks the replica group and reserves the best replica that is
+// within its send rate for an n-key request: the token is consumed and the
+// send of n keys is recorded with the ranker. The rate limiter admits the
+// request as one RPC (the cubic limiter paces RPCs, and a coalesced batch is
+// one RPC — that is the point of batching), while the ranker's outstanding
+// accounting moves by n so the selection signal still sees every key the
+// replica now holds. When every replica is over rate, ok is false and
+// retryAt is the earliest time a token will free up — the caller should
+// backpressure until then (GroupScheduler does this bookkeeping).
+//
+// Without rate control, PickBatch always succeeds with the top-ranked
+// replica. Every successful PickBatch must be balanced by one OnResponseN or
+// OnAbandonN of the same n.
+func (c *Client) PickBatch(group []ServerID, n int, now int64) (s ServerID, ok bool, retryAt int64) {
+	return c.pick(group, n, now, c.cfg.RateControl)
+}
+
+// pick is PickBatch with rate control on or off for this one call.
+func (c *Client) pick(group []ServerID, n int, now int64, rated bool) (s ServerID, ok bool, retryAt int64) {
+	if len(group) == 0 || n <= 0 {
 		return 0, false, now
 	}
 	c.mu.Lock()
@@ -111,16 +121,16 @@ func (c *Client) Pick(group []ServerID, now int64) (s ServerID, ok bool, retryAt
 	// replica is over its send rate.
 	if c.best != nil {
 		if b, bok := c.best.Best(group, now); bok {
-			if !c.cfg.RateControl || c.limiter(b).TryAcquire(now) {
-				c.ranker.OnSend(b, now)
+			if !rated || c.limiter(b).TryAcquire(now) {
+				c.ranker.OnSendN(b, n, now)
 				return b, true, now
 			}
 		}
 	}
 	c.scratch = c.ranker.Rank(c.scratch, group, now)
-	if !c.cfg.RateControl {
+	if !rated {
 		s = c.scratch[0]
-		c.ranker.OnSend(s, now)
+		c.ranker.OnSendN(s, n, now)
 		return s, true, now
 	}
 	// One pass: try each replica in preference order, accumulating the
@@ -130,7 +140,7 @@ func (c *Client) Pick(group []ServerID, now int64) (s ServerID, ok bool, retryAt
 	for _, cand := range c.scratch {
 		l := c.limiter(cand)
 		if l.TryAcquire(now) {
-			c.ranker.OnSend(cand, now)
+			c.ranker.OnSendN(cand, n, now)
 			return cand, true, now
 		}
 		if at := l.NextAvailable(now); at < retryAt {
@@ -143,294 +153,124 @@ func (c *Client) Pick(group []ServerID, now int64) (s ServerID, ok bool, retryAt
 	return 0, false, retryAt
 }
 
-// PickBest ranks the group and records a send to the best replica without
-// consuming a rate token — the coordinator's fail-open path once its
+// PickBestN ranks the group and records an n-key send to the best replica
+// without consuming a rate token — the coordinator's fail-open path once its
 // backpressure deadline expires. The choice still follows the ranker, so
 // timeout traffic spreads by replica quality instead of piling onto a fixed
-// group member. ok is false only for an empty group.
-func (c *Client) PickBest(group []ServerID, now int64) (s ServerID, ok bool) {
-	if len(group) == 0 {
-		return 0, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.best != nil {
-		if b, bok := c.best.Best(group, now); bok {
-			c.ranker.OnSend(b, now)
-			return b, true
-		}
-	}
-	c.scratch = c.ranker.Rank(c.scratch, group, now)
-	s = c.scratch[0]
-	c.ranker.OnSend(s, now)
-	return s, true
-}
-
-// OnSend records a request dispatched to s outside of Pick — e.g. the extra
-// replicas of a read-repair broadcast or a write fan-out. It updates
-// outstanding-request accounting but does not consume a rate token.
-func (c *Client) OnSend(s ServerID, now int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ranker.OnSend(s, now)
-}
-
-// OnAbandon records that a request previously recorded with OnSend (or via
-// Pick/PickBest/PickHedge) will never produce an observable response: it was
-// cancelled, its deadline expired locally, or its connection died before the
-// reply. Outstanding-request accounting toward s is released; the ranker's
-// latency and queue estimators are untouched (there is no feedback to feed),
-// and no rate-adaptation step runs (no response arrived). Every send recorded
-// with this client must eventually be balanced by exactly one OnResponse or
-// OnAbandon, or q̂ inflates permanently — the accounting invariant the
-// failure-scenario tests assert through Outstanding.
-func (c *Client) OnAbandon(s ServerID, now int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ranker.OnAbandon(s, now)
-}
-
-// OnHedge records a hedged (duplicated) dispatch to s: outstanding-request
-// accounting is updated exactly like OnSend, and the client's hedge counter
-// advances. Hedges consume no rate token — they are latency-bound duplicates
-// of a request already admitted by the rate controller, not new offered load;
-// rate adaptation still observes their responses through OnResponse.
-func (c *Client) OnHedge(s ServerID, now int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ranker.OnSend(s, now)
-	c.hedges++
-}
-
-// HedgesSent reports the number of hedged dispatches recorded via OnHedge
-// (including those issued by PickHedge).
-func (c *Client) HedgesSent() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hedges
-}
-
-// sendNLocked records n sends toward s, via the ranker's batch path when it
-// has one. Callers hold c.mu.
-func (c *Client) sendNLocked(s ServerID, n int, now int64) {
-	if c.batch != nil {
-		c.batch.OnSendN(s, n, now)
-		return
-	}
-	for i := 0; i < n; i++ {
-		c.ranker.OnSend(s, now)
-	}
-}
-
-// PickBatch is Pick for an n-key sub-batch: the rate limiter admits the
-// sub-batch as one request (the cubic limiter paces RPCs, and a coalesced
-// batch is one RPC — that is the point of batching), while the ranker's
-// outstanding accounting moves by n so the selection signal still sees every
-// key the replica now holds. Every successful PickBatch must be balanced by
-// one OnResponseN or OnAbandonN of the same n.
-func (c *Client) PickBatch(group []ServerID, n int, now int64) (s ServerID, ok bool, retryAt int64) {
-	if len(group) == 0 || n <= 0 {
-		return 0, false, now
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.best != nil {
-		if b, bok := c.best.Best(group, now); bok {
-			if !c.cfg.RateControl || c.limiter(b).TryAcquire(now) {
-				c.sendNLocked(b, n, now)
-				return b, true, now
-			}
-		}
-	}
-	c.scratch = c.ranker.Rank(c.scratch, group, now)
-	if !c.cfg.RateControl {
-		s = c.scratch[0]
-		c.sendNLocked(s, n, now)
-		return s, true, now
-	}
-	retryAt = int64(math.MaxInt64)
-	for _, cand := range c.scratch {
-		l := c.limiter(cand)
-		if l.TryAcquire(now) {
-			c.sendNLocked(cand, n, now)
-			return cand, true, now
-		}
-		if at := l.NextAvailable(now); at < retryAt {
-			retryAt = at
-		}
-	}
-	if retryAt <= now {
-		retryAt = now + 1
-	}
-	return 0, false, retryAt
-}
-
-// PickBestN is PickBest for an n-key sub-batch — the batch path's fail-open
-// choice once its backpressure deadline expires. ok is false only for an
-// empty group or non-positive n.
+// group member. ok is false only for an empty group or non-positive n.
 func (c *Client) PickBestN(group []ServerID, n int, now int64) (s ServerID, ok bool) {
-	if len(group) == 0 || n <= 0 {
-		return 0, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.best != nil {
-		if b, bok := c.best.Best(group, now); bok {
-			c.sendNLocked(b, n, now)
-			return b, true
-		}
-	}
-	c.scratch = c.ranker.Rank(c.scratch, group, now)
-	s = c.scratch[0]
-	c.sendNLocked(s, n, now)
-	return s, true
+	s, ok, _ = c.pick(group, n, now, false)
+	return s, ok
 }
 
-// OnSendN records n keys dispatched to s outside of PickBatch. Like OnSend it
-// consumes no rate token.
+// OnSendN records n keys dispatched to s outside of PickBatch — e.g. the
+// extra replicas of a read-repair broadcast, a write fan-out or a hint
+// replay. It updates outstanding-request accounting but consumes no rate
+// token.
 func (c *Client) OnSendN(s ServerID, n int, now int64) {
 	if n <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.sendNLocked(s, n, now)
+	c.ranker.OnSendN(s, n, now)
 }
 
-// OnResponseN records an n-key batch response from s: outstanding accounting
+// OnResponse is OnResponseN for a single key.
+func (c *Client) OnResponse(s ServerID, fb Feedback, rtt time.Duration, now int64) {
+	c.OnResponseN(s, 1, fb, rtt, now)
+}
+
+// OnResponseN records an n-key response from s: outstanding accounting
 // drops by n and the single piggybacked feedback sample folds into the
-// ranker's estimators with weight n (an n-key sub-batch's response carries as
-// much evidence as n point responses). Rate adaptation steps once — the
-// response is one RPC.
+// ranker's estimators with weight n (an n-key sub-batch's response carries
+// as much evidence as n point responses). Rate adaptation steps once for s —
+// the response is one RPC.
 func (c *Client) OnResponseN(s ServerID, n int, fb Feedback, rtt time.Duration, now int64) {
 	if n <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.batch != nil {
-		c.batch.OnResponseN(s, n, fb, rtt, now)
-	} else {
-		for i := 0; i < n; i++ {
-			c.ranker.OnResponse(s, fb, rtt, now)
-		}
-	}
+	c.ranker.OnResponseN(s, n, fb, rtt, now)
 	if c.cfg.RateControl {
 		c.limiter(s).OnResponse(now)
 	}
 }
 
-// OnAbandonN releases n keys of outstanding accounting toward s without
-// feeding the estimators — the batch counterpart of OnAbandon, with the same
-// zero-residual invariant: every n recorded by PickBatch/OnSendN/PickNextN/
-// PickHedgeN must be balanced by exactly one OnResponseN or OnAbandonN.
+// OnAbandonN records that n keys sent to s will never produce an
+// observable response: the request was cancelled, its deadline expired
+// locally, or its connection died before the reply. Outstanding-request
+// accounting toward s is released; the ranker's latency and queue
+// estimators are untouched (there is no feedback to feed), and no
+// rate-adaptation step runs (no response arrived). Every n recorded by
+// PickBatch, PickBestN, PickNextN, PickHedgeN or OnSendN must be balanced by
+// exactly one OnResponseN or OnAbandonN of the same n, or q̂ inflates
+// permanently — the accounting invariant the failure-scenario tests assert
+// through Outstanding.
 func (c *Client) OnAbandonN(s ServerID, n int, now int64) {
 	if n <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.batch != nil {
-		c.batch.OnAbandonN(s, n, now)
-		return
-	}
-	for i := 0; i < n; i++ {
-		c.ranker.OnAbandon(s, now)
-	}
+	c.ranker.OnAbandonN(s, n, now)
 }
 
-// PickNextN is PickNext for an n-key sub-batch: the ranked next-untried
-// choice for a batch failover, accounted as n sends.
+// PickNextN chooses the best-ranked replica of group not in exclude and
+// records an n-key send (no rate token). It is the failure path's walk
+// order: each failed replica joins exclude and PickNextN yields the
+// next-best, so failover traffic still follows (and trains) the ranker
+// instead of a fixed group order. ok is false when every group member has
+// been tried already, or for non-positive n.
 func (c *Client) PickNextN(group, exclude []ServerID, n int, now int64) (s ServerID, ok bool) {
 	if n <= 0 {
 		return 0, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.pickNextNLocked(group, exclude, n, now)
+	return c.pickNextLocked(group, exclude, n, now)
 }
 
-// PickHedgeN is PickHedge for an n-key sub-batch: a speculative duplicate of
-// a sub-batch still in flight. The hedge counter advances by n — duplicate
-// load is measured in keys, and a batch hedge re-reads every key it carries.
+// PickHedgeN is PickNextN for a speculative duplicate of an n-key request
+// still in flight: the same ranked next-untried choice, counted as n hedged
+// keys — duplicate load is measured in keys, and a batch hedge re-reads
+// every key it carries. Hedges consume no rate token: they are latency-bound
+// duplicates of a request the rate controller already admitted, not new
+// offered load, and rate adaptation still observes their responses. Use
+// PickNextN for failovers after an error — a failover replaces a dead
+// request rather than duplicating a live one, and must not inflate
+// HedgesSent.
 func (c *Client) PickHedgeN(group, exclude []ServerID, n int, now int64) (s ServerID, ok bool) {
 	if n <= 0 {
 		return 0, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s, ok = c.pickNextNLocked(group, exclude, n, now)
+	s, ok = c.pickNextLocked(group, exclude, n, now)
 	if ok {
 		c.hedges += uint64(n)
 	}
 	return s, ok
 }
 
-func (c *Client) pickNextNLocked(group, exclude []ServerID, n int, now int64) (ServerID, bool) {
+// HedgesSent reports the number of keys duplicated by PickHedgeN.
+func (c *Client) HedgesSent() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hedges
+}
+
+func (c *Client) pickNextLocked(group, exclude []ServerID, n int, now int64) (ServerID, bool) {
 	if len(group) == 0 {
 		return 0, false
 	}
 	c.scratch = c.ranker.Rank(c.scratch, group, now)
 	for _, cand := range c.scratch {
-		tried := false
-		for _, x := range exclude {
-			if cand == x {
-				tried = true
-				break
-			}
-		}
-		if tried {
+		if slices.Contains(exclude, cand) {
 			continue
 		}
-		c.sendNLocked(cand, n, now)
-		return cand, true
-	}
-	return 0, false
-}
-
-// PickNext chooses the best-ranked replica of group not in exclude and
-// records the send (no rate token). It is the failure path's walk order:
-// each failed replica joins exclude and PickNext yields the next-best, so
-// fallback traffic still follows (and trains) the ranker instead of a fixed
-// group order. ok is false when every group member has been tried already.
-func (c *Client) PickNext(group, exclude []ServerID, now int64) (s ServerID, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pickNextLocked(group, exclude, now)
-}
-
-// PickHedge is PickNext for a speculative duplicate of a request that is
-// still in flight: the same ranked next-untried choice, recorded and counted
-// as a hedge (see OnHedge for the rate-token rationale). Use PickNext for
-// failovers after an error — a failover replaces a dead request rather than
-// duplicating a live one, and must not inflate HedgesSent.
-func (c *Client) PickHedge(group, exclude []ServerID, now int64) (s ServerID, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s, ok = c.pickNextLocked(group, exclude, now)
-	if ok {
-		c.hedges++
-	}
-	return s, ok
-}
-
-func (c *Client) pickNextLocked(group, exclude []ServerID, now int64) (ServerID, bool) {
-	if len(group) == 0 {
-		return 0, false
-	}
-	c.scratch = c.ranker.Rank(c.scratch, group, now)
-	for _, cand := range c.scratch {
-		tried := false
-		for _, x := range exclude {
-			if cand == x {
-				tried = true
-				break
-			}
-		}
-		if tried {
-			continue
-		}
-		c.ranker.OnSend(cand, now)
+		c.ranker.OnSendN(cand, n, now)
 		return cand, true
 	}
 	return 0, false
@@ -447,17 +287,6 @@ func (c *Client) Outstanding(s ServerID) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.tracker.Outstanding(s)
-}
-
-// OnResponse records a response from s: it feeds the ranker's EWMAs and runs
-// one step of the cubic rate adaptation for s.
-func (c *Client) OnResponse(s ServerID, fb Feedback, rtt time.Duration, now int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ranker.OnResponse(s, fb, rtt, now)
-	if c.cfg.RateControl {
-		c.limiter(s).OnResponse(now)
-	}
 }
 
 // SendRate reports the current srate toward s (requests per δ), or +Inf when

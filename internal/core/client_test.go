@@ -82,9 +82,9 @@ func TestClientPickTracksOutstanding(t *testing.T) {
 	if lor.Outstanding(7) != 0 {
 		t.Fatalf("outstanding = %v, want 0", lor.Outstanding(7))
 	}
-	c.OnSend(7, 2) // direct accounting (broadcast path)
+	c.OnSendN(7, 1, 2) // direct accounting (broadcast path)
 	if lor.Outstanding(7) != 1 {
-		t.Fatalf("outstanding = %v, want 1 after OnSend", lor.Outstanding(7))
+		t.Fatalf("outstanding = %v, want 1 after OnSendN", lor.Outstanding(7))
 	}
 }
 
@@ -256,12 +256,12 @@ func TestClientOnAbandonReleasesOutstandingOnly(t *testing.T) {
 	ranker := NewCubicRanker(RankerConfig{Seed: 1, ConcurrencyWeight: 4})
 	c := NewClient(ranker, ClientConfig{})
 	s := ServerID(3)
-	c.OnSend(s, 0)
-	c.OnSend(s, 1)
+	c.OnSendN(s, 1, 0)
+	c.OnSendN(s, 1, 1)
 	if got := c.Outstanding(s); got != 2 {
 		t.Fatalf("Outstanding = %v, want 2", got)
 	}
-	c.OnAbandon(s, 2)
+	c.OnAbandonN(s, 1, 2)
 	if got := c.Outstanding(s); got != 1 {
 		t.Fatalf("Outstanding after abandon = %v, want 1", got)
 	}
@@ -269,13 +269,13 @@ func TestClientOnAbandonReleasesOutstandingOnly(t *testing.T) {
 	if sc := ranker.Score(s, 3); sc > -1e300 {
 		t.Fatalf("abandon fed the score EWMAs: Score = %v, want -Inf", sc)
 	}
-	c.OnAbandon(s, 4)
-	c.OnAbandon(s, 5) // below zero must clamp, not wrap
+	c.OnAbandonN(s, 1, 4)
+	c.OnAbandonN(s, 1, 5) // below zero must clamp, not wrap
 	if got := c.Outstanding(s); got != 0 {
 		t.Fatalf("Outstanding after over-abandon = %v, want 0", got)
 	}
 	// Abandoning a never-seen server must not intern or underflow it.
-	c.OnAbandon(ServerID(99), 6)
+	c.OnAbandonN(ServerID(99), 1, 6)
 	if got := c.Outstanding(ServerID(99)); got != 0 {
 		t.Fatalf("Outstanding(unseen) = %v, want 0", got)
 	}
@@ -283,7 +283,7 @@ func TestClientOnAbandonReleasesOutstandingOnly(t *testing.T) {
 
 func TestClientOutstandingWithoutTracker(t *testing.T) {
 	c := NewClient(NewRoundRobin(nil), ClientConfig{})
-	c.OnSend(1, 0)
+	c.OnSendN(1, 1, 0)
 	if got := c.Outstanding(1); got != 0 {
 		t.Fatalf("Outstanding on a stateless ranker = %v, want 0", got)
 	}
@@ -294,46 +294,45 @@ func TestClientPickHedgeSkipsTriedReplicas(t *testing.T) {
 	c := NewClient(lor, ClientConfig{})
 	group := []ServerID{1, 2, 3}
 	// Load server 1 and 2 so LOR ranks 3 first, then 2, then 1.
-	c.OnSend(1, 0)
-	c.OnSend(1, 0)
-	c.OnSend(2, 0)
-	s, ok := c.PickHedge(group, []ServerID{3}, 1)
+	c.OnSendN(1, 2, 0)
+	c.OnSendN(2, 1, 0)
+	s, ok := c.PickHedgeN(group, []ServerID{3}, 1, 1)
 	if !ok || s != 2 {
-		t.Fatalf("PickHedge excluding {3} = %v,%v, want 2 (next-best)", s, ok)
+		t.Fatalf("PickHedgeN excluding {3} = %v,%v, want 2 (next-best)", s, ok)
 	}
 	if got := lor.Outstanding(2); got != 2 {
-		t.Fatalf("PickHedge did not record the send: Outstanding(2) = %v", got)
+		t.Fatalf("PickHedgeN did not record the send: Outstanding(2) = %v", got)
 	}
 	if got := c.HedgesSent(); got != 1 {
 		t.Fatalf("HedgesSent = %d, want 1", got)
 	}
-	if _, ok := c.PickHedge(group, []ServerID{1, 2, 3}, 2); ok {
-		t.Fatal("PickHedge with the whole group tried should fail")
+	if _, ok := c.PickHedgeN(group, []ServerID{1, 2, 3}, 1, 2); ok {
+		t.Fatal("PickHedgeN with the whole group tried should fail")
 	}
-	if _, ok := c.PickHedge(nil, nil, 3); ok {
-		t.Fatal("PickHedge of empty group should fail")
+	if _, ok := c.PickHedgeN(nil, nil, 1, 3); ok {
+		t.Fatal("PickHedgeN of empty group should fail")
 	}
 }
 
 func TestClientPickNextDoesNotCountAsHedge(t *testing.T) {
-	// PickNext is the failover path: same ranked next-untried choice as
-	// PickHedge, same send accounting, but a failover replaces a dead
+	// PickNextN is the failover path: same ranked next-untried choice as
+	// PickHedgeN, same send accounting, but a failover replaces a dead
 	// request rather than duplicating a live one — HedgesSent must not move.
 	lor := NewLOR(nil, 6)
 	c := NewClient(lor, ClientConfig{})
 	group := []ServerID{1, 2}
-	s, ok := c.PickNext(group, []ServerID{1}, 0)
+	s, ok := c.PickNextN(group, []ServerID{1}, 1, 0)
 	if !ok || s != 2 {
-		t.Fatalf("PickNext excluding {1} = %v,%v, want 2", s, ok)
+		t.Fatalf("PickNextN excluding {1} = %v,%v, want 2", s, ok)
 	}
 	if got := lor.Outstanding(2); got != 1 {
-		t.Fatalf("PickNext did not record the send: Outstanding(2) = %v", got)
+		t.Fatalf("PickNextN did not record the send: Outstanding(2) = %v", got)
 	}
 	if got := c.HedgesSent(); got != 0 {
-		t.Fatalf("HedgesSent after PickNext = %d, want 0", got)
+		t.Fatalf("HedgesSent after PickNextN = %d, want 0", got)
 	}
-	if _, ok := c.PickNext(group, group, 1); ok {
-		t.Fatal("PickNext with the whole group tried should fail")
+	if _, ok := c.PickNextN(group, group, 1, 1); ok {
+		t.Fatal("PickNextN with the whole group tried should fail")
 	}
 }
 
@@ -349,29 +348,16 @@ func TestClientPickHedgeConsumesNoRateToken(t *testing.T) {
 	}
 	// All limiters exhausted: a hedge must still go out, and must not touch
 	// the token state.
-	if _, ok := c.PickHedge(group, []ServerID{1}, now); !ok {
-		t.Fatal("PickHedge blocked by rate control")
+	if _, ok := c.PickHedgeN(group, []ServerID{1}, 1, now); !ok {
+		t.Fatal("PickHedgeN blocked by rate control")
 	}
 	if _, ok, _ := c.Pick(group, now); ok {
-		t.Fatal("PickHedge minted a rate token")
-	}
-}
-
-func TestClientOnHedgeCountsAndRecords(t *testing.T) {
-	lor := NewLOR(nil, 2)
-	c := NewClient(lor, ClientConfig{})
-	c.OnHedge(4, 0)
-	c.OnHedge(4, 1)
-	if got := lor.Outstanding(4); got != 2 {
-		t.Fatalf("OnHedge did not record sends: Outstanding = %v", got)
-	}
-	if got := c.HedgesSent(); got != 2 {
-		t.Fatalf("HedgesSent = %d, want 2", got)
+		t.Fatal("PickHedgeN minted a rate token")
 	}
 }
 
 func TestClientPickBestIgnoresRateTokens(t *testing.T) {
-	// PickBest is the backpressure fail-open path: it must return a ranked
+	// PickBestN is the backpressure fail-open path: it must return a ranked
 	// replica even when every limiter is exhausted, and must not consume or
 	// restore tokens.
 	cfg := ClientConfig{RateControl: true, Rate: ratelimit.Config{InitialRate: 2}}
@@ -385,25 +371,25 @@ func TestClientPickBestIgnoresRateTokens(t *testing.T) {
 	}
 	seen := map[ServerID]bool{}
 	for i := 0; i < 10; i++ {
-		s, ok := c.PickBest(group, now)
+		s, ok := c.PickBestN(group, 1, now)
 		if !ok {
-			t.Fatal("PickBest failed on a non-empty group")
+			t.Fatal("PickBestN failed on a non-empty group")
 		}
 		if s != 1 && s != 2 {
-			t.Fatalf("PickBest returned unknown server %d", s)
+			t.Fatalf("PickBestN returned unknown server %d", s)
 		}
 		seen[s] = true
 	}
 	// Round-robin ranking: fail-open traffic spreads across the group
 	// instead of piling onto one member.
 	if len(seen) != 2 {
-		t.Fatalf("PickBest used %d servers, want 2", len(seen))
+		t.Fatalf("PickBestN used %d servers, want 2", len(seen))
 	}
 	// Tokens stayed exhausted throughout.
 	if _, ok, _ := c.Pick(group, now); ok {
-		t.Fatal("PickBest leaked a rate token")
+		t.Fatal("PickBestN leaked a rate token")
 	}
-	if _, ok := c.PickBest(nil, now); ok {
-		t.Fatal("PickBest of empty group should fail")
+	if _, ok := c.PickBestN(nil, 1, now); ok {
+		t.Fatal("PickBestN of empty group should fail")
 	}
 }

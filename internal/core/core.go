@@ -36,6 +36,12 @@ type Feedback struct {
 // per-server client-side state (EWMAs, outstanding counts, histories) and are
 // not safe for concurrent use; Client adds locking for multi-goroutine
 // substrates.
+//
+// Every event carries the number of keys n ≥ 1 it stands for. A point
+// request is n = 1; a replica holding a 32-key sub-batch is truthfully 32
+// reads of in-flight demand, and the single feedback sample piggybacked on
+// its response describes the cost of all 32 — so outstanding accounting
+// moves by n and the feedback estimators fold the sample in with weight n.
 type Ranker interface {
 	// Name identifies the strategy in experiment output ("C3", "LOR", ...).
 	Name() string
@@ -43,37 +49,19 @@ type Ranker interface {
 	// returns dst[:len(group)]. dst must not alias group and must have
 	// capacity ≥ len(group); pass nil to allocate.
 	Rank(dst, group []ServerID, now int64) []ServerID
-	// OnSend records that a request was dispatched to s at time now.
-	OnSend(s ServerID, now int64)
-	// OnResponse records a response from s carrying feedback fb, observed
-	// after round-trip time rtt, at time now.
-	OnResponse(s ServerID, fb Feedback, rtt time.Duration, now int64)
-	// OnAbandon records that a request previously recorded with OnSend will
-	// never produce an observable response — it was cancelled, timed out
-	// locally, or its connection died before the reply. Implementations
-	// release outstanding-request accounting for s without feeding their
-	// latency or queue estimators: an abandoned request carries no server
-	// feedback, and synthesizing one from the client's own timeout would
-	// poison the EWMAs. Strategies that keep no in-flight state no-op.
-	OnAbandon(s ServerID, now int64)
-}
-
-// BatchRanker is an optional extension a Ranker may implement for multi-key
-// (batch) traffic: the same events as OnSend/OnResponse/OnAbandon, weighted
-// by the number of keys the dispatch carries. A replica holding a 32-key
-// sub-batch is truthfully 32 reads of in-flight demand, and the single
-// feedback sample piggybacked on its response describes the cost of all 32 —
-// so outstanding accounting moves by n and the feedback EWMAs fold the sample
-// in with weight n. Client falls back to n repeated point calls for rankers
-// that do not implement it.
-type BatchRanker interface {
 	// OnSendN records a dispatch of n keys to s at time now.
 	OnSendN(s ServerID, n int, now int64)
-	// OnResponseN records an n-key response from s: outstanding accounting
-	// drops by n and fb folds into the estimators with weight n.
+	// OnResponseN records an n-key response from s carrying feedback fb,
+	// observed after round-trip time rtt, at time now: outstanding
+	// accounting drops by n and fb folds into the estimators with weight n.
 	OnResponseN(s ServerID, n int, fb Feedback, rtt time.Duration, now int64)
-	// OnAbandonN releases n keys of outstanding accounting toward s without
-	// feeding the estimators (see Ranker.OnAbandon).
+	// OnAbandonN records that n keys previously recorded with OnSendN will
+	// never produce an observable response — cancelled, timed out locally,
+	// or their connection died before the reply. Implementations release
+	// outstanding-request accounting for s without feeding their latency or
+	// queue estimators: an abandoned request carries no server feedback,
+	// and synthesizing one from the client's own timeout would poison the
+	// EWMAs. Strategies that keep no in-flight state no-op.
 	OnAbandonN(s ServerID, n int, now int64)
 }
 

@@ -503,12 +503,22 @@ func (o *legacyOracle) Rank(dst, group []ServerID, now int64) []ServerID {
 
 // --- the lockstep driver ---
 
+// legacyRanker is the seed's point-event ranker interface, which the legacy
+// copies above implement: one event per request, no key count.
+type legacyRanker interface {
+	Rank(dst, group []ServerID, now int64) []ServerID
+	OnSend(s ServerID, now int64)
+	OnResponse(s ServerID, fb Feedback, rtt time.Duration, now int64)
+	OnAbandon(s ServerID, now int64)
+}
+
 // runEquivalence drives a dense ranker and its legacy twin through an
 // identical randomized workload — rotating replica groups, random in-flight
 // responses with random feedback — and requires Rank to produce identical
-// orderings on every round. extra, when non-nil, applies side-channel inputs
+// orderings on every round. The dense ranker sees each point event as its
+// one-key (n = 1) form. extra, when non-nil, applies side-channel inputs
 // (e.g. snitch severities) to both rankers.
-func runEquivalence(t *testing.T, dense, legacy Ranker, extra func(scen *rand.Rand, now int64)) {
+func runEquivalence(t *testing.T, dense Ranker, legacy legacyRanker, extra func(scen *rand.Rand, now int64)) {
 	t.Helper()
 	scen := sim.RNG(0x5eed, 0xe9)
 	groups := [][]ServerID{
@@ -533,7 +543,7 @@ func runEquivalence(t *testing.T, dense, legacy Ranker, extra func(scen *rand.Ra
 			}
 		}
 		s := a[0]
-		dense.OnSend(s, now)
+		dense.OnSendN(s, 1, now)
 		legacy.OnSend(s, now)
 		inflight = append(inflight, s)
 		for len(inflight) > 0 && scen.Float64() < 0.7 {
@@ -549,10 +559,10 @@ func runEquivalence(t *testing.T, dense, legacy Ranker, extra func(scen *rand.Ra
 			if scen.Float64() < 0.15 {
 				// A slice of in-flight requests never completes: both
 				// sides must release accounting identically.
-				dense.OnAbandon(rs, now)
+				dense.OnAbandonN(rs, 1, now)
 				legacy.OnAbandon(rs, now)
 			} else {
-				dense.OnResponse(rs, fb, rtt, now)
+				dense.OnResponseN(rs, 1, fb, rtt, now)
 				legacy.OnResponse(rs, fb, rtt, now)
 			}
 		}

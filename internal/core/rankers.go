@@ -42,46 +42,22 @@ func (l *LOR) idx(s ServerID) int {
 	return i
 }
 
-// OnSend implements Ranker.
-func (l *LOR) OnSend(s ServerID, now int64) {
-	i := l.idx(s) // hoisted: idx may grow the slice it indexes
-	l.outstanding[i]++
-}
-
-// OnResponse implements Ranker.
-func (l *LOR) OnResponse(s ServerID, fb Feedback, rtt time.Duration, now int64) {
-	if i := l.idx(s); l.outstanding[i] > 0 {
-		l.outstanding[i]--
-	}
-}
-
-// OnAbandon implements Ranker: identical to OnResponse — LOR's only state is
-// the outstanding count.
-func (l *LOR) OnAbandon(s ServerID, now int64) {
-	if i := l.idx(s); l.outstanding[i] > 0 {
-		l.outstanding[i]--
-	}
-}
-
-// OnSendN implements BatchRanker.
+// OnSendN implements Ranker.
 func (l *LOR) OnSendN(s ServerID, n int, now int64) {
-	i := l.idx(s)
+	i := l.idx(s) // hoisted: idx may grow the slice it indexes
 	l.outstanding[i] += float64(n)
 }
 
-// OnResponseN implements BatchRanker (the outstanding count is LOR's only
-// state, so response and abandon coincide).
+// OnResponseN implements Ranker (the outstanding count is LOR's only state,
+// so response and abandon coincide).
 func (l *LOR) OnResponseN(s ServerID, n int, fb Feedback, rtt time.Duration, now int64) {
 	l.OnAbandonN(s, n, now)
 }
 
-// OnAbandonN implements BatchRanker.
+// OnAbandonN implements Ranker.
 func (l *LOR) OnAbandonN(s ServerID, n int, now int64) {
 	i := l.idx(s)
-	l.outstanding[i] -= float64(n)
-	if l.outstanding[i] < 0 {
-		l.outstanding[i] = 0
-	}
+	l.outstanding[i] = max(l.outstanding[i]-float64(n), 0)
 }
 
 // Outstanding reports this client's in-flight count toward s. It is a pure
@@ -143,14 +119,14 @@ func (r *RoundRobin) Name() string { return "RR" }
 // Registry implements RegistryHolder.
 func (r *RoundRobin) Registry() *Registry { return r.reg }
 
-// OnSend implements Ranker.
-func (r *RoundRobin) OnSend(ServerID, int64) {}
+// OnSendN implements Ranker.
+func (r *RoundRobin) OnSendN(ServerID, int, int64) {}
 
-// OnResponse implements Ranker.
-func (r *RoundRobin) OnResponse(ServerID, Feedback, time.Duration, int64) {}
+// OnResponseN implements Ranker.
+func (r *RoundRobin) OnResponseN(ServerID, int, Feedback, time.Duration, int64) {}
 
-// OnAbandon implements Ranker (no in-flight state).
-func (r *RoundRobin) OnAbandon(ServerID, int64) {}
+// OnAbandonN implements Ranker (no in-flight state).
+func (r *RoundRobin) OnAbandonN(ServerID, int, int64) {}
 
 // Rank implements Ranker: the group rotated by a per-group counter. The group
 // is interned once by the registry; steady-state calls do no hashing of
@@ -189,14 +165,14 @@ func NewRandom(seed uint64) *Random { return &Random{rng: sim.RNG(seed, 0xa11d)}
 // Name implements Ranker.
 func (r *Random) Name() string { return "RND" }
 
-// OnSend implements Ranker.
-func (r *Random) OnSend(ServerID, int64) {}
+// OnSendN implements Ranker.
+func (r *Random) OnSendN(ServerID, int, int64) {}
 
-// OnResponse implements Ranker.
-func (r *Random) OnResponse(ServerID, Feedback, time.Duration, int64) {}
+// OnResponseN implements Ranker.
+func (r *Random) OnResponseN(ServerID, int, Feedback, time.Duration, int64) {}
 
-// OnAbandon implements Ranker (no in-flight state).
-func (r *Random) OnAbandon(ServerID, int64) {}
+// OnAbandonN implements Ranker (no in-flight state).
+func (r *Random) OnAbandonN(ServerID, int, int64) {}
 
 // Rank implements Ranker: a uniform shuffle.
 func (r *Random) Rank(dst, group []ServerID, now int64) []ServerID {
@@ -246,45 +222,22 @@ func (t *TwoChoice) idx(s ServerID) int {
 	return i
 }
 
-// OnSend implements Ranker.
-func (t *TwoChoice) OnSend(s ServerID, now int64) {
-	i := t.idx(s) // hoisted: idx may grow the slice it indexes
-	t.outstanding[i]++
-}
-
-// OnResponse implements Ranker.
-func (t *TwoChoice) OnResponse(s ServerID, fb Feedback, rtt time.Duration, now int64) {
-	if i := t.idx(s); t.outstanding[i] > 0 {
-		t.outstanding[i]--
-	}
-}
-
-// OnAbandon implements Ranker: identical to OnResponse — the outstanding
-// count is TwoChoice's only state.
-func (t *TwoChoice) OnAbandon(s ServerID, now int64) {
-	if i := t.idx(s); t.outstanding[i] > 0 {
-		t.outstanding[i]--
-	}
-}
-
-// OnSendN implements BatchRanker.
+// OnSendN implements Ranker.
 func (t *TwoChoice) OnSendN(s ServerID, n int, now int64) {
-	i := t.idx(s)
+	i := t.idx(s) // hoisted: idx may grow the slice it indexes
 	t.outstanding[i] += float64(n)
 }
 
-// OnResponseN implements BatchRanker (outstanding is the only state).
+// OnResponseN implements Ranker (the outstanding count is TwoChoice's only
+// state, so response and abandon coincide).
 func (t *TwoChoice) OnResponseN(s ServerID, n int, fb Feedback, rtt time.Duration, now int64) {
 	t.OnAbandonN(s, n, now)
 }
 
-// OnAbandonN implements BatchRanker.
+// OnAbandonN implements Ranker.
 func (t *TwoChoice) OnAbandonN(s ServerID, n int, now int64) {
 	i := t.idx(s)
-	t.outstanding[i] -= float64(n)
-	if t.outstanding[i] < 0 {
-		t.outstanding[i] = 0
-	}
+	t.outstanding[i] = max(t.outstanding[i]-float64(n), 0)
 }
 
 // Outstanding reports this client's in-flight count toward s. It is a pure
@@ -374,18 +327,18 @@ func (l *LeastResponseTime) idx(s ServerID) int {
 	return i
 }
 
-// OnSend implements Ranker.
-func (l *LeastResponseTime) OnSend(ServerID, int64) {}
+// OnSendN implements Ranker.
+func (l *LeastResponseTime) OnSendN(ServerID, int, int64) {}
 
-// OnResponse implements Ranker.
-func (l *LeastResponseTime) OnResponse(s ServerID, fb Feedback, rtt time.Duration, now int64) {
+// OnResponseN implements Ranker: the RTT folds in with weight n.
+func (l *LeastResponseTime) OnResponseN(s ServerID, n int, fb Feedback, rtt time.Duration, now int64) {
 	i := l.idx(s) // hoisted: idx may grow the slice it indexes
-	l.rt[i].Add(seconds(rtt))
+	l.rt[i].AddN(seconds(rtt), n)
 }
 
-// OnAbandon implements Ranker (no in-flight state; an abandoned request
+// OnAbandonN implements Ranker (no in-flight state; an abandoned request
 // observed no RTT to smooth).
-func (l *LeastResponseTime) OnAbandon(ServerID, int64) {}
+func (l *LeastResponseTime) OnAbandonN(ServerID, int, int64) {}
 
 // rtScore reports the smoothed RTT of the server at dense index i, or −Inf
 // when unseen (so exploration ranks first).
@@ -456,17 +409,17 @@ func (w *WeightedRandom) idx(s ServerID) int {
 	return i
 }
 
-// OnSend implements Ranker.
-func (w *WeightedRandom) OnSend(ServerID, int64) {}
+// OnSendN implements Ranker.
+func (w *WeightedRandom) OnSendN(ServerID, int, int64) {}
 
-// OnResponse implements Ranker.
-func (w *WeightedRandom) OnResponse(s ServerID, fb Feedback, rtt time.Duration, now int64) {
+// OnResponseN implements Ranker: the RTT folds in with weight n.
+func (w *WeightedRandom) OnResponseN(s ServerID, n int, fb Feedback, rtt time.Duration, now int64) {
 	i := w.idx(s) // hoisted: idx may grow the slice it indexes
-	w.rt[i].Add(seconds(rtt))
+	w.rt[i].AddN(seconds(rtt), n)
 }
 
-// OnAbandon implements Ranker (no in-flight state).
-func (w *WeightedRandom) OnAbandon(ServerID, int64) {}
+// OnAbandonN implements Ranker (no in-flight state).
+func (w *WeightedRandom) OnAbandonN(ServerID, int, int64) {}
 
 // fillWeights computes 1/R̄ sampling weights for dst into the reusable
 // scratch (unseen servers get the best observed weight to force exploration).
@@ -567,14 +520,14 @@ func NewOracle(fn OracleFn, seed uint64) *Oracle {
 // Name implements Ranker.
 func (o *Oracle) Name() string { return "ORA" }
 
-// OnSend implements Ranker.
-func (o *Oracle) OnSend(ServerID, int64) {}
+// OnSendN implements Ranker.
+func (o *Oracle) OnSendN(ServerID, int, int64) {}
 
-// OnResponse implements Ranker.
-func (o *Oracle) OnResponse(ServerID, Feedback, time.Duration, int64) {}
+// OnResponseN implements Ranker.
+func (o *Oracle) OnResponseN(ServerID, int, Feedback, time.Duration, int64) {}
 
-// OnAbandon implements Ranker (the oracle reads server state directly).
-func (o *Oracle) OnAbandon(ServerID, int64) {}
+// OnAbandonN implements Ranker (the oracle reads server state directly).
+func (o *Oracle) OnAbandonN(ServerID, int, int64) {}
 
 // Rank implements Ranker: ascending (q+1)·serviceTime, random ties.
 func (o *Oracle) Rank(dst, group []ServerID, now int64) []ServerID {

@@ -8,20 +8,20 @@ import (
 func TestLORPrefersFewestOutstanding(t *testing.T) {
 	l := NewLOR(nil, 1)
 	group := []ServerID{1, 2, 3}
-	l.OnSend(1, 0)
-	l.OnSend(1, 0)
-	l.OnSend(2, 0)
+	l.OnSendN(1, 1, 0)
+	l.OnSendN(1, 1, 0)
+	l.OnSendN(2, 1, 0)
 	for i := 0; i < 20; i++ {
 		if got := l.Rank(nil, group, 0)[0]; got != 3 {
 			t.Fatalf("rank[0] = %v, want 3 (zero outstanding)", got)
 		}
 	}
-	l.OnResponse(1, Feedback{}, time.Millisecond, 0)
-	l.OnResponse(1, Feedback{}, time.Millisecond, 0)
+	l.OnResponseN(1, 1, Feedback{}, time.Millisecond, 0)
+	l.OnResponseN(1, 1, Feedback{}, time.Millisecond, 0)
 	if l.Outstanding(1) != 0 {
 		t.Fatalf("outstanding(1) = %v, want 0", l.Outstanding(1))
 	}
-	l.OnResponse(1, Feedback{}, time.Millisecond, 0) // spurious response
+	l.OnResponseN(1, 1, Feedback{}, time.Millisecond, 0) // spurious response
 	if l.Outstanding(1) != 0 {
 		t.Fatal("outstanding went negative")
 	}
@@ -100,7 +100,7 @@ func TestTwoChoicePrefersLessLoadedOfPair(t *testing.T) {
 	tc := NewTwoChoice(nil, 4)
 	group := []ServerID{1, 2}
 	for i := 0; i < 5; i++ {
-		tc.OnSend(1, 0)
+		tc.OnSendN(1, 1, 0)
 	}
 	// With only two servers the pair is always {1,2}; 2 must always lead.
 	for i := 0; i < 50; i++ {
@@ -108,7 +108,7 @@ func TestTwoChoicePrefersLessLoadedOfPair(t *testing.T) {
 			t.Fatalf("two-choice rank[0] = %v, want 2", got)
 		}
 	}
-	tc.OnResponse(1, Feedback{}, time.Millisecond, 0)
+	tc.OnResponseN(1, 1, Feedback{}, time.Millisecond, 0)
 	if got := tc.Outstanding(1); got != 4 {
 		t.Fatalf("outstanding = %v, want 4", got)
 	}
@@ -118,8 +118,8 @@ func TestLeastResponseTimePrefersFastServer(t *testing.T) {
 	l := NewLeastResponseTime(nil, 0.9, 5)
 	group := []ServerID{1, 2}
 	for i := 0; i < 10; i++ {
-		l.OnResponse(1, Feedback{}, 2*time.Millisecond, 0)
-		l.OnResponse(2, Feedback{}, 30*time.Millisecond, 0)
+		l.OnResponseN(1, 1, Feedback{}, 2*time.Millisecond, 0)
+		l.OnResponseN(2, 1, Feedback{}, 30*time.Millisecond, 0)
 	}
 	for i := 0; i < 20; i++ {
 		if got := l.Rank(nil, group, 0)[0]; got != 1 {
@@ -131,7 +131,7 @@ func TestLeastResponseTimePrefersFastServer(t *testing.T) {
 func TestLeastResponseTimeExploresUnseen(t *testing.T) {
 	l := NewLeastResponseTime(nil, 0.9, 6)
 	group := []ServerID{1, 2}
-	l.OnResponse(1, Feedback{}, time.Millisecond, 0)
+	l.OnResponseN(1, 1, Feedback{}, time.Millisecond, 0)
 	if got := l.Rank(nil, group, 0)[0]; got != 2 {
 		t.Fatalf("rank[0] = %v, want unseen server 2", got)
 	}
@@ -141,8 +141,8 @@ func TestWeightedRandomSkewsTowardFastServer(t *testing.T) {
 	w := NewWeightedRandom(nil, 0.9, 7)
 	group := []ServerID{1, 2}
 	for i := 0; i < 10; i++ {
-		w.OnResponse(1, Feedback{}, 2*time.Millisecond, 0)  // weight 500
-		w.OnResponse(2, Feedback{}, 20*time.Millisecond, 0) // weight 50
+		w.OnResponseN(1, 1, Feedback{}, 2*time.Millisecond, 0)  // weight 500
+		w.OnResponseN(2, 1, Feedback{}, 20*time.Millisecond, 0) // weight 50
 	}
 	counts := map[ServerID]int{}
 	for i := 0; i < 5000; i++ {
@@ -157,7 +157,7 @@ func TestWeightedRandomSkewsTowardFastServer(t *testing.T) {
 func TestWeightedRandomUnseenGetsExplored(t *testing.T) {
 	w := NewWeightedRandom(nil, 0.9, 8)
 	group := []ServerID{1, 2}
-	w.OnResponse(1, Feedback{}, 10*time.Millisecond, 0)
+	w.OnResponseN(1, 1, Feedback{}, 10*time.Millisecond, 0)
 	counts := map[ServerID]int{}
 	for i := 0; i < 2000; i++ {
 		counts[w.Rank(nil, group, 0)[0]]++
@@ -217,8 +217,8 @@ func TestAllRankersNameAndPermutation(t *testing.T) {
 			t.Fatalf("duplicate ranker name %q", r.Name())
 		}
 		seenNames[r.Name()] = true
-		r.OnSend(group[0], 0)
-		r.OnResponse(group[0], fb(1, time.Millisecond), 2*time.Millisecond, 0)
+		r.OnSendN(group[0], 1, 0)
+		r.OnResponseN(group[0], 1, fb(1, time.Millisecond), 2*time.Millisecond, 0)
 		out := r.Rank(nil, group, msec)
 		if len(out) != len(group) {
 			t.Fatalf("%s: rank length %d", r.Name(), len(out))

@@ -130,57 +130,28 @@ func (c *CubicRanker) stateRO(s ServerID) *c3State {
 	return nil
 }
 
-// OnSend implements Ranker.
-func (c *CubicRanker) OnSend(s ServerID, now int64) {
-	c.state(s).outstanding++
-}
-
-// OnResponse implements Ranker.
-func (c *CubicRanker) OnResponse(s ServerID, fb Feedback, rtt time.Duration, now int64) {
-	st := c.state(s)
-	if st.outstanding > 0 {
-		st.outstanding--
-	}
-	st.qbar.Add(fb.QueueSize)
-	st.tbar.Add(seconds(fb.ServiceTime))
-	st.rbar.Add(seconds(rtt))
-}
-
-// OnAbandon implements Ranker: the outstanding count is released, but the
-// q̄/T̄/R̄ EWMAs are untouched — an abandoned request observed nothing.
-func (c *CubicRanker) OnAbandon(s ServerID, now int64) {
-	if st := c.stateRO(s); st != nil && st.outstanding > 0 {
-		st.outstanding--
-	}
-}
-
-// OnSendN implements BatchRanker: an n-key sub-batch is n outstanding reads.
+// OnSendN implements Ranker: an n-key sub-batch is n outstanding reads.
 func (c *CubicRanker) OnSendN(s ServerID, n int, now int64) {
 	c.state(s).outstanding += float64(n)
 }
 
-// OnResponseN implements BatchRanker: outstanding drops by the sub-batch
-// size, and the single piggybacked feedback sample folds into q̄/T̄/R̄ with
-// weight n — the server sampled its state once after serving all n keys, so
-// the sample speaks for each of them.
+// OnResponseN implements Ranker: outstanding drops by the sub-batch size,
+// and the single piggybacked feedback sample folds into q̄/T̄/R̄ with weight
+// n — the server sampled its state once after serving all n keys, so the
+// sample speaks for each of them.
 func (c *CubicRanker) OnResponseN(s ServerID, n int, fb Feedback, rtt time.Duration, now int64) {
 	st := c.state(s)
-	st.outstanding -= float64(n)
-	if st.outstanding < 0 {
-		st.outstanding = 0
-	}
+	st.outstanding = max(st.outstanding-float64(n), 0)
 	st.qbar.AddN(fb.QueueSize, n)
 	st.tbar.AddN(seconds(fb.ServiceTime), n)
 	st.rbar.AddN(seconds(rtt), n)
 }
 
-// OnAbandonN implements BatchRanker.
+// OnAbandonN implements Ranker: the outstanding count is released, but the
+// q̄/T̄/R̄ EWMAs are untouched — an abandoned request observed nothing.
 func (c *CubicRanker) OnAbandonN(s ServerID, n int, now int64) {
 	if st := c.stateRO(s); st != nil {
-		st.outstanding -= float64(n)
-		if st.outstanding < 0 {
-			st.outstanding = 0
-		}
+		st.outstanding = max(st.outstanding-float64(n), 0)
 	}
 }
 

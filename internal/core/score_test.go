@@ -63,10 +63,10 @@ func TestCubicRankerPrefersUnseenServers(t *testing.T) {
 	r := NewCubicRanker(RankerConfig{Seed: 1})
 	group := []ServerID{1, 2, 3}
 	// Feed data for 1 and 2 only; 3 must rank first (exploration).
-	r.OnSend(1, 0)
-	r.OnResponse(1, fb(0, 4*time.Millisecond), 5*time.Millisecond, msec)
-	r.OnSend(2, 0)
-	r.OnResponse(2, fb(0, 4*time.Millisecond), 5*time.Millisecond, msec)
+	r.OnSendN(1, 1, 0)
+	r.OnResponseN(1, 1, fb(0, 4*time.Millisecond), 5*time.Millisecond, msec)
+	r.OnSendN(2, 1, 0)
+	r.OnResponseN(2, 1, fb(0, 4*time.Millisecond), 5*time.Millisecond, msec)
 	got := r.Rank(nil, group, 2*msec)
 	if got[0] != 3 {
 		t.Fatalf("rank = %v, want unseen server 3 first", got)
@@ -78,10 +78,10 @@ func TestCubicRankerPrefersFasterServer(t *testing.T) {
 	group := []ServerID{10, 20}
 	for i := 0; i < 20; i++ {
 		now := int64(i) * msec
-		r.OnSend(10, now)
-		r.OnResponse(10, fb(1, 4*time.Millisecond), 5*time.Millisecond, now)
-		r.OnSend(20, now)
-		r.OnResponse(20, fb(1, 20*time.Millisecond), 22*time.Millisecond, now)
+		r.OnSendN(10, 1, now)
+		r.OnResponseN(10, 1, fb(1, 4*time.Millisecond), 5*time.Millisecond, now)
+		r.OnSendN(20, 1, now)
+		r.OnResponseN(20, 1, fb(1, 20*time.Millisecond), 22*time.Millisecond, now)
 	}
 	for trial := 0; trial < 50; trial++ {
 		got := r.Rank(nil, group, 100*msec)
@@ -97,10 +97,10 @@ func TestCubicRankerAvoidsLongQueues(t *testing.T) {
 	r := NewCubicRanker(RankerConfig{Seed: 3, Alpha: 1}) // alpha=1: track last sample
 	group := []ServerID{1, 2}
 	// Server 1: 4 ms service but queue 40. Server 2: 20 ms service, queue 0.
-	r.OnSend(1, 0)
-	r.OnResponse(1, fb(40, 4*time.Millisecond), 5*time.Millisecond, 0)
-	r.OnSend(2, 0)
-	r.OnResponse(2, fb(0, 20*time.Millisecond), 21*time.Millisecond, 0)
+	r.OnSendN(1, 1, 0)
+	r.OnResponseN(1, 1, fb(40, 4*time.Millisecond), 5*time.Millisecond, 0)
+	r.OnSendN(2, 1, 0)
+	r.OnResponseN(2, 1, fb(0, 20*time.Millisecond), 21*time.Millisecond, 0)
 	// Ψ1 ≈ 41³·0.004 ≈ 275; Ψ2 ≈ 1³·0.020 ≈ 0.02.
 	got := r.Rank(nil, group, msec)
 	if got[0] != 2 {
@@ -114,10 +114,10 @@ func TestConcurrencyCompensation(t *testing.T) {
 	// to synchronization, §3.1).
 	mk := func(outstanding int) float64 {
 		r := NewCubicRanker(RankerConfig{Seed: 4, ConcurrencyWeight: 100})
-		r.OnSend(1, 0)
-		r.OnResponse(1, fb(2, 4*time.Millisecond), 5*time.Millisecond, 0)
+		r.OnSendN(1, 1, 0)
+		r.OnResponseN(1, 1, fb(2, 4*time.Millisecond), 5*time.Millisecond, 0)
 		for i := 0; i < outstanding; i++ {
-			r.OnSend(1, msec)
+			r.OnSendN(1, 1, msec)
 		}
 		return r.Score(1, 2*msec)
 	}
@@ -129,10 +129,10 @@ func TestConcurrencyCompensation(t *testing.T) {
 
 func TestQueueEstimateFormula(t *testing.T) {
 	r := NewCubicRanker(RankerConfig{Seed: 5, ConcurrencyWeight: 7, Alpha: 1})
-	r.OnSend(1, 0) // outstanding = 1
-	r.OnResponse(1, fb(3, time.Millisecond), time.Millisecond, 0)
-	r.OnSend(1, 0)
-	r.OnSend(1, 0) // outstanding = 2
+	r.OnSendN(1, 1, 0) // outstanding = 1
+	r.OnResponseN(1, 1, fb(3, time.Millisecond), time.Millisecond, 0)
+	r.OnSendN(1, 1, 0)
+	r.OnSendN(1, 1, 0) // outstanding = 2
 	// q̂ = 1 + 2·7 + 3 = 18
 	if got := r.QueueEstimate(1); math.Abs(got-18) > 1e-12 {
 		t.Fatalf("QueueEstimate = %v, want 18", got)
@@ -144,7 +144,7 @@ func TestQueueEstimateFormula(t *testing.T) {
 
 func TestOutstandingNeverNegative(t *testing.T) {
 	r := NewCubicRanker(RankerConfig{Seed: 6})
-	r.OnResponse(1, fb(0, time.Millisecond), time.Millisecond, 0) // response without send
+	r.OnResponseN(1, 1, fb(0, time.Millisecond), time.Millisecond, 0) // response without send
 	if got := r.Outstanding(1); got != 0 {
 		t.Fatalf("Outstanding = %v, want 0", got)
 	}
@@ -164,8 +164,8 @@ func TestRankIsPermutationProperty(t *testing.T) {
 		}
 		if len(group) > 0 && data%2 == 0 {
 			s := group[0]
-			r.OnSend(s, 0)
-			r.OnResponse(s, fb(float64(data), time.Millisecond), time.Millisecond, 0)
+			r.OnSendN(s, 1, 0)
+			r.OnResponseN(s, 1, fb(float64(data), time.Millisecond), time.Millisecond, 0)
 		}
 		out := r.Rank(nil, group, msec)
 		if len(out) != len(group) {
@@ -228,8 +228,8 @@ func BenchmarkCubicRank3(b *testing.B) {
 	r := NewCubicRanker(RankerConfig{Seed: 1})
 	group := []ServerID{1, 2, 3}
 	for _, s := range group {
-		r.OnSend(s, 0)
-		r.OnResponse(s, fb(2, 4*time.Millisecond), 5*time.Millisecond, 0)
+		r.OnSendN(s, 1, 0)
+		r.OnResponseN(s, 1, fb(2, 4*time.Millisecond), 5*time.Millisecond, 0)
 	}
 	dst := make([]ServerID, 3)
 	b.ResetTimer()

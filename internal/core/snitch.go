@@ -104,12 +104,15 @@ func (d *DynamicSnitch) peer(s ServerID) *snitchPeer {
 	return p
 }
 
-// OnSend implements Ranker.
-func (d *DynamicSnitch) OnSend(ServerID, int64) {}
+// OnSendN implements Ranker.
+func (d *DynamicSnitch) OnSendN(ServerID, int, int64) {}
 
-// OnResponse implements Ranker: appends the observed response time to the
-// peer's latency history.
-func (d *DynamicSnitch) OnResponse(s ServerID, fb Feedback, rtt time.Duration, now int64) {
+// OnResponseN implements Ranker: appends the observed response time to the
+// peer's latency history — one sample per response, whatever n is, as
+// Cassandra records one latency per read message. No caller here passes
+// n > 1: only the Cassandra-model simulator ranks with the snitch, and it
+// sends point reads.
+func (d *DynamicSnitch) OnResponseN(s ServerID, n int, fb Feedback, rtt time.Duration, now int64) {
 	p := d.peer(s)
 	p.samples[p.idx] = seconds(rtt)
 	p.idx = (p.idx + 1) % len(p.samples)
@@ -118,9 +121,9 @@ func (d *DynamicSnitch) OnResponse(s ServerID, fb Feedback, rtt time.Duration, n
 	}
 }
 
-// OnAbandon implements Ranker (the snitch keeps latency histories, not
+// OnAbandonN implements Ranker (the snitch keeps latency histories, not
 // in-flight counts; an abandoned request contributes no sample).
-func (d *DynamicSnitch) OnAbandon(ServerID, int64) {}
+func (d *DynamicSnitch) OnAbandonN(ServerID, int, int64) {}
 
 // SetSeverity records the gossiped iowait fraction (0..1) for peer s. In the
 // cluster substrates this is fed by the gossip subsystem's one-second

@@ -7,7 +7,7 @@ import (
 
 func feedLatency(d *DynamicSnitch, s ServerID, rtt time.Duration, n int, now int64) {
 	for i := 0; i < n; i++ {
-		d.OnResponse(s, Feedback{}, rtt, now)
+		d.OnResponseN(s, 1, Feedback{}, rtt, now)
 	}
 }
 

@@ -31,34 +31,30 @@ func New(alpha float64) EWMA {
 	return EWMA{alpha: alpha}
 }
 
-// Add folds sample x into the average.
-func (e *EWMA) Add(x float64) {
-	if e.n == 0 {
-		e.v = x
-	} else {
-		e.v = e.alpha*x + (1-e.alpha)*e.v
-	}
-	e.n++
-}
+// Add folds sample x into the average; it is AddN(x, 1).
+func (e *EWMA) Add(x float64) { e.AddN(x, 1) }
 
-// AddN folds sample x into the average n times, in closed form:
+// AddN folds sample x into the average with weight n: the result equals n
+// repeated Adds of x up to floating-point rounding, computed in closed form
 //
 //	v ← x·(1−(1−α)ⁿ) + (1−α)ⁿ·v
 //
-// This is the weighted-feedback primitive of the batch path — one feedback
-// sample describing an n-key sub-batch trains the estimator exactly as n
-// identical point samples would, without the n loop iterations.
+// and bitwise equal to Add for n = 1, which takes the point expression
+// α·x + (1−α)·v. This is the weighted-feedback primitive of the batch path:
+// one feedback sample describing an n-key sub-batch trains the estimator as
+// n identical point samples would, without the n loop iterations.
 func (e *EWMA) AddN(x float64, n int) {
-	if n <= 0 {
+	switch {
+	case n <= 0:
 		return
-	}
-	if e.n == 0 {
+	case e.n == 0:
 		e.v = x
-		e.n += uint64(n)
-		return
+	case n == 1:
+		e.v = e.alpha*x + (1-e.alpha)*e.v
+	default:
+		w := math.Pow(1-e.alpha, float64(n)) // weight left on the old value
+		e.v = x*(1-w) + w*e.v
 	}
-	w := math.Pow(1-e.alpha, float64(n)) // weight left on the old value
-	e.v = x*(1-w) + w*e.v
 	e.n += uint64(n)
 }
 

@@ -60,6 +60,19 @@ func TestEWMAAddNMatchesRepeatedAdd(t *testing.T) {
 				n, closed.Count(), looped.Count())
 		}
 	}
+	// n = 1 is Add, bit for bit: a point event routed through the weighted
+	// path must not perturb any estimator, at any smoothing factor.
+	for _, alpha := range []float64{0.1, 0.2, 0.3, 0.9} {
+		weighted := New(alpha)
+		point := New(alpha)
+		for _, x := range []float64{1, 5, 2, 7.25, 0.3} {
+			weighted.AddN(x, 1)
+			point.Add(x)
+			if got, want := weighted.Value(), point.Value(); got != want {
+				t.Fatalf("alpha=%v: AddN(%v, 1) = %v, Add = %v", alpha, x, got, want)
+			}
+		}
+	}
 }
 
 func TestEWMAAddNInitializesLikeAdd(t *testing.T) {

@@ -31,12 +31,12 @@ import (
 // instead of growing the backlog — the caller finds out the cluster is
 // degraded rather than the coordinator hiding it in an unbounded log.
 //
-// Replay accounting follows the probe rules: every attempt records OnSend,
-// balanced by OnResponse with the peer's piggybacked feedback on success —
-// replay doubles as a freshness probe of a peer the ranker wrote off — and by
-// OnAbandon on failure, so a still-dead peer never accumulates phantom
-// outstanding load and never feeds failure penalties into EWMAs from the
-// background path.
+// Replay accounting follows the probe rules: every attempt records a one-key
+// OnSendN, balanced by OnResponseN with the peer's piggybacked feedback on
+// success — replay doubles as a freshness probe of a peer the ranker wrote
+// off — and by OnAbandonN on failure, so a still-dead peer never accumulates
+// phantom outstanding load and never feeds failure penalties into EWMAs from
+// the background path.
 
 // defaultHintCap is the per-target queue bound when Config.HintCap is zero.
 const defaultHintCap = 512
@@ -282,10 +282,10 @@ func (h *hintStore) replayLoop(target core.ServerID) {
 }
 
 // deliver attempts one hint: a one-key write leg frame to the target, with
-// probe-style selector accounting (OnSend balanced by OnResponse on success,
-// OnAbandon on failure — a dead peer must not accumulate phantom load). The
-// ack carries the feedback of the key's shard, which trains that shard's
-// selector.
+// probe-style selector accounting (OnSendN balanced by OnResponseN on
+// success, OnAbandonN on failure — a dead peer must not accumulate phantom
+// load). The ack carries the feedback of the key's shard, which trains that
+// shard's selector.
 func (h *hintStore) deliver(target core.ServerID, rec hintRec) bool {
 	n := h.n
 	p, err := n.peer(target)
@@ -293,13 +293,13 @@ func (h *hintStore) deliver(target core.ServerID, rec hintRec) bool {
 		return false
 	}
 	sel := n.selFor(rec.key)
-	sel.OnSend(target, time.Now().UnixNano())
+	sel.OnSendN(target, 1, time.Now().UnixNano())
 	sent := time.Now()
 	var okb [1]bool
 	oks, _, fb, err := p.batchWrite(wire.MsgBatchWriteInternal, wire.LevelOne, rec.ver, rec.del,
 		[]string{rec.key}, [][]byte{rec.val}, okb[:0])
 	if err != nil || len(oks) != 1 || !oks[0] {
-		sel.OnAbandon(target, time.Now().UnixNano())
+		sel.OnAbandonN(target, 1, time.Now().UnixNano())
 		return false
 	}
 	n.accountReadSuccess(sel, target, 1, fb, time.Since(sent), time.Now())

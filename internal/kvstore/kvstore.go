@@ -420,8 +420,8 @@ func (n *Node) SetSlowdown(d time.Duration) { n.slowNs.Store(int64(d)) }
 
 // HedgesIssued reports speculative read duplicates this coordinator fired —
 // the numerator of the duplicate-load overhead a deployment watches. The
-// count lives in the selector (PickHedge records it); failovers after an
-// error go through PickNext and are not counted.
+// count lives in the selector (PickHedgeN records it, in keys); failovers
+// after an error go through PickNextN and are not counted.
 func (n *Node) HedgesIssued() uint64 { return n.sels.HedgesSent() }
 
 // HedgeWins reports coordinated reads that were answered by their hedge
@@ -1018,14 +1018,10 @@ func (n *Node) accountReadFailure(sel *core.Client, s core.ServerID, nk int, now
 // accountReadSuccess feeds a read's piggybacked feedback and observed round
 // trip to the shard's selector. A sub-batch of nk keys weighs nk — the one
 // sample describes the post-batch server state, and the replica just shed nk
-// outstanding reads; a point read takes the point path.
+// outstanding reads.
 func (n *Node) accountReadSuccess(sel *core.Client, s core.ServerID, nk int, fb wire.Feedback, rtt time.Duration, now time.Time) {
 	f := core.Feedback{QueueSize: fb.QueueSize, ServiceTime: time.Duration(fb.ServiceNs)}
-	if nk == 1 {
-		sel.OnResponse(s, f, rtt, now.UnixNano())
-	} else {
-		sel.OnResponseN(s, nk, f, rtt, now.UnixNano())
-	}
+	sel.OnResponseN(s, nk, f, rtt, now.UnixNano())
 }
 
 var errClosed = errors.New("kvstore: node closed")

@@ -13,8 +13,8 @@ import (
 
 // settleOutstanding polls until the selector accounting from n toward every
 // peer in the cluster has returned to zero — the invariant that every
-// OnSend/Pick/PickHedge is balanced by exactly one OnResponse/OnAbandon even
-// across failures. Legs that land after their read answered (probes among
+// PickBatch/PickNextN/PickHedgeN/OnSendN is balanced by exactly one
+// OnResponseN/OnAbandonN even across failures. Legs that land after their read answered (probes among
 // them) may still be resolving when the foreground traffic stops, hence the
 // deadline.
 func settleOutstanding(t *testing.T, nodes []*Node, peers int, deadline time.Duration) {

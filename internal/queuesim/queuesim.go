@@ -475,7 +475,7 @@ func (e *engine) dispatch(primary core.ServerID, req *request) {
 			if s == primary {
 				continue
 			}
-			req.client.core.OnSend(s, now)
+			req.client.core.OnSendN(s, 1, now)
 			e.send(&flight{req: req, server: s, tSent: now})
 		}
 	}
@@ -538,7 +538,7 @@ func (e *engine) clientReceive(fl *flight) {
 		QueueSize:   float64(fl.qlen),
 		ServiceTime: time.Duration(fl.svc),
 	}
-	req.client.core.OnResponse(fl.server, fb, time.Duration(now-fl.tSent), now)
+	req.client.core.OnResponseN(fl.server, 1, fb, time.Duration(now-fl.tSent), now)
 	if !fl.primary {
 		return
 	}

@@ -92,9 +92,6 @@ func (s *Sample) Percentile(p float64) float64 {
 	return percentileSorted(s.xs, p)
 }
 
-// Quantile is Percentile with q in [0,1].
-func (s *Sample) Quantile(q float64) float64 { return s.Percentile(q * 100) }
-
 // percentileSorted computes the percentile of an ascending slice.
 func percentileSorted(xs []float64, p float64) float64 {
 	if len(xs) == 0 {

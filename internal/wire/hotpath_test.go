@@ -68,10 +68,10 @@ func TestReaderShrinksRetainedBuffer(t *testing.T) {
 	big := make([]byte, 1<<20)
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	if err := w.WriteReadResp(ReadResp{ID: 1, Found: true, Value: big}); err != nil {
+	if err := raw(w)(AppendReadResp(nil, ReadResp{ID: 1, Found: true, Value: big})); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteRead(MsgRead, ReadReq{ID: 2, Key: "small"}); err != nil {
+	if err := raw(w)(AppendReadReq(nil, MsgRead, ReadReq{ID: 2, Key: "small"})); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
@@ -149,8 +149,9 @@ func TestStreamedReadResp(t *testing.T) {
 	}
 }
 
-// TestAppendEncodersMatchWriter: the pure append encoders and the Writer
-// methods must produce identical bytes.
+// TestAppendEncodersMatchWriter: frames appended one after another into a
+// single buffer must equal the same frames encoded separately and coalesced
+// by the Writer — an encoder appends to dst and never rewrites what it holds.
 func TestAppendEncodersMatchWriter(t *testing.T) {
 	rr := ReadResp{ID: 5, Found: true, Value: []byte("v"), FB: Feedback{QueueSize: 1, ServiceNs: 2}}
 	wr := WriteReq{ID: 6, Key: "k", Value: []byte("w")}
@@ -160,10 +161,10 @@ func TestAppendEncodersMatchWriter(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	for _, step := range []func() error{
-		func() error { return w.WriteReadResp(rr) },
-		func() error { return w.WriteWrite(MsgWrite, wr) },
-		func() error { return w.WriteWriteResp(wa) },
-		func() error { return w.WriteRead(MsgRead, rq) },
+		func() error { return raw(w)(AppendReadResp(nil, rr)) },
+		func() error { return raw(w)(AppendWriteReq(nil, MsgWrite, wr)) },
+		func() error { return raw(w)(AppendWriteResp(nil, wa)) },
+		func() error { return raw(w)(AppendReadReq(nil, MsgRead, rq)) },
 	} {
 		if err := step(); err != nil {
 			t.Fatal(err)

@@ -620,8 +620,7 @@ func AppendBatchReadResp(dst []byte, m BatchReadResp) ([]byte, error) {
 // per flush to amortize write syscalls. Not safe for concurrent use; callers
 // serialize.
 type Writer struct {
-	w   *bufio.Writer
-	buf []byte
+	w *bufio.Writer
 }
 
 // NewWriter wraps w.
@@ -640,42 +639,6 @@ func (w *Writer) Buffered() int { return w.w.Buffered() }
 func (w *Writer) WriteRaw(frame []byte) error {
 	_, err := w.w.Write(frame)
 	return err
-}
-
-// buffer stashes an encoded frame, retaining the (possibly grown) scratch
-// buffer for the next message — unless it grew past MaxRetainedBuffer, so
-// one oversized message does not pin its memory for the Writer's lifetime.
-func (w *Writer) buffer(b []byte, err error) error {
-	if err != nil {
-		return err
-	}
-	if cap(b) <= MaxRetainedBuffer {
-		w.buf = b[:0]
-	} else {
-		w.buf = nil
-	}
-	_, err = w.w.Write(b)
-	return err
-}
-
-// WriteRead buffers a read request frame of the given type (MsgRead).
-func (w *Writer) WriteRead(typ uint8, m ReadReq) error {
-	return w.buffer(AppendReadReq(w.buf[:0], typ, m))
-}
-
-// WriteReadResp buffers a read response.
-func (w *Writer) WriteReadResp(m ReadResp) error {
-	return w.buffer(AppendReadResp(w.buf[:0], m))
-}
-
-// WriteWrite buffers a write request frame of the given type (MsgWrite).
-func (w *Writer) WriteWrite(typ uint8, m WriteReq) error {
-	return w.buffer(AppendWriteReq(w.buf[:0], typ, m))
-}
-
-// WriteWriteResp buffers a write acknowledgement.
-func (w *Writer) WriteWriteResp(m WriteResp) error {
-	return w.buffer(AppendWriteResp(w.buf[:0], m))
 }
 
 // Reader parses incoming frames. Not safe for concurrent use.

@@ -26,9 +26,20 @@ func roundtrip(t *testing.T, send func(*Writer) error) (uint8, []byte) {
 	return typ, payload
 }
 
+// raw returns a sink that buffers one Append*-encoded frame through w, the
+// way production code writes frames: raw(w)(AppendReadReq(nil, MsgRead, m)).
+func raw(w *Writer) func(frame []byte, err error) error {
+	return func(frame []byte, err error) error {
+		if err != nil {
+			return err
+		}
+		return w.WriteRaw(frame)
+	}
+}
+
 func TestReadReqRoundtrip(t *testing.T) {
 	in := ReadReq{ID: 42, Key: "user00042"}
-	typ, payload := roundtrip(t, func(w *Writer) error { return w.WriteRead(MsgRead, in) })
+	typ, payload := roundtrip(t, func(w *Writer) error { return raw(w)(AppendReadReq(nil, MsgRead, in)) })
 	if typ != MsgRead {
 		t.Fatalf("type = %d", typ)
 	}
@@ -64,7 +75,7 @@ func TestReadRespRoundtrip(t *testing.T) {
 		Value: []byte("hello world"),
 		FB:    Feedback{QueueSize: 3.5, ServiceNs: 1234567},
 	}
-	typ, payload := roundtrip(t, func(w *Writer) error { return w.WriteReadResp(in) })
+	typ, payload := roundtrip(t, func(w *Writer) error { return raw(w)(AppendReadResp(nil, in)) })
 	if typ != MsgReadResp {
 		t.Fatalf("type = %d", typ)
 	}
@@ -80,7 +91,7 @@ func TestReadRespRoundtrip(t *testing.T) {
 
 func TestReadRespNotFound(t *testing.T) {
 	in := ReadResp{ID: 9, Found: false, FB: Feedback{QueueSize: 0, ServiceNs: 10}}
-	_, payload := roundtrip(t, func(w *Writer) error { return w.WriteReadResp(in) })
+	_, payload := roundtrip(t, func(w *Writer) error { return raw(w)(AppendReadResp(nil, in)) })
 	out, err := ParseReadResp(payload)
 	if err != nil || out.Found || len(out.Value) != 0 {
 		t.Fatalf("out = %+v err=%v", out, err)
@@ -89,7 +100,7 @@ func TestReadRespNotFound(t *testing.T) {
 
 func TestWriteReqRoundtrip(t *testing.T) {
 	in := WriteReq{ID: 11, Key: "k", Value: bytes.Repeat([]byte{0xAB}, 1024)}
-	typ, payload := roundtrip(t, func(w *Writer) error { return w.WriteWrite(MsgWrite, in) })
+	typ, payload := roundtrip(t, func(w *Writer) error { return raw(w)(AppendWriteReq(nil, MsgWrite, in)) })
 	if typ != MsgWrite {
 		t.Fatalf("type = %d", typ)
 	}
@@ -104,7 +115,7 @@ func TestWriteRespRoundtrip(t *testing.T) {
 		{ID: 13, OK: true, FB: Feedback{QueueSize: 1, ServiceNs: 999}},
 		{ID: 14, OK: false, FB: Feedback{QueueSize: 2, ServiceNs: 5}}, // failure report
 	} {
-		_, payload := roundtrip(t, func(w *Writer) error { return w.WriteWriteResp(in) })
+		_, payload := roundtrip(t, func(w *Writer) error { return raw(w)(AppendWriteResp(nil, in)) })
 		out, err := ParseWriteResp(payload)
 		if err != nil || out != in {
 			t.Fatalf("out = %+v err=%v", out, err)
@@ -116,7 +127,7 @@ func TestMultipleFramesSequential(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	for i := uint64(0); i < 10; i++ {
-		if err := w.WriteRead(MsgRead, ReadReq{ID: i, Key: "k"}); err != nil {
+		if err := raw(w)(AppendReadReq(nil, MsgRead, ReadReq{ID: i, Key: "k"})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,7 +156,7 @@ func TestMultipleFramesSequential(t *testing.T) {
 func TestTruncatedFrameDetected(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	if err := w.WriteReadResp(ReadResp{ID: 1, Found: true, Value: []byte("xyz")}); err != nil {
+	if err := raw(w)(AppendReadResp(nil, ReadResp{ID: 1, Found: true, Value: []byte("xyz")})); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
@@ -173,9 +184,7 @@ func TestCorruptPayloadRejected(t *testing.T) {
 }
 
 func TestOversizeKeyRejected(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	err := w.WriteRead(MsgRead, ReadReq{Key: strings.Repeat("k", MaxKeyLen+1)})
+	_, err := AppendReadReq(nil, MsgRead, ReadReq{Key: strings.Repeat("k", MaxKeyLen+1)})
 	if err == nil {
 		t.Fatal("oversized key accepted")
 	}
@@ -205,7 +214,7 @@ func TestReadRespRoundtripProperty(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		w := NewWriter(&buf)
-		if err := w.WriteReadResp(in); err != nil {
+		if err := raw(w)(AppendReadResp(nil, in)); err != nil {
 			return false
 		}
 		if err := w.Flush(); err != nil {
@@ -243,11 +252,16 @@ func BenchmarkReadRespRoundtrip(b *testing.B) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	r := NewReader(&buf)
+	var frame []byte
 	b.SetBytes(1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := w.WriteReadResp(ReadResp{ID: uint64(i), Found: true, Value: val}); err != nil {
+		var err error
+		if frame, err = AppendReadResp(frame[:0], ReadResp{ID: uint64(i), Found: true, Value: val}); err != nil {
+			b.Fatal(err)
+		}
+		if err := w.WriteRaw(frame); err != nil {
 			b.Fatal(err)
 		}
 		if err := w.Flush(); err != nil {
