@@ -32,7 +32,7 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-func sendName(name string) bool   { return name == "OnSend" || name == "OnSendN" }
+func sendName(name string) bool { return name == "OnSend" || name == "OnSendN" }
 func settleName(name string) bool {
 	switch name {
 	case "OnResponse", "OnAbandon", "OnResponseN", "OnAbandonN":

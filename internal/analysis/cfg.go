@@ -142,11 +142,11 @@ func (g *CFG) WalkFrom(from ast.Stmt, f func(*Node) (stop bool)) {
 type cfgBuilder struct {
 	g          *CFG
 	terminates func(ast.Stmt) bool
-	breaks     []*Node            // innermost-last unlabeled break targets
-	continues  []*Node            // innermost-last unlabeled continue targets
-	labelBreak map[string]*Node   // label -> break target
-	labelCont  map[string]*Node   // label -> continue target
-	pendLabels []string           // labels attached to the next loop/switch
+	breaks     []*Node          // innermost-last unlabeled break targets
+	continues  []*Node          // innermost-last unlabeled continue targets
+	labelBreak map[string]*Node // label -> break target
+	labelCont  map[string]*Node // label -> continue target
+	pendLabels []string         // labels attached to the next loop/switch
 }
 
 // BuildCFG constructs the CFG of a function body. terminates reports

@@ -34,11 +34,11 @@ type Package struct {
 	ImportPath string
 	// ForTest is the original import path when this is a test variant.
 	ForTest string
-	Dir      string
-	Fset     *token.FileSet
-	Files    []*ast.File
-	Types    *types.Package
-	Info     *types.Info
+	Dir     string
+	Fset    *token.FileSet
+	Files   []*ast.File
+	Types   *types.Package
+	Info    *types.Info
 	// Module reports whether the package belongs to the main module — the
 	// analyzers' target set.
 	Module bool

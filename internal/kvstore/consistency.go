@@ -193,7 +193,7 @@ func (n *Node) QuorumFailures() uint64 { return n.quorumFails.Load() }
 // applying them — a fault-injection hook for consistency tests and the
 // staleness benchmark: a coordinator's leg (its own local leg included) or a
 // hint replay fails, so an acked CL=ONE write visibly misses this replica.
-// Read-repair write-backs and decommission pages (MsgStreamPush) still land:
+// Read-repair write-backs and key-range pages (MsgStreamPush) still land:
 // they are what heals the miss.
 func (n *Node) SetDropWrites(drop bool) { n.dropWrites.Store(drop) }
 

@@ -177,8 +177,6 @@ type Node struct {
 	peersMu sync.RWMutex
 	peers   []*peerSlot // outbound RPC links, indexed by peer node id; grown on adoption
 
-	scan streamScan // per-arc live-key snapshot serving membership pulls
-
 	connsMu sync.Mutex
 	conns   map[net.Conn]struct{} // inbound connections, closed on shutdown
 
@@ -674,11 +672,10 @@ func (n *Node) serveConn(conn net.Conn) {
 			if err != nil {
 				return
 			}
-			m.Cursor = strings.Clone(m.Cursor)
 			n.wg.Add(1)
 			go func() {
 				defer n.wg.Done()
-				n.respondStream(cw, m)
+				n.answerStreamReq(cw, m)
 			}()
 		default:
 			return // protocol error: drop the connection
@@ -827,22 +824,6 @@ func (n *Node) respondLocalBatchRead(cw *connWriter, id uint64, keys []string, d
 	}
 	*fb = b
 	cw.enqueue(fb)
-}
-
-// applyStreamed lands one page a joining node pulled — keys with the raw
-// version-prefixed values they had on the sender — as one batch: one commit
-// group per page. Each value is split back into its version and payload and
-// applied under the store's last-write-wins guard (the check and the write
-// are one critical section), so a streamed pre-move value can never clobber
-// a newer dual-routed write that arrived first; a record the guard skips is
-// still a success.
-func (n *Node) applyStreamed(keys []string, raws [][]byte) error {
-	vers := make([]uint64, len(keys))
-	vals := make([][]byte, len(keys))
-	for i, raw := range raws {
-		vers[i], vals[i] = lsm.SplitVersioned(raw)
-	}
-	return n.store.ApplyMulti(keys, vers, vals, nil)
 }
 
 // feedback samples the node's current C3 feedback fields aggregated over

@@ -13,12 +13,12 @@ package kvstore
 //   - epoch e+2 (stable): announced by the subject once key-range streaming
 //     has caught the new owners up; reads cut over to the new ring.
 //
-// A joining node pulls its owed ranges from current owners page by page
-// (MsgStreamReq/MsgStreamChunk, cursor-paginated so the server stays
-// stateless); a decommissioning node pushes its arcs to the gainers through
-// the coalesced batch-write path. Both sides apply streamed values only for
-// absent keys, so a page carrying a pre-move value can never clobber a
-// dual-routed write that arrived first.
+// Every key-range move is a push: a decommissioning node pushes its arcs to
+// the gainers, and a joining (or rebuilding) node asks a current owner, with
+// MsgStreamReq, to push an owed arc to it. The pages are MsgStreamPush
+// frames, which the receiver lands through its shard writers under the
+// last-write-wins version guard, so a page carrying a pre-move value can
+// never clobber a newer dual-routed write that arrived first.
 //
 // Announcements are pushed best-effort with acks: a member that misses one
 // (crashed, partitioned) keeps serving on its older topology — reads stay
@@ -33,8 +33,6 @@ import (
 	"fmt"
 	"net"
 	"slices"
-	"sort"
-	"sync"
 	"time"
 
 	"c3/internal/core"
@@ -54,14 +52,17 @@ var (
 	// errUnknownPeer reports an RPC toward a server the current topology
 	// has no address for (departed, or an announcement not yet received).
 	errUnknownPeer = errors.New("kvstore: no address for peer in current topology")
+	// errPushFailed reports a key-range push cut short: a page could not be
+	// sent or was not acked in full.
+	errPushFailed = errors.New("kvstore: key-range push failed")
 )
 
-// Streaming knobs: page size in keys and bytes for the pull path, chunk size
-// for the push path, and the per-range catch-up budget.
+// Streaming knobs: a push page is cut at streamPageKeys keys or
+// streamPageBytes bytes, whichever comes first; streamBudget bounds one
+// arc's catch-up, retries included.
 const (
 	streamPageKeys   = 512
 	streamPageBytes  = 1 << 20
-	streamPushKeys   = 512
 	streamBudget     = 30 * time.Second
 	ringPushTimeout  = 2 * time.Second
 	joinReqTimeout   = 10 * time.Second
@@ -379,7 +380,7 @@ func (n *Node) admitJoiner(addr string) (wire.RingUpdate, error) {
 // JoinCluster starts a fresh node on listenAddr and admits it into the live
 // cluster reachable at seedAddr: it receives the transition topology (and
 // its assigned id) from the seed, serves dual-routed writes immediately,
-// pulls its owed key ranges from the current owners, and only then
+// has the current owners push its owed key ranges to it, and only then
 // broadcasts the stable epoch that cuts reads over to the new ring. It
 // returns once the node is a fully caught-up read-serving member.
 func JoinCluster(seedAddr, listenAddr string, cfg Config) (*Node, error) {
@@ -447,10 +448,9 @@ func (n *Node) abortJoin() {
 	n.broadcastUpdate(u, targets)
 }
 
-// catchUp streams every range the join moved onto this node from its current
-// owners, page by page. Streamed values fill only absent keys — a page
-// carrying a pre-move value must never clobber a dual-routed write that
-// landed first.
+// catchUp has every range the join moved onto this node pushed to it by a
+// current owner. The pages land under the last-write-wins guard, so a
+// pre-move value never clobbers a dual-routed write that landed first.
 func (n *Node) catchUp() error {
 	t := n.topo.Load()
 	if t.prev == nil {
@@ -467,59 +467,44 @@ func (n *Node) catchUp() error {
 	return nil
 }
 
-// pullRange pages one owed arc in from its owners. All pages of the arc
-// come from ONE owner (pagination cursors only compose against a single
-// replica's key set); the puller rotates to the next owner — restarting the
-// arc from the beginning — only when the current one fails, and retries
-// wrong-epoch rejections (an owner that has not yet adopted the transition)
-// until the budget expires.
+// pullRange has one owed arc pushed to this node by one of its owners, which
+// answers once every page is acked. The puller rotates to the next owner —
+// which pushes the arc again from its start; the version guard dedups — when
+// the current one fails, and retries wrong-epoch rejections (an owner that
+// has not yet adopted the transition) until the budget expires. A push must
+// finish inside the budget.
 func (n *Node) pullRange(c ring.Change, epoch uint64) error {
 	deadline := time.Now().Add(streamBudget)
-	cursor := ""
-	var lastErr error
-	for src := 0; ; {
-		owner := c.Old[src%len(c.Old)]
-		page, err := n.streamPullFrom(owner, epoch, c.Start, c.End, cursor)
-		if err != nil {
-			lastErr = err
-			if time.Now().After(deadline) {
-				return fmt.Errorf("kvstore: streaming range (%d, %d]: %w", c.Start, c.End, lastErr)
-			}
-			src++       // a different owner's key set: cursors don't carry over
-			cursor = "" // re-pull the arc from its start (the version guard dedups)
-			time.Sleep(streamRetryPause)
-			continue
-		}
-		// Only older-or-absent keys land: the version check and write are
-		// atomic in the store, so a dual-routed write racing this page
-		// always wins.
-		if err := n.applyStreamed(page.keys, page.vals); err != nil {
-			return fmt.Errorf("kvstore: applying streamed page: %w", err)
-		}
-		if len(page.keys) > 0 {
-			cursor = page.keys[len(page.keys)-1]
-		}
-		if page.done {
+	req := wire.StreamReq{Epoch: epoch, Start: c.Start, End: c.End, To: int32(n.id)}
+	for src := 0; ; src++ {
+		err := n.requestPush(c.Old[src%len(c.Old)], req, max(time.Until(deadline), joinReqTimeout))
+		if err == nil {
 			return nil
 		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("kvstore: streaming range (%d, %d]: %w", c.Start, c.End, err)
+		}
+		time.Sleep(streamRetryPause)
 	}
 }
 
-// streamPullFrom requests one page from owner, mapping a wrong-epoch
-// rejection to ErrWrongEpoch.
-func (n *Node) streamPullFrom(owner core.ServerID, epoch uint64, start, end int64, cursor string) (*streamPage, error) {
+// requestPush asks owner to push req's arc to this node and waits up to wait
+// for its answer, mapping a wrong-epoch rejection to ErrWrongEpoch.
+func (n *Node) requestPush(owner core.ServerID, req wire.StreamReq, wait time.Duration) error {
 	p, err := n.peer(owner)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	page, err := p.streamPull(wire.StreamReq{Epoch: epoch, Start: start, End: end, Cursor: cursor})
-	if err != nil {
-		return nil, err
+	r, err := p.streamReq(req, wait)
+	switch {
+	case err != nil:
+		return err
+	case r.Status == wire.StreamWrongEpoch:
+		return fmt.Errorf("%w (ours %d, theirs %d)", ErrWrongEpoch, req.Epoch, r.Epoch)
+	case r.Status != wire.StreamOK:
+		return errPushFailed
 	}
-	if page.status != wire.StreamOK {
-		return nil, fmt.Errorf("%w (ours %d, theirs %d)", ErrWrongEpoch, epoch, page.epoch)
-	}
-	return page, nil
+	return nil
 }
 
 // activate closes this node's transition window: install the stable
@@ -583,147 +568,89 @@ func (n *Node) Decommission() error {
 	return nil
 }
 
-// streamOut pushes every arc the leave re-homes to its gainers as coalesced
-// MsgStreamPush pages — the batch-write frame layout and encoders, values
-// version-prefixed — which the gainer lands through its shard writers under
-// the last-write-wins guard, the way it lands a read repair's write-back, so
-// a pre-move value can never clobber a newer dual-routed write already on
-// the gainer. Push failures are tolerated: the remaining replicas of each arc
-// still hold the data, and read repair re-propagates it.
+// streamOut pushes every arc the leave re-homes to its gainers. Push
+// failures are tolerated: the remaining replicas of each arc still hold the
+// data, and read repair re-propagates it.
 func (n *Node) streamOut() {
 	t := n.topo.Load()
 	if t.prev == nil {
 		return
 	}
 	live := n.store.AppendLiveKeys(nil)
-	var keys []string
-	var vals [][]byte
 	for _, c := range t.prev.Diff(t.v) {
 		if !slices.Contains(c.Old, n.id) {
 			continue
 		}
-		var gainers []core.ServerID
 		for _, s := range c.New {
 			if !slices.Contains(c.Old, s) {
-				gainers = append(gainers, s)
+				n.pushArc(c.Range, s, live)
 			}
 		}
-		if len(gainers) == 0 {
+	}
+}
+
+// pushArc sends the keys of live that fall inside arc to node to as
+// MsgStreamPush pages — the batch-write frame layout, values
+// version-prefixed — cut at streamPageKeys keys or streamPageBytes bytes,
+// whichever comes first, and waits for each page's ack. The receiver lands
+// them through its shard writers under the last-write-wins guard, as it lands
+// a read repair's write-back. It fails on the first page that cannot be sent
+// or is not acked in full.
+func (n *Node) pushArc(arc ring.Range, to core.ServerID, live []string) error {
+	p, err := n.peer(to)
+	if err != nil {
+		return err
+	}
+	var (
+		keys []string
+		vals [][]byte
+		oks  []bool
+		size int
+	)
+	flush := func() (err error) {
+		if len(keys) == 0 {
+			return nil
+		}
+		oks, _, _, err = p.batchWrite(wire.MsgStreamPush, wire.LevelOne, 0, false, keys, vals, oks)
+		if err == nil && slices.Contains(oks, false) {
+			err = errPushFailed
+		}
+		keys, vals, size = keys[:0], vals[:0], 0
+		return err
+	}
+	for _, k := range live {
+		if !arc.Contains(ring.Token([]byte(k))) {
 			continue
 		}
-		keys = keys[:0]
-		for _, k := range live {
-			if c.Contains(ring.Token([]byte(k))) {
-				keys = append(keys, k)
+		v, ok := n.store.Get(k)
+		if !ok {
+			continue // deleted since the snapshot
+		}
+		if len(keys) == streamPageKeys || (len(keys) > 0 && size+len(k)+len(v) > streamPageBytes) {
+			if err := flush(); err != nil {
+				return err
 			}
 		}
-		for start := 0; start < len(keys); start += streamPushKeys {
-			end := min(start+streamPushKeys, len(keys))
-			chunk := keys[start:end]
-			vals = vals[:0]
-			for _, k := range chunk {
-				v, _ := n.store.Get(k)
-				vals = append(vals, v)
-			}
-			for _, g := range gainers {
-				if p, err := n.peer(g); err == nil {
-					p.batchWrite(wire.MsgStreamPush, 0, 0, false, chunk, vals, nil)
-				}
-			}
-		}
+		keys, vals, size = append(keys, k), append(vals, v), size+len(k)+len(v)
 	}
+	return flush()
 }
 
-// streamScan caches the sorted live keys of the arc currently being pulled
-// from this node, keyed by (epoch, arc). One snapshot serves every page of
-// the pull instead of rebuilding and re-sorting the whole key set per page
-// (which would make a K-key join O(K²·log K) on the serving replica). Keys
-// written after the snapshot are covered by dual-routed writes reaching the
-// puller directly, so their absence from the stream loses nothing.
-type streamScan struct {
-	mu         sync.Mutex
-	epoch      uint64
-	start, end int64
-	keys       []string
-}
-
-// arcKeys returns the sorted live keys inside the arc at the given epoch,
-// building the snapshot once per (epoch, arc). The returned slice is
-// immutable by convention.
-func (n *Node) arcKeys(epoch uint64, arc ring.Range) []string {
-	sc := &n.scan
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	if sc.keys != nil && sc.epoch == epoch && sc.start == arc.Start && sc.end == arc.End {
-		return sc.keys
+// answerStreamReq serves a MsgStreamReq: an owner whose epoch matches the
+// requester's pushes the arc's live keys to the requester, then answers with
+// the outcome and its epoch.
+func (n *Node) answerStreamReq(cw *connWriter, m wire.StreamReq) {
+	epoch := n.topo.Load().epoch()
+	status := wire.StreamOK
+	if m.Epoch != epoch {
+		status = wire.StreamWrongEpoch
+	} else if n.pushArc(ring.Range{Start: m.Start, End: m.End}, core.ServerID(m.To), n.store.AppendLiveKeys(nil)) != nil {
+		status = wire.StreamPushFailed
 	}
-	keys := make([]string, 0, 1024)
-	for _, k := range n.store.AppendLiveKeys(nil) {
-		if arc.Contains(ring.Token([]byte(k))) {
-			keys = append(keys, k)
-		}
-	}
-	sc.epoch, sc.start, sc.end, sc.keys = epoch, arc.Start, arc.End, keys
-	return keys
-}
-
-// respondStream serves one page of a key-range pull: the live keys inside
-// the requested arc, strictly after the cursor, in ascending order — values
-// streamed straight from the storage engine into the chunk frame. A request
-// whose epoch does not match the node's current topology is rejected with
-// StreamWrongEpoch and the node's epoch.
-func (n *Node) respondStream(cw *connWriter, m wire.StreamReq) {
-	t := n.topo.Load()
 	fb := getBuf()
-	if m.Epoch != t.epoch() {
-		b, err := wire.AppendStreamChunk((*fb)[:0], wire.StreamChunk{
-			ID: m.ID, Status: wire.StreamWrongEpoch, Epoch: t.epoch(), Done: true})
-		if err != nil {
-			putBuf(fb)
-			return
-		}
-		*fb = b
-		cw.enqueue(fb)
-		return
-	}
-	arc := ring.Range{Start: m.Start, End: m.End}
-	keys := n.arcKeys(t.epoch(), arc)
-	// First key strictly after the cursor (the snapshot is sorted).
-	from := sort.SearchStrings(keys, m.Cursor)
-	for from < len(keys) && keys[from] <= m.Cursor {
-		from++
-	}
-	b, mark := wire.BeginStreamChunk((*fb)[:0], m.ID, t.epoch())
-	count, done := 0, true
-	var err error
-	for _, k := range keys[from:] {
-		if count >= streamPageKeys || len(b) >= streamPageBytes {
-			done = false // at least one more matching key remains
-			break
-		}
-		pre := len(b)
-		if b, err = wire.BeginStreamItem(b, &mark, k); err != nil {
-			break
-		}
-		var found bool
-		if b, found = n.store.GetAppend(b, k); !found {
-			// The key died between the snapshot and the read (a racing
-			// delete); drop the opened item.
-			b = b[:pre]
-			mark.CancelItem()
-			continue
-		}
-		if b, err = wire.FinishStreamItem(b, &mark); err != nil {
-			break
-		}
-		count++
-	}
-	if err == nil {
-		b, err = wire.FinishStreamChunk(b, mark, done)
-	}
+	b, err := wire.AppendStreamChunk((*fb)[:0], wire.StreamChunk{ID: m.ID, Status: status, Epoch: epoch})
 	if err != nil {
 		putBuf(fb)
-		cw.sever(err)
 		return
 	}
 	*fb = b
@@ -755,12 +682,12 @@ func (c *Cluster) Join(cfg Config) (*Node, error) {
 // RebuildFromPeers re-populates this node's storage from its co-replicas —
 // the recovery path for a node that lost its disk and restarted empty over
 // the same id and address. It walks every ring arc whose replica set
-// includes this node and pulls it, page by page, from the other owners
-// through the same streaming machinery membership transitions use. Streamed
-// values land only for absent keys, so writes arriving concurrently (the
-// node is already serving) always win over the older streamed copies. The
+// includes this node and has one of the other owners push it here, as a
+// join does. Streamed values land under the last-write-wins guard, so a
+// newer write arriving concurrently (the node is already serving) always
+// wins over an older streamed copy. The
 // cluster must be membership-stable; mid-transition rebuilds return
-// errMembershipBusy, and peers still on a different epoch reject pulls until
+// errMembershipBusy, and peers still on a different epoch reject push requests until
 // the topology reconverges.
 func (n *Node) RebuildFromPeers() error {
 	t := n.topo.Load()

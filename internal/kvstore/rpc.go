@@ -80,29 +80,13 @@ type call struct {
 	bstatus uint8
 	bfb     wire.Feedback
 
-	// Membership control results (ctl != ctlNone; cold path, deep copies).
-	ctl  uint8
-	ru   *wire.RingUpdate
-	ack  wire.RingAck
-	page *streamPage
-}
-
-// Control-call kinds: which membership response frame the call expects.
-const (
-	ctlNone  uint8 = iota
-	ctlRing        // MsgRingUpdate (the join handshake's response)
-	ctlAck         // MsgRingAck (a pushed announcement's receipt)
-	ctlChunk       // MsgStreamChunk (a key-range page)
-)
-
-// streamPage is a deep-copied MsgStreamChunk — membership streaming is a
-// cold path, so copying out of the frame buffer beats pooling complexity.
-type streamPage struct {
-	status uint8
-	epoch  uint64
-	done   bool
-	keys   []string
-	vals   [][]byte
+	// Membership control results. ctl is the response frame type a control
+	// call expects (MsgRingUpdate for the join handshake, MsgRingAck for a
+	// pushed announcement, MsgStreamChunk for a push request), 0 otherwise.
+	ctl   uint8
+	ru    *wire.RingUpdate // deep-copied: a cold path
+	ack   wire.RingAck
+	reply wire.StreamChunk
 }
 
 var callPool = sync.Pool{New: func() any { return &call{done: make(chan struct{}, 1)} }}
@@ -136,10 +120,10 @@ func putCall(c *call) {
 	c.boks = c.boks[:0]
 	c.bstatus = 0
 	c.bfb = wire.Feedback{}
-	c.ctl = ctlNone
+	c.ctl = 0
 	c.ru = nil
 	c.ack = wire.RingAck{}
-	c.page = nil
+	c.reply = wire.StreamChunk{}
 	callPool.Put(c)
 }
 
@@ -215,12 +199,8 @@ func deliver(c *call) {
 // expects is the response frame type c waits for.
 func (c *call) expects() uint8 {
 	switch {
-	case c.ctl == ctlRing:
-		return wire.MsgRingUpdate
-	case c.ctl == ctlAck:
-		return wire.MsgRingAck
-	case c.ctl == ctlChunk:
-		return wire.MsgStreamChunk
+	case c.ctl != 0:
+		return c.ctl
 	case c.isRead && c.isBatch:
 		return wire.MsgBatchReadResp
 	case c.isRead:
@@ -348,18 +328,12 @@ func (p *rpcConn) readLoop() {
 			c.ack = m
 			deliver(c)
 		case wire.MsgStreamChunk:
-			m, err := wire.ParseStreamChunk(payload, nil, nil) // aliases payload
+			m, err := wire.ParseStreamChunk(payload)
 			c := p.match(typ, m.ID, err)
 			if c == nil {
 				continue
 			}
-			pg := &streamPage{status: m.Status, epoch: m.Epoch, done: m.Done,
-				keys: make([]string, len(m.Keys)), vals: make([][]byte, len(m.Values))}
-			for i := range m.Keys {
-				pg.keys[i] = strings.Clone(m.Keys[i])
-				pg.vals[i] = append([]byte(nil), m.Values[i]...)
-			}
-			c.page = pg
+			c.reply = m
 			deliver(c)
 		default:
 			p.failAll()
@@ -523,12 +497,13 @@ func (p *rpcConn) clientWrite(cl uint8, key string, val []byte, del bool) (wire.
 	return resp, err
 }
 
-// ctlSend registers and dispatches one membership control call: enc encodes
-// the request frame under the assigned id. The caller waits on the returned
-// call's done channel (ctlWait applies a timeout) and recycles it.
-func (p *rpcConn) ctlSend(ctl uint8, enc func(dst []byte, id uint64) ([]byte, error)) (*call, uint64, error) {
+// ctlSend registers and dispatches one membership control call answered by
+// a frame of type resp: enc encodes the request frame under the assigned id.
+// The caller waits on the returned call's done channel (ctlWait applies a
+// timeout) and recycles it.
+func (p *rpcConn) ctlSend(resp uint8, enc func(dst []byte, id uint64) ([]byte, error)) (*call, uint64, error) {
 	c := getCall(false, nil)
-	c.ctl = ctl
+	c.ctl = resp
 	var id uint64
 	if err := p.send(c, func(b []byte, i uint64) ([]byte, error) {
 		id = i
@@ -562,7 +537,7 @@ func (p *rpcConn) ctlWait(c *call, id uint64, d time.Duration) error {
 
 // pushRing announces a topology to the peer and waits for its ack.
 func (p *rpcConn) pushRing(u wire.RingUpdate, timeout time.Duration) (wire.RingAck, error) {
-	c, id, err := p.ctlSend(ctlAck, func(dst []byte, id uint64) ([]byte, error) {
+	c, id, err := p.ctlSend(wire.MsgRingAck, func(dst []byte, id uint64) ([]byte, error) {
 		u.ID = id
 		return wire.AppendRingUpdate(dst, u)
 	})
@@ -580,7 +555,7 @@ func (p *rpcConn) pushRing(u wire.RingUpdate, timeout time.Duration) (wire.RingA
 // joinReq asks the peer to admit addr into the cluster, returning the
 // transition topology it announces.
 func (p *rpcConn) joinReq(addr string, timeout time.Duration) (*wire.RingUpdate, error) {
-	c, id, err := p.ctlSend(ctlRing, func(dst []byte, id uint64) ([]byte, error) {
+	c, id, err := p.ctlSend(wire.MsgRingUpdate, func(dst []byte, id uint64) ([]byte, error) {
 		return wire.AppendJoinReq(dst, wire.JoinReq{ID: id, Addr: addr})
 	})
 	if err != nil {
@@ -597,22 +572,20 @@ func (p *rpcConn) joinReq(addr string, timeout time.Duration) (*wire.RingUpdate,
 	return u, nil
 }
 
-// streamPull requests one key-range page from the peer.
-func (p *rpcConn) streamPull(req wire.StreamReq) (*streamPage, error) {
-	c, id, err := p.ctlSend(ctlChunk, func(dst []byte, id uint64) ([]byte, error) {
+// streamReq asks the peer to push an arc to req.To and waits up to wait for
+// its status reply.
+func (p *rpcConn) streamReq(req wire.StreamReq, wait time.Duration) (wire.StreamChunk, error) {
+	c, id, err := p.ctlSend(wire.MsgStreamChunk, func(dst []byte, id uint64) ([]byte, error) {
 		req.ID = id
 		return wire.AppendStreamReq(dst, req)
 	})
 	if err != nil {
-		return nil, err
+		return wire.StreamChunk{}, err
 	}
-	if err := p.ctlWait(c, id, joinReqTimeout); err != nil {
-		return nil, err
+	if err := p.ctlWait(c, id, wait); err != nil {
+		return wire.StreamChunk{}, err
 	}
-	page, err := c.page, c.err
+	r, err := c.reply, c.err
 	putCall(c)
-	if err != nil {
-		return nil, err
-	}
-	return page, nil
+	return r, err
 }

@@ -31,7 +31,7 @@ import (
 //     allocates nothing and spawns nothing in steady state.
 //   - Every replica write lands through one path (applyFrame, applyLeg): a
 //     leg frame, a hint replay, a stream push — read repair's write-back or
-//     a decommission page — and the coordinator's own leg alike. Its
+//     a page of a key-range move — and the coordinator's own leg alike. Its
 //     records are laid out in shard order and each touched shard gets one
 //     pooled writeTask. Each shard runs one writer goroutine draining its
 //     queue of tasks into a single ApplyMulti — one memtable lock, one WAL
@@ -409,11 +409,11 @@ func (g *writeGather) release() {
 // coordinator comes through here, at any key count, from three sources —
 // serveConn with a MsgBatchWriteInternal frame (a coordinator's leg or a
 // hint replay) or a MsgStreamPush frame (a read repair's write-back or a
-// decommission page), and the coordinator with its own leg of a gather
-// (applyLeg). The records are laid out in shard order, each touched shard
-// gets one pooled task, and each shard's writer folds whatever tasks are
-// pending into one ApplyMulti. The frame is acked, or the leg completed,
-// when its last task finishes, with an OK flag per key.
+// page of a join, rebuild or decommission), and the coordinator with its
+// own leg of a gather (applyLeg). The records are laid out in shard order,
+// each touched shard gets one pooled task, and each shard's writer folds
+// whatever tasks are pending into one ApplyMulti. The frame is acked, or
+// the leg completed, when its last task finishes, with an OK flag per key.
 
 // replicaWrite is one write frame or local leg in flight. Pooled; its slices
 // keep their capacity across lives.

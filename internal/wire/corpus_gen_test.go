@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"os"
 	"strconv"
 	"testing"
@@ -37,14 +38,17 @@ func TestGenerateCorpus(t *testing.T) {
 	zero := append([]byte(nil), ru[5:5+22]...)
 	zero = append(zero, 0, 0)
 	writeEntry(dir+"seed-ring-zero-nodes", zero)
-	wrap := must(AppendStreamReq(nil, StreamReq{ID: 2, Epoch: 3, Start: 100, End: -100, Cursor: "k"}))
+	wrap := must(AppendStreamReq(nil, StreamReq{ID: 2, Epoch: 3, Start: 100, End: -100, To: 4}))
 	writeEntry(dir+"seed-stream-wrapping-arc", wrap[5:])
-	full := must(AppendStreamReq(nil, StreamReq{ID: 3, Epoch: 3, Start: 7, End: 7}))
+	full := must(AppendStreamReq(nil, StreamReq{ID: 3, Epoch: 3, Start: 7, End: 7, To: 1}))
 	writeEntry(dir+"seed-stream-degenerate-arc", full[5:])
-	nack := must(AppendStreamChunk(nil, StreamChunk{ID: 4, Status: StreamWrongEpoch, Epoch: 9, Done: true}))
+	nack := must(AppendStreamChunk(nil, StreamChunk{ID: 4, Status: StreamWrongEpoch, Epoch: 9}))
 	writeEntry(dir+"seed-stream-wrong-epoch", nack[5:])
-	page := must(AppendStreamChunk(nil, StreamChunk{ID: 5, Epoch: 9, Done: false,
-		Keys: []string{"k0", "k1"}, Values: [][]byte{[]byte("v0"), nil}}))
+	// One page of a range move: version-prefixed values, the second empty.
+	v0 := append(binary.LittleEndian.AppendUint64(nil, 7), "v0"...)
+	v1 := binary.LittleEndian.AppendUint64(nil, 8)
+	page := must(AppendBatchWriteReq(nil, MsgStreamPush, BatchWriteReq{ID: 5,
+		Keys: []string{"k0", "k1"}, Values: [][]byte{v0, v1}}))
 	writeEntry(dir+"seed-stream-page", page[5:])
 	digest := must(AppendBatchReadReq(nil, MsgBatchReadInternal, BatchReadReq{ID: 6, CL: LevelQuorum,
 		Digest: true, Keys: []string{"k0", "k1"}}))

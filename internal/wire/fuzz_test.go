@@ -68,11 +68,10 @@ func FuzzDecode(f *testing.F) {
 	}))
 	f.Add(seed(func(dst []byte) ([]byte, error) {
 		// A wrapping (Start ≥ End) arc: legal, must round-trip.
-		return AppendStreamReq(dst, StreamReq{ID: 12, Epoch: 4, Start: 100, End: -100, Cursor: "k"})
+		return AppendStreamReq(dst, StreamReq{ID: 12, Epoch: 4, Start: 100, End: -100, To: 3})
 	}))
 	f.Add(seed(func(dst []byte) ([]byte, error) {
-		return AppendStreamChunk(dst, StreamChunk{ID: 13, Epoch: 4, Done: true,
-			Keys: []string{"a", "b"}, Values: [][]byte{[]byte("x"), nil}})
+		return AppendStreamChunk(dst, StreamChunk{ID: 13, Status: StreamPushFailed, Epoch: 4})
 	}))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
@@ -186,20 +185,13 @@ func FuzzDecode(f *testing.F) {
 				}
 			}
 		}
-		if m, err := ParseStreamChunk(b, nil, nil); err == nil {
+		if m, err := ParseStreamChunk(b); err == nil {
 			enc, err := AppendStreamChunk(nil, m)
 			if err != nil {
-				t.Fatalf("re-encode of decoded stream chunk failed: %v", err)
+				t.Fatalf("re-encode of decoded stream reply failed: %v", err)
 			}
-			back, err := ParseStreamChunk(enc[5:], nil, nil)
-			if err != nil || back.ID != m.ID || back.Status != m.Status ||
-				back.Epoch != m.Epoch || back.Done != m.Done || len(back.Keys) != len(m.Keys) {
-				t.Fatalf("stream chunk re-decode mismatch (err=%v)", err)
-			}
-			for i := range m.Keys {
-				if back.Keys[i] != m.Keys[i] || !bytes.Equal(back.Values[i], m.Values[i]) {
-					t.Fatalf("stream item %d changed across round-trip", i)
-				}
+			if back, err := ParseStreamChunk(enc[5:]); err != nil || back != m {
+				t.Fatalf("stream reply re-decode mismatch (err=%v)", err)
 			}
 		}
 		// The frame reader must also survive raw adversarial bytes.
@@ -280,7 +272,7 @@ func FuzzRoundTrip(f *testing.F) {
 }
 
 // FuzzMembershipRoundTrip drives the encode direction of the membership
-// frames with structured inputs: whatever topology or stream page the fuzzer
+// frames with structured inputs: whatever topology, push request or reply the fuzzer
 // assembles, encoding must either fail cleanly or produce a frame that
 // decodes back field-for-field.
 func FuzzMembershipRoundTrip(f *testing.F) {
@@ -308,23 +300,19 @@ func FuzzMembershipRoundTrip(f *testing.F) {
 				}
 			}
 		}
-		sc := StreamChunk{ID: id, Epoch: epoch, Done: done,
-			Keys: addrs, Values: make([][]byte, len(addrs))}
-		for i := range sc.Values {
-			sc.Values[i] = []byte(addrs[(i+1)%max(len(addrs), 1)])
+		// Any status byte: an unknown one must fail to encode.
+		sc := StreamChunk{ID: id, Status: rf, Epoch: epoch}
+		if done {
+			sc.Status = phase
 		}
 		if enc, err := AppendStreamChunk(nil, sc); err == nil {
-			back, err := ParseStreamChunk(enc[5:], nil, nil)
-			if err != nil || back.Done != done || len(back.Keys) != len(sc.Keys) {
-				t.Fatalf("stream chunk decode: %+v err=%v", back, err)
+			if back, err := ParseStreamChunk(enc[5:]); err != nil || back != sc {
+				t.Fatalf("stream reply decode: %+v err=%v", back, err)
 			}
-			for i := range sc.Keys {
-				if back.Keys[i] != sc.Keys[i] || !bytes.Equal(back.Values[i], sc.Values[i]) {
-					t.Fatalf("stream item %d mismatch", i)
-				}
-			}
+		} else if sc.Status <= StreamPushFailed {
+			t.Fatalf("stream reply with status %d refused: %v", sc.Status, err)
 		}
-		sr := StreamReq{ID: id, Epoch: epoch, Start: int64(id) - 5, End: int64(epoch), Cursor: string(blob)}
+		sr := StreamReq{ID: id, Epoch: epoch, Start: int64(id) - 5, End: int64(epoch), To: int32(len(blob)) - 1}
 		if enc, err := AppendStreamReq(nil, sr); err == nil {
 			if back, err := ParseStreamReq(enc[5:]); err != nil || back != sr {
 				t.Fatalf("stream req decode: %+v err=%v", back, err)

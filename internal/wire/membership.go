@@ -1,13 +1,10 @@
 package wire
 
-// This file holds the membership and key-range-streaming frames: topology
-// announcements (MsgRingUpdate/MsgRingAck), the join handshake (MsgJoinReq),
-// and the pull protocol a joining node uses to stream its owed ranges from
-// current owners (MsgStreamReq/MsgStreamChunk). They share the point/batch
-// building blocks — u16-prefixed keys, u32-prefixed values — and the chunk
-// response has a streaming encoder mirroring the batch one, so a replica
-// serves stream pages straight out of its storage engine with no
-// intermediate value copy.
+// This file holds the membership frames: topology announcements
+// (MsgRingUpdate/MsgRingAck), the join handshake (MsgJoinReq), and the
+// request that moves a key range (MsgStreamReq, answered by a status-only
+// MsgStreamChunk). The range itself travels as MsgStreamPush pages, the
+// batch-write layout, so every key-range move is one protocol: push.
 
 import (
 	"encoding/binary"
@@ -27,14 +24,17 @@ const (
 // MaxRingNodes bounds the member count of one topology announcement.
 const MaxRingNodes = 4096
 
-// Stream-chunk status codes.
+// Stream-reply status codes.
 const (
-	// StreamOK marks a served page.
+	// StreamOK reports an arc pushed in full, every page acked.
 	StreamOK uint8 = iota
 	// StreamWrongEpoch rejects a request whose epoch does not match the
-	// server's; the chunk carries the server's epoch and no items, and the
-	// requester must retry against the newer topology.
+	// server's; the reply carries the server's epoch, and the requester must
+	// retry against the newer topology.
 	StreamWrongEpoch
+	// StreamPushFailed reports a push cut short: a page could not be sent or
+	// was not acked in full.
+	StreamPushFailed
 )
 
 // RingNode is one member of an announced topology.
@@ -76,27 +76,23 @@ type JoinReq struct {
 	Addr string
 }
 
-// StreamReq asks for one page of the keys the receiver holds inside the
-// token arc (Start, End] (wrapping when Start ≥ End), restricted to keys
-// strictly greater than Cursor in byte order — the pagination that keeps the
-// server stateless. Epoch must match the receiver's current topology.
+// StreamReq asks the receiver to push the live keys it holds inside the
+// token arc (Start, End] (wrapping when Start ≥ End) to node To, as
+// MsgStreamPush pages. Epoch must match the receiver's current topology.
 type StreamReq struct {
 	ID         uint64
 	Epoch      uint64
 	Start, End int64
-	Cursor     string
+	To         int32
 }
 
-// StreamChunk answers a StreamReq: one page of key/value pairs in ascending
-// key order, Done marking the final page. A StreamWrongEpoch status carries
-// the server's epoch and no items.
+// StreamChunk answers a StreamReq once the push is over: StreamOK when every
+// page was acked, StreamWrongEpoch (nothing pushed) or StreamPushFailed
+// otherwise. Epoch is the server's topology epoch.
 type StreamChunk struct {
 	ID     uint64
 	Status uint8
 	Epoch  uint64
-	Done   bool
-	Keys   []string
-	Values [][]byte
 }
 
 // AppendRingUpdate appends a complete framed topology announcement to dst.
@@ -197,169 +193,49 @@ func ParseJoinReq(b []byte) (JoinReq, error) {
 	return m, d.err
 }
 
-// AppendStreamReq appends a complete framed stream page request.
+// AppendStreamReq appends a complete framed push request.
 func AppendStreamReq(dst []byte, m StreamReq) ([]byte, error) {
+	if m.To < 0 {
+		return dst, fmt.Errorf("wire: negative stream target %d", m.To)
+	}
 	dst, start := beginFrame(dst, MsgStreamReq)
 	dst = appendU64(dst, m.ID)
 	dst = appendU64(dst, m.Epoch)
 	dst = appendI64(dst, m.Start)
 	dst = appendI64(dst, m.End)
-	dst, err := appendStr(dst, m.Cursor)
-	if err != nil {
-		return dst[:start], err
-	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(m.To))
 	return endFrame(dst, start)
 }
 
-// ParseStreamReq decodes a MsgStreamReq payload. Cursor aliases b.
+// ParseStreamReq decodes a MsgStreamReq payload.
 func ParseStreamReq(b []byte) (StreamReq, error) {
 	d := decoder{b: b}
-	m := StreamReq{ID: d.u64(), Epoch: d.u64(), Start: d.i64(), End: d.i64(), Cursor: d.str()}
+	m := StreamReq{ID: d.u64(), Epoch: d.u64(), Start: d.i64(), End: d.i64(), To: int32(d.u32())}
+	if d.err == nil && m.To < 0 {
+		return m, errors.New("wire: negative stream target")
+	}
 	return m, d.err
 }
 
-// StreamChunkMark tracks an in-progress streamed chunk between
-// BeginStreamChunk and FinishStreamChunk.
-type StreamChunkMark struct {
-	start   int
-	doneAt  int
-	countAt int
-	count   int
-	lenAt   int // current item's value-length offset; -1 outside an item
-}
-
-// BeginStreamChunk starts a StreamOK chunk frame. For each key, in ascending
-// order, call BeginStreamItem, append the value bytes directly (the
-// zero-copy server path — lsm.Store.GetAppend), then FinishStreamItem; close
-// with FinishStreamChunk. Unlike batch responses a chunk may carry zero
-// items (an empty final page).
-func BeginStreamChunk(dst []byte, id, epoch uint64) ([]byte, StreamChunkMark) {
-	dst, start := beginFrame(dst, MsgStreamChunk)
-	dst = appendU64(dst, id)
-	dst = append(dst, StreamOK)
-	dst = appendU64(dst, epoch)
-	m := StreamChunkMark{start: start, doneAt: len(dst), lenAt: -1}
-	dst = append(dst, 0) // done placeholder
-	m.countAt = len(dst)
-	dst = append(dst, 0, 0) // count placeholder
-	return dst, m
-}
-
-// BeginStreamItem opens the next key/value record: the caller appends the
-// value bytes directly to the returned buffer.
-func BeginStreamItem(dst []byte, m *StreamChunkMark, key string) ([]byte, error) {
-	if m.lenAt >= 0 {
-		return dst, errors.New("wire: stream item left open")
-	}
-	dst, err := appendStr(dst, key)
-	if err != nil {
-		return dst, err
-	}
-	m.lenAt = len(dst)
-	return append(dst, 0, 0, 0, 0), nil
-}
-
-// FinishStreamItem closes the record opened by the matching BeginStreamItem,
-// patching its value length.
-func FinishStreamItem(dst []byte, m *StreamChunkMark) ([]byte, error) {
-	if m.lenAt < 0 {
-		return dst, errors.New("wire: FinishStreamItem without BeginStreamItem")
-	}
-	vlen := len(dst) - m.lenAt - 4
-	if vlen < 0 {
-		return dst[:m.start], errors.New("wire: value bytes truncated the buffer")
-	}
-	if vlen > MaxValueLen {
-		return dst[:m.start], fmt.Errorf("wire: value length %d exceeds limit", vlen)
-	}
-	binary.LittleEndian.PutUint32(dst[m.lenAt:m.lenAt+4], uint32(vlen))
-	m.lenAt = -1
-	m.count++
-	return dst, nil
-}
-
-// CancelItem abandons the record opened by the matching BeginStreamItem —
-// for a key that vanished between snapshot and read. The caller must also
-// truncate the buffer back to its pre-BeginStreamItem length.
-func (m *StreamChunkMark) CancelItem() { m.lenAt = -1 }
-
-// FinishStreamChunk completes the frame, patching the done flag and count.
-func FinishStreamChunk(dst []byte, m StreamChunkMark, done bool) ([]byte, error) {
-	if m.lenAt >= 0 {
-		return dst[:m.start], errors.New("wire: stream item left open")
-	}
-	if m.count > MaxBatchKeys {
-		return dst[:m.start], fmt.Errorf("wire: stream chunk of %d items exceeds %d", m.count, MaxBatchKeys)
-	}
-	if done {
-		dst[m.doneAt] = 1
-	}
-	binary.LittleEndian.PutUint16(dst[m.countAt:m.countAt+2], uint16(m.count))
-	return endFrame(dst, m.start)
-}
-
-// AppendStreamChunk appends a complete framed stream chunk to dst — the
-// non-streaming construction (rejections, tests, fuzzing); servers use the
-// Begin/Finish API.
+// AppendStreamChunk appends a complete framed push reply.
 func AppendStreamChunk(dst []byte, m StreamChunk) ([]byte, error) {
-	if m.Status != StreamOK {
-		if len(m.Keys) != 0 {
-			return dst, errors.New("wire: stream rejection carries items")
-		}
-		dst, start := beginFrame(dst, MsgStreamChunk)
-		dst = appendU64(dst, m.ID)
-		dst = append(dst, m.Status)
-		dst = appendU64(dst, m.Epoch)
-		dst = appendBool(dst, m.Done)
-		dst = binary.LittleEndian.AppendUint16(dst, 0)
-		return endFrame(dst, start)
+	if m.Status > StreamPushFailed {
+		return dst, fmt.Errorf("wire: unknown stream status %d", m.Status)
 	}
-	if len(m.Keys) != len(m.Values) {
-		return dst, fmt.Errorf("wire: stream chunk %d keys vs %d values", len(m.Keys), len(m.Values))
-	}
-	dst, mark := BeginStreamChunk(dst, m.ID, m.Epoch)
-	var err error
-	for i, k := range m.Keys {
-		if dst, err = BeginStreamItem(dst, &mark, k); err != nil {
-			return dst, err
-		}
-		if len(m.Values[i]) > MaxValueLen {
-			return dst[:mark.start], fmt.Errorf("wire: value length %d exceeds limit", len(m.Values[i]))
-		}
-		dst = append(dst, m.Values[i]...)
-		if dst, err = FinishStreamItem(dst, &mark); err != nil {
-			return dst, err
-		}
-	}
-	return FinishStreamChunk(dst, mark, m.Done)
+	dst, start := beginFrame(dst, MsgStreamChunk)
+	dst = appendU64(dst, m.ID)
+	dst = append(dst, m.Status)
+	dst = appendU64(dst, m.Epoch)
+	return endFrame(dst, start)
 }
 
-// ParseStreamChunk decodes a MsgStreamChunk payload into keys and values
-// (grown as needed, like the batch parsers). Keys and Values alias b (see
-// the package contract).
-func ParseStreamChunk(b []byte, keys []string, values [][]byte) (StreamChunk, error) {
+// ParseStreamChunk decodes a MsgStreamChunk payload.
+func ParseStreamChunk(b []byte) (StreamChunk, error) {
 	d := decoder{b: b}
 	m := StreamChunk{ID: d.u64(), Status: d.u8(), Epoch: d.u64()}
-	m.Done = d.u8() == 1
-	n := int(d.u16())
-	if d.err != nil {
-		return m, d.err
-	}
-	if n > MaxBatchKeys {
-		return m, errors.New("wire: bad stream chunk count")
-	}
-	if m.Status > StreamWrongEpoch {
+	if d.err == nil && m.Status > StreamPushFailed {
 		return m, errors.New("wire: unknown stream status")
 	}
-	if m.Status != StreamOK && n != 0 {
-		return m, errors.New("wire: stream rejection carries items")
-	}
-	keys, values = keys[:0], values[:0]
-	for i := 0; i < n && d.err == nil; i++ {
-		keys = append(keys, d.str())
-		values = append(values, d.bytes())
-	}
-	m.Keys, m.Values = keys, values
 	return m, d.err
 }
 

@@ -98,7 +98,7 @@ func TestRingAckJoinReqRoundTrip(t *testing.T) {
 }
 
 func TestStreamReqRoundTrip(t *testing.T) {
-	in := StreamReq{ID: 3, Epoch: 8, Start: -500, End: 12345, Cursor: "chaos-000123"}
+	in := StreamReq{ID: 3, Epoch: 8, Start: -500, End: 12345, To: 7}
 	enc, err := AppendStreamReq(nil, in)
 	if err != nil {
 		t.Fatal(err)
@@ -120,105 +120,55 @@ func TestStreamReqRoundTrip(t *testing.T) {
 }
 
 func TestStreamChunkRoundTrip(t *testing.T) {
-	in := StreamChunk{
-		ID: 21, Epoch: 5, Done: true,
-		Keys:   []string{"a", "bb", "ccc"},
-		Values: [][]byte{[]byte("v1"), nil, []byte("vvv3")},
-	}
-	enc, err := AppendStreamChunk(nil, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := ParseStreamChunk(enc[5:], nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.ID != in.ID || out.Epoch != in.Epoch || !out.Done || out.Status != StreamOK ||
-		len(out.Keys) != 3 {
-		t.Fatalf("round trip mismatch: %+v", out)
-	}
-	for i := range in.Keys {
-		if out.Keys[i] != in.Keys[i] || !bytes.Equal(out.Values[i], in.Values[i]) {
-			t.Fatalf("item %d mismatch: %q/%q", i, out.Keys[i], out.Values[i])
+	for _, st := range []uint8{StreamOK, StreamWrongEpoch, StreamPushFailed} {
+		in := StreamChunk{ID: 21, Status: st, Epoch: 5}
+		enc, err := AppendStreamChunk(nil, in)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-func TestStreamChunkEmptyPage(t *testing.T) {
-	// Zero items is legal (an empty final page), unlike batch frames.
-	enc, err := AppendStreamChunk(nil, StreamChunk{ID: 1, Epoch: 2, Done: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := ParseStreamChunk(enc[5:], nil, nil)
-	if err != nil || len(out.Keys) != 0 || !out.Done {
-		t.Fatalf("empty page: %+v err=%v", out, err)
+		if len(enc) != 5+17 {
+			t.Fatalf("status %d: reply is %d bytes, want a status-only 22", st, len(enc))
+		}
+		out, err := ParseStreamChunk(enc[5:])
+		if err != nil || out != in {
+			t.Fatalf("status %d round trip: %+v vs %+v err=%v", st, out, in, err)
+		}
 	}
 }
 
 func TestStreamChunkWrongEpochRejection(t *testing.T) {
-	enc, err := AppendStreamChunk(nil, StreamChunk{ID: 2, Status: StreamWrongEpoch, Epoch: 9, Done: true})
+	enc, err := AppendStreamChunk(nil, StreamChunk{ID: 2, Status: StreamWrongEpoch, Epoch: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ParseStreamChunk(enc[5:], nil, nil)
-	if err != nil || out.Status != StreamWrongEpoch || out.Epoch != 9 || len(out.Keys) != 0 {
+	out, err := ParseStreamChunk(enc[5:])
+	if err != nil || out.Status != StreamWrongEpoch || out.Epoch != 9 || out.ID != 2 {
 		t.Fatalf("rejection round trip: %+v err=%v", out, err)
-	}
-	// A rejection claiming items is malformed on both sides.
-	if _, err := AppendStreamChunk(nil, StreamChunk{Status: StreamWrongEpoch,
-		Keys: []string{"x"}, Values: [][]byte{nil}}); err == nil {
-		t.Fatal("encode accepted a rejection with items")
-	}
-}
-
-func TestStreamChunkStreamingEncoder(t *testing.T) {
-	// The Begin/Finish server path must produce bytes identical to the
-	// convenience encoder.
-	in := StreamChunk{
-		ID: 77, Epoch: 6, Done: false,
-		Keys:   []string{"k0", "k1"},
-		Values: [][]byte{[]byte("alpha"), []byte("")},
-	}
-	want, err := AppendStreamChunk(nil, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, mark := BeginStreamChunk(nil, in.ID, in.Epoch)
-	for i, k := range in.Keys {
-		if got, err = BeginStreamItem(got, &mark, k); err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, in.Values[i]...)
-		if got, err = FinishStreamItem(got, &mark); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got, err = FinishStreamChunk(got, mark, in.Done); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("streaming encoder diverges:\n%x\n%x", got, want)
 	}
 }
 
 func TestStreamChunkEncoderErrors(t *testing.T) {
-	if _, err := AppendStreamChunk(nil, StreamChunk{Keys: []string{"a"}}); err == nil {
-		t.Fatal("keys/values mismatch accepted")
+	if _, err := AppendStreamChunk(nil, StreamChunk{Status: StreamPushFailed + 1}); err == nil {
+		t.Fatal("unknown stream status encoded")
 	}
-	b, mark := BeginStreamChunk(nil, 1, 1)
-	if _, err := FinishStreamItem(b, &mark); err == nil {
-		t.Fatal("FinishStreamItem without Begin accepted")
-	}
-	b, err := BeginStreamItem(b, &mark, "k")
+	enc, err := AppendStreamChunk(nil, StreamChunk{ID: 1, Status: StreamPushFailed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BeginStreamItem(b, &mark, "k2"); err == nil {
-		t.Fatal("nested BeginStreamItem accepted")
+	enc[5+8]++ // the status byte, past every known code
+	if _, err := ParseStreamChunk(enc[5:]); err == nil {
+		t.Fatal("unknown stream status decoded")
 	}
-	if _, err := FinishStreamChunk(b, mark, true); err == nil {
-		t.Fatal("FinishStreamChunk with open item accepted")
+	if _, err := AppendStreamReq(nil, StreamReq{To: -1}); err == nil {
+		t.Fatal("negative push target encoded")
+	}
+	enc, err = AppendStreamReq(nil, StreamReq{To: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc[len(enc)-1] = 0x80 // the sign bit of the little-endian target
+	if _, err := ParseStreamReq(enc[5:]); err == nil {
+		t.Fatal("negative push target decoded")
 	}
 	if _, err := AppendJoinReq(nil, JoinReq{Addr: strings.Repeat("a", MaxKeyLen+1)}); err == nil {
 		t.Fatal("oversized join addr accepted")

@@ -47,7 +47,7 @@ import (
 // coordinator→replica traffic is batch frames only, whatever its key count:
 // MsgBatchReadInternal for every read leg, MsgBatchWriteInternal for every
 // write leg and hint replay, MsgStreamPush for read-repair write-backs and
-// decommission pages. Two slots are reserved for the retired point internal
+// every page of a key-range move. Two slots are reserved for the retired point internal
 // frames, so every other type keeps its byte value.
 const (
 	// MsgRead is a client→coordinator read.
@@ -85,20 +85,22 @@ const (
 	MsgRingAck
 	// MsgJoinReq asks a member to admit the sender into the cluster.
 	MsgJoinReq
-	// MsgStreamReq asks a replica for one page of the keys it owns inside a
-	// token range — the pull half of membership key-range streaming.
+	// MsgStreamReq asks a replica to push the keys it owns inside a token
+	// range to a named node — how a joiner or a rebuilding node gets its
+	// owed ranges.
 	MsgStreamReq
-	// MsgStreamChunk answers a MsgStreamReq with one page of key/value pairs
-	// (or a wrong-epoch rejection).
+	// MsgStreamChunk answers a MsgStreamReq with a status once the push is
+	// over (or a wrong-epoch rejection); it carries no keys.
 	MsgStreamChunk
 	// MsgStreamPush carries records that each keep their own version: one
-	// page of a decommissioning node's key ranges to a gainer, or a read
-	// repair's write-back to a stale replica. Same payload layout as
-	// MsgBatchWriteInternal (encode with AppendBatchWriteReq, decode with
-	// ParseBatchWriteReq, acked by MsgBatchWriteResp), but the values are raw
-	// version-prefixed storage bytes and the receiver applies each pair under
-	// the last-write-wins guard — a streamed pre-move value must never
-	// clobber a newer dual-routed write.
+	// page of a key range moving to a new owner (a join, a rebuild or a
+	// decommission), or a read repair's write-back to a stale replica. Same
+	// payload layout as MsgBatchWriteInternal (encode with
+	// AppendBatchWriteReq, decode with ParseBatchWriteReq, acked by
+	// MsgBatchWriteResp), but the values are raw version-prefixed storage
+	// bytes and the receiver applies each pair under the last-write-wins
+	// guard — a streamed pre-move value must never clobber a newer
+	// dual-routed write.
 	MsgStreamPush
 )
 
