@@ -280,7 +280,7 @@ func FuzzMembershipRoundTrip(f *testing.F) {
 	f.Add(uint64(0), uint64(0), uint8(1), uint8(0), []byte(""), false)
 	f.Add(uint64(9), uint64(1<<40), uint8(3), uint8(2), []byte("x"), true)
 
-	f.Fuzz(func(t *testing.T, id, epoch uint64, rf, phase uint8, blob []byte, done bool) {
+	f.Fuzz(func(t *testing.T, id, epoch uint64, rf, phase uint8, blob []byte, _ bool) {
 		addrs := splitBlob(blob)
 		nodes := make([]RingNode, len(addrs))
 		for i, a := range addrs {
@@ -302,9 +302,6 @@ func FuzzMembershipRoundTrip(f *testing.F) {
 		}
 		// Any status byte: an unknown one must fail to encode.
 		sc := StreamChunk{ID: id, Status: rf, Epoch: epoch}
-		if done {
-			sc.Status = phase
-		}
 		if enc, err := AppendStreamChunk(nil, sc); err == nil {
 			if back, err := ParseStreamChunk(enc[5:]); err != nil || back != sc {
 				t.Fatalf("stream reply decode: %+v err=%v", back, err)
