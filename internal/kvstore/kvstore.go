@@ -195,6 +195,7 @@ type Node struct {
 	writeFails  atomic.Uint64 // coordinated keys no replica acknowledged
 	repairs     atomic.Uint64 // version-guarded read-repair write-backs issued
 	quorumFails atomic.Uint64 // coordinated ops that missed their consistency level
+	arcPages    atomic.Uint64 // key-range pages received (wire.ArcPage): a push's progress
 
 	// Replica reads this coordinator sent, in keys: data reads (values),
 	// digests (versions only, probes included), and the values fetched after

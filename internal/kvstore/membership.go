@@ -58,15 +58,24 @@ var (
 )
 
 // Streaming knobs: a push page is cut at streamPageKeys keys or
-// streamPageBytes bytes, whichever comes first; streamBudget bounds one
-// arc's catch-up, retries included.
+// streamPageBytes bytes, whichever comes first; a decommission pushes an arc
+// to a gainer at most pushAttempts times.
 const (
 	streamPageKeys   = 512
 	streamPageBytes  = 1 << 20
-	streamBudget     = 30 * time.Second
+	pushAttempts     = 3
 	ringPushTimeout  = 2 * time.Second
 	joinReqTimeout   = 10 * time.Second
 	streamRetryPause = 20 * time.Millisecond
+)
+
+// Streaming timeouts, variables so tests can shorten them. A node waiting
+// for a push gives up on the owner after pushStallWait with no page landing;
+// streamBudget bounds one arc's retries. Neither caps a push that keeps
+// landing pages: it runs as long as it needs.
+var (
+	pushStallWait = joinReqTimeout
+	streamBudget  = 30 * time.Second
 )
 
 // topology is one immutable adopted epoch: the target ring, the predecessor
@@ -470,14 +479,14 @@ func (n *Node) catchUp() error {
 // pullRange has one owed arc pushed to this node by one of its owners, which
 // answers once every page is acked. The puller rotates to the next owner —
 // which pushes the arc again from its start; the version guard dedups — when
-// the current one fails, and retries wrong-epoch rejections (an owner that
-// has not yet adopted the transition) until the budget expires. A push must
-// finish inside the budget.
+// the current one fails or stalls, and retries wrong-epoch rejections (an
+// owner that has not yet adopted the transition). The budget bounds the
+// retries: a failure past it ends the pull, a push in progress never does.
 func (n *Node) pullRange(c ring.Change, epoch uint64) error {
 	deadline := time.Now().Add(streamBudget)
 	req := wire.StreamReq{Epoch: epoch, Start: c.Start, End: c.End, To: int32(n.id)}
 	for src := 0; ; src++ {
-		err := n.requestPush(c.Old[src%len(c.Old)], req, max(time.Until(deadline), joinReqTimeout))
+		err := n.requestPush(c.Old[src%len(c.Old)], req)
 		if err == nil {
 			return nil
 		}
@@ -488,14 +497,21 @@ func (n *Node) pullRange(c ring.Change, epoch uint64) error {
 	}
 }
 
-// requestPush asks owner to push req's arc to this node and waits up to wait
-// for its answer, mapping a wrong-epoch rejection to ErrWrongEpoch.
-func (n *Node) requestPush(owner core.ServerID, req wire.StreamReq, wait time.Duration) error {
+// requestPush asks owner to push req's arc to this node and waits for its
+// answer while the push's pages keep landing here, giving up after
+// pushStallWait with none. It maps a wrong-epoch rejection to ErrWrongEpoch.
+func (n *Node) requestPush(owner core.ServerID, req wire.StreamReq) error {
 	p, err := n.peer(owner)
 	if err != nil {
 		return err
 	}
-	r, err := p.streamReq(req, wait)
+	seen := n.arcPages.Load()
+	r, err := p.streamReq(req, pushStallWait, func() bool {
+		now := n.arcPages.Load()
+		moved := now != seen
+		seen = now
+		return moved
+	})
 	switch {
 	case err != nil:
 		return err
@@ -568,9 +584,12 @@ func (n *Node) Decommission() error {
 	return nil
 }
 
-// streamOut pushes every arc the leave re-homes to its gainers. Push
-// failures are tolerated: the remaining replicas of each arc still hold the
-// data, and read repair re-propagates it.
+// streamOut pushes every arc the leave re-homes to its gainers. A push that
+// fails (a reset link, a page not acked in full) is pushed again over a
+// fresh link, where the pages that already landed are no-ops under the
+// version guard. One that fails pushAttempts times is tolerated: the
+// remaining replicas of the arc still hold the data, and read repair
+// re-propagates it.
 func (n *Node) streamOut() {
 	t := n.topo.Load()
 	if t.prev == nil {
@@ -582,16 +601,19 @@ func (n *Node) streamOut() {
 			continue
 		}
 		for _, s := range c.New {
-			if !slices.Contains(c.Old, s) {
-				n.pushArc(c.Range, s, live)
+			if slices.Contains(c.Old, s) {
+				continue
+			}
+			for try := 1; n.pushArc(c.Range, s, live) != nil && try < pushAttempts; try++ {
+				time.Sleep(peerRedialBackoff) // past the fail-fast window: redial
 			}
 		}
 	}
 }
 
 // pushArc sends the keys of live that fall inside arc to node to as
-// MsgStreamPush pages — the batch-write frame layout, values
-// version-prefixed — cut at streamPageKeys keys or streamPageBytes bytes,
+// MsgStreamPush pages marked wire.ArcPage — the batch-write frame layout,
+// values version-prefixed — cut at streamPageKeys keys or streamPageBytes bytes,
 // whichever comes first, and waits for each page's ack. The receiver lands
 // them through its shard writers under the last-write-wins guard, as it lands
 // a read repair's write-back. It fails on the first page that cannot be sent
@@ -611,7 +633,7 @@ func (n *Node) pushArc(arc ring.Range, to core.ServerID, live []string) error {
 		if len(keys) == 0 {
 			return nil
 		}
-		oks, _, _, err = p.batchWrite(wire.MsgStreamPush, wire.LevelOne, 0, false, keys, vals, oks)
+		oks, _, _, err = p.batchWrite(wire.MsgStreamPush, wire.LevelOne, wire.ArcPage, false, keys, vals, oks)
 		if err == nil && slices.Contains(oks, false) {
 			err = errPushFailed
 		}
@@ -638,13 +660,16 @@ func (n *Node) pushArc(arc ring.Range, to core.ServerID, live []string) error {
 
 // answerStreamReq serves a MsgStreamReq: an owner whose epoch matches the
 // requester's pushes the arc's live keys to the requester, then answers with
-// the outcome and its epoch.
+// the outcome and its epoch. A target the topology has no address for is
+// refused before any link to it is set up.
 func (n *Node) answerStreamReq(cw *connWriter, m wire.StreamReq) {
-	epoch := n.topo.Load().epoch()
+	t := n.topo.Load()
+	epoch := t.epoch()
 	status := wire.StreamOK
-	if m.Epoch != epoch {
+	switch to := core.ServerID(m.To); {
+	case m.Epoch != epoch:
 		status = wire.StreamWrongEpoch
-	} else if n.pushArc(ring.Range{Start: m.Start, End: m.End}, core.ServerID(m.To), n.store.AppendLiveKeys(nil)) != nil {
+	case t.addrOf(to) == "" || n.pushArc(ring.Range{Start: m.Start, End: m.End}, to, n.store.AppendLiveKeys(nil)) != nil:
 		status = wire.StreamPushFailed
 	}
 	fb := getBuf()

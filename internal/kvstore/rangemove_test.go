@@ -2,8 +2,10 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"slices"
 	"sync/atomic"
@@ -204,7 +206,7 @@ func TestRebuildRotatesPastWrongEpochOwner(t *testing.T) {
 		t.Fatalf("owner at epoch %d, want %d", got, n.Epoch()+1)
 	}
 	req := wire.StreamReq{Epoch: n.Epoch(), Start: 0, End: 1, To: int32(n.id)}
-	if err := n.requestPush(stale.id, req, time.Second); !errors.Is(err, ErrWrongEpoch) {
+	if err := n.requestPush(stale.id, req); !errors.Is(err, ErrWrongEpoch) {
 		t.Fatalf("push request to an owner on another epoch: %v, want ErrWrongEpoch", err)
 	}
 	if err := n.RebuildFromPeers(); err != nil {
@@ -213,70 +215,134 @@ func TestRebuildRotatesPastWrongEpochOwner(t *testing.T) {
 	assertHoldsExactlyOwned(t, n, n.readRing(), keys, tc.valLen)
 }
 
-// TestRebuildRotatesPastOwnerClosingMidArc: the first owner asked pushes one
-// page of the arc and then closes its connection without answering; the
-// requester rotates to the next owner, which pushes the arc again, and
-// finishes. The failing owner is a stand-in installed as the requester's
-// link to the real first owner: it serves the push from that owner's store.
-func TestRebuildRotatesPastOwnerClosingMidArc(t *testing.T) {
-	tc := pagingCases[0]
-	c, keys, n := startRebuildVictim(t, tc, 86)
-	owner := c.Nodes[firstRebuildOwner(t, n)]
+// shortenStreamTimeouts sets the push stall wait and the retry budget for
+// one test.
+func shortenStreamTimeouts(t *testing.T, stall, budget time.Duration) {
+	oldStall, oldBudget := pushStallWait, streamBudget
+	pushStallWait, streamBudget = stall, budget
+	t.Cleanup(func() { pushStallWait, streamBudget = oldStall, oldBudget })
+}
 
+// installLink replaces n's link to peer with a connection to a stand-in
+// listening on a fresh port, and returns the stand-in's listener.
+func installLink(t *testing.T, n *Node, peer core.ServerID) net.Listener {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	var pushed atomic.Int64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close() // mid-arc: no reply, connection gone
-		typ, payload, err := wire.NewReader(conn).Next()
-		if err != nil || typ != wire.MsgStreamReq {
-			return
-		}
-		m, err := wire.ParseStreamReq(payload)
-		if err != nil {
-			return
-		}
-		arc := ring.Range{Start: m.Start, End: m.End}
-		var page []string
-		var vals [][]byte
-		for _, k := range owner.store.AppendLiveKeys(nil) {
-			if len(page) < streamPageKeys && arc.Contains(ring.Token([]byte(k))) {
-				v, _ := owner.store.Get(k)
-				page, vals = append(page, k), append(vals, v)
-			}
-		}
-		to, err := net.Dial("tcp", n.Addr())
-		if err != nil {
-			return
-		}
-		p := newRPCConn(to)
-		defer p.close()
-		oks, _, _, err := p.batchWrite(wire.MsgStreamPush, wire.LevelOne, 0, false, page, vals, nil)
-		if err == nil && !slices.Contains(oks, false) {
-			pushed.Store(int64(len(page)))
-		}
-	}()
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	slot := n.peerSlotFor(owner.id)
+	slot := n.peerSlotFor(peer)
 	slot.mu.Lock()
 	if slot.conn != nil {
 		slot.conn.close()
 	}
 	slot.conn = newRPCConn(conn)
 	slot.mu.Unlock()
+	return ln
+}
 
+// standInOwner installs a stand-in as requester n's link to owner, serving
+// the push requests n sends that owner from owner's store: serve runs for
+// each MsgStreamReq with the link it came on. The stand-in stops when serve
+// reports false, closing the link, or when n closes it; done closes then.
+func standInOwner(t *testing.T, n *Node, owner core.ServerID, serve func(conn net.Conn, m wire.StreamReq) bool) (done <-chan struct{}) {
+	t.Helper()
+	ln := installLink(t, n, owner)
+	ch := make(chan struct{})
+	go func() {
+		defer close(ch)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		r := wire.NewReader(conn)
+		for {
+			typ, payload, err := r.Next()
+			if err != nil {
+				return
+			}
+			if typ != wire.MsgStreamReq {
+				continue
+			}
+			m, err := wire.ParseStreamReq(payload)
+			if err != nil || !serve(conn, m) {
+				return
+			}
+		}
+	}()
+	return ch
+}
+
+// pushPages pushes the keys owner holds inside m's arc to n as marked pages
+// of pageKeys keys, pausing between pages, and stops after maxPages pages
+// (0: the whole arc). It reports the keys pushed and acked.
+func pushPages(owner, n *Node, m wire.StreamReq, pageKeys, maxPages int, pause time.Duration) int {
+	conn, err := net.Dial("tcp", n.Addr())
+	if err != nil {
+		return 0
+	}
+	p := newRPCConn(conn)
+	defer p.close()
+	arc := ring.Range{Start: m.Start, End: m.End}
+	var page []string
+	var vals [][]byte
+	pushed, pages := 0, 0
+	flush := func() bool {
+		if pages > 0 {
+			time.Sleep(pause)
+		}
+		oks, _, _, err := p.batchWrite(wire.MsgStreamPush, wire.LevelOne, wire.ArcPage, false, page, vals, nil)
+		if err != nil || slices.Contains(oks, false) {
+			return false
+		}
+		pushed, pages, page, vals = pushed+len(page), pages+1, page[:0], vals[:0]
+		return maxPages == 0 || pages < maxPages
+	}
+	for _, k := range owner.store.AppendLiveKeys(nil) {
+		if !arc.Contains(ring.Token([]byte(k))) {
+			continue
+		}
+		v, _ := owner.store.Get(k)
+		page, vals = append(page, k), append(vals, v)
+		if len(page) == pageKeys && !flush() {
+			return pushed
+		}
+	}
+	if len(page) > 0 {
+		flush()
+	}
+	return pushed
+}
+
+// answerPush sends the status reply of push request m on conn.
+func answerPush(conn net.Conn, m wire.StreamReq, status uint8) bool {
+	b, err := wire.AppendStreamChunk(nil, wire.StreamChunk{ID: m.ID, Status: status, Epoch: m.Epoch})
+	if err != nil {
+		return false
+	}
+	_, err = conn.Write(b)
+	return err == nil
+}
+
+// TestRebuildRotatesPastOwnerClosingMidArc: the first owner asked pushes one
+// page of the arc and then closes its connection without answering; the
+// requester rotates to the next owner, which pushes the arc again, and
+// finishes.
+func TestRebuildRotatesPastOwnerClosingMidArc(t *testing.T) {
+	tc := pagingCases[0]
+	c, keys, n := startRebuildVictim(t, tc, 86)
+	owner := c.Nodes[firstRebuildOwner(t, n)]
+	var pushed atomic.Int64
+	done := standInOwner(t, n, owner.id, func(_ net.Conn, m wire.StreamReq) bool {
+		pushed.Store(int64(pushPages(owner, n, m, streamPageKeys, 1, 0)))
+		return false // mid-arc: no reply, connection gone
+	})
 	if err := n.RebuildFromPeers(); err != nil {
 		t.Fatalf("RebuildFromPeers: %v", err)
 	}
@@ -286,6 +352,159 @@ func TestRebuildRotatesPastOwnerClosingMidArc(t *testing.T) {
 			pushed.Load(), streamPageKeys)
 	}
 	assertHoldsExactlyOwned(t, n, n.readRing(), keys, tc.valLen)
+}
+
+// TestRebuildRotatesPastStalledOwner: the first owner asked pushes one page
+// and then stalls, its connection open and no reply sent; the requester
+// rotates to the next owner once no page has landed for pushStallWait, and
+// finishes.
+func TestRebuildRotatesPastStalledOwner(t *testing.T) {
+	tc := pagingCases[0]
+	c, keys, n := startRebuildVictim(t, tc, 88)
+	owner := c.Nodes[firstRebuildOwner(t, n)]
+	shortenStreamTimeouts(t, 300*time.Millisecond, streamBudget)
+	var stalls atomic.Int64
+	standInOwner(t, n, owner.id, func(_ net.Conn, m wire.StreamReq) bool {
+		if pushPages(owner, n, m, 64, 1, 0) > 0 {
+			stalls.Add(1)
+		}
+		return true // never answer, keep the link open
+	})
+	if err := n.RebuildFromPeers(); err != nil {
+		t.Fatalf("RebuildFromPeers: %v", err)
+	}
+	if stalls.Load() == 0 {
+		t.Fatal("the stalled owner pushed no page; the test is vacuous")
+	}
+	assertHoldsExactlyOwned(t, n, n.readRing(), keys, tc.valLen)
+}
+
+// TestRebuildWaitsOutSlowOwner: a push that takes longer than both the
+// stall wait and the retry budget, but lands a page within every stall wait,
+// is waited out: the budget bounds retries, not a push in progress.
+func TestRebuildWaitsOutSlowOwner(t *testing.T) {
+	tc := pagingCases[0]
+	c, keys, n := startRebuildVictim(t, tc, 89)
+	owner := c.Nodes[firstRebuildOwner(t, n)]
+	const stall, pause = 400 * time.Millisecond, 40 * time.Millisecond
+	shortenStreamTimeouts(t, stall, time.Millisecond)
+	var slow atomic.Int64
+	standInOwner(t, n, owner.id, func(conn net.Conn, m wire.StreamReq) bool {
+		start := time.Now()
+		pushPages(owner, n, m, 32, 0, pause)
+		if time.Since(start) > 2*stall {
+			slow.Add(1)
+		}
+		return answerPush(conn, m, wire.StreamOK)
+	})
+	if err := n.RebuildFromPeers(); err != nil {
+		t.Fatalf("RebuildFromPeers: %v", err)
+	}
+	if slow.Load() == 0 {
+		t.Fatalf("no push took longer than %v; the test is vacuous", 2*stall)
+	}
+	assertHoldsExactlyOwned(t, n, n.readRing(), keys, tc.valLen)
+}
+
+// TestStreamReqToUnknownNodeRefused: a push request naming a node the
+// owner's topology has no address for is refused before the owner sets up
+// any link state for it.
+func TestStreamReqToUnknownNodeRefused(t *testing.T) {
+	c, _ := startTestCluster(t, 3, Config{Seed: 90})
+	owner := c.Nodes[0]
+	p, err := c.Nodes[1].peer(owner.id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := func() int {
+		owner.peersMu.RLock()
+		defer owner.peersMu.RUnlock()
+		return len(owner.peers)
+	}
+	before := slots()
+	req := wire.StreamReq{Epoch: owner.Epoch(), Start: 0, End: 1, To: 1 << 20}
+	r, err := p.streamReq(req, time.Second, nil)
+	if err != nil || r.Status != wire.StreamPushFailed {
+		t.Fatalf("push to an unknown node: status %d, err %v; want StreamPushFailed", r.Status, err)
+	}
+	if after := slots(); after != before {
+		t.Fatalf("owner grew its peer table from %d to %d slots", before, after)
+	}
+}
+
+// firstGainer is a node that gains an arc when leaver leaves.
+func firstGainer(t *testing.T, leaver *Node) core.ServerID {
+	t.Helper()
+	cur := leaver.topo.Load().v
+	next, err := cur.RemoveNode(leaver.id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cur.Diff(next) {
+		if !slices.Contains(c.Old, leaver.id) {
+			continue
+		}
+		for _, s := range c.New {
+			if !slices.Contains(c.Old, s) {
+				return s
+			}
+		}
+	}
+	t.Fatal("the leave moves no arc")
+	return -1
+}
+
+// TestDecommissionRepushesAfterLinkFailure: the leaver's link to a gainer
+// drops the first push page and closes; the leaver pushes the arc again over
+// a fresh link, so every new-ring replica ends up with every key it owns.
+func TestDecommissionRepushesAfterLinkFailure(t *testing.T) {
+	c, cl := startTestCluster(t, 5, Config{Seed: 91, ReadRepair: -1})
+	tc := pagingCase{name: "small", keys: 400, valLen: 16, batch: 100}
+	keys := writeAtAll(t, cl, "dlink", tc)
+	leaver := c.Nodes[4]
+	gainer := c.Nodes[firstGainer(t, leaver)]
+	ln := installLink(t, leaver, gainer.id)
+	var dropped atomic.Bool
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		up, err := net.Dial("tcp", gainer.Addr())
+		if err != nil {
+			return
+		}
+		defer up.Close()
+		go io.Copy(conn, up) // the gainer's replies
+		r := wire.NewReader(conn)
+		for {
+			typ, payload, err := r.Next()
+			if err != nil {
+				return
+			}
+			if typ == wire.MsgStreamPush {
+				dropped.Store(true)
+				return // the page is lost with the link
+			}
+			frame := binary.LittleEndian.AppendUint32(nil, uint32(1+len(payload)))
+			if _, err := up.Write(append(append(frame, typ), payload...)); err != nil {
+				return
+			}
+		}
+	}()
+	if err := leaver.Decommission(); err != nil {
+		t.Fatalf("decommission: %v", err)
+	}
+	rest := c.Nodes[:4]
+	waitForEpoch(t, rest, 2, 5*time.Second)
+	if !dropped.Load() {
+		t.Fatal("the link dropped no push page; the test is vacuous")
+	}
+	r := rest[0].readRing()
+	for _, n := range rest {
+		assertHoldsExactlyOwned(t, n, r, keys, tc.valLen)
+	}
 }
 
 // TestDecommissionLargeValuesRehomesEveryCopy: a leaver's arcs of 1 MiB

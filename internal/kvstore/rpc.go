@@ -516,22 +516,29 @@ func (p *rpcConn) ctlSend(resp uint8, enc func(dst []byte, id uint64) ([]byte, e
 
 var errCtlTimeout = errors.New("kvstore: membership RPC timed out")
 
-// ctlWait blocks for the call's completion up to d; on timeout the call is
-// withdrawn from the pending table (a late response is dropped harmlessly).
-// If a concurrent delivery already claimed the call, its signal is consumed
-// so the pooled record carries no stale wakeup.
-func (p *rpcConn) ctlWait(c *call, id uint64, d time.Duration) error {
+// ctlWait blocks for the call's completion up to d, or, when busy is set,
+// for as long as each wait of d ends with busy reporting progress. On timeout
+// the call is withdrawn from the pending table (a late response is dropped
+// harmlessly). If a concurrent delivery already claimed the call, its signal
+// is consumed so the pooled record carries no stale wakeup.
+func (p *rpcConn) ctlWait(c *call, id uint64, d time.Duration, busy func() bool) error {
 	t := time.NewTimer(d)
 	defer t.Stop()
-	select {
-	case <-c.done:
-		return nil
-	case <-t.C:
-		if p.take(id) == nil {
-			<-c.done
+	for {
+		select {
+		case <-c.done:
+			return nil
+		case <-t.C:
+			if busy != nil && busy() {
+				t.Reset(d)
+				continue
+			}
+			if p.take(id) == nil {
+				<-c.done
+			}
+			putCall(c)
+			return errCtlTimeout
 		}
-		putCall(c)
-		return errCtlTimeout
 	}
 }
 
@@ -544,7 +551,7 @@ func (p *rpcConn) pushRing(u wire.RingUpdate, timeout time.Duration) (wire.RingA
 	if err != nil {
 		return wire.RingAck{}, err
 	}
-	if err := p.ctlWait(c, id, timeout); err != nil {
+	if err := p.ctlWait(c, id, timeout, nil); err != nil {
 		return wire.RingAck{}, err
 	}
 	ack, err := c.ack, c.err
@@ -561,7 +568,7 @@ func (p *rpcConn) joinReq(addr string, timeout time.Duration) (*wire.RingUpdate,
 	if err != nil {
 		return nil, err
 	}
-	if err := p.ctlWait(c, id, timeout); err != nil {
+	if err := p.ctlWait(c, id, timeout, nil); err != nil {
 		return nil, err
 	}
 	u, err := c.ru, c.err
@@ -572,9 +579,9 @@ func (p *rpcConn) joinReq(addr string, timeout time.Duration) (*wire.RingUpdate,
 	return u, nil
 }
 
-// streamReq asks the peer to push an arc to req.To and waits up to wait for
-// its status reply.
-func (p *rpcConn) streamReq(req wire.StreamReq, wait time.Duration) (wire.StreamChunk, error) {
+// streamReq asks the peer to push an arc to req.To and waits for its status
+// reply for as long as each wait of stall ends with busy reporting progress.
+func (p *rpcConn) streamReq(req wire.StreamReq, stall time.Duration, busy func() bool) (wire.StreamChunk, error) {
 	c, id, err := p.ctlSend(wire.MsgStreamChunk, func(dst []byte, id uint64) ([]byte, error) {
 		req.ID = id
 		return wire.AppendStreamReq(dst, req)
@@ -582,7 +589,7 @@ func (p *rpcConn) streamReq(req wire.StreamReq, wait time.Duration) (wire.Stream
 	if err != nil {
 		return wire.StreamChunk{}, err
 	}
-	if err := p.ctlWait(c, id, wait); err != nil {
+	if err := p.ctlWait(c, id, stall, busy); err != nil {
 		return wire.StreamChunk{}, err
 	}
 	r, err := c.reply, c.err

@@ -451,10 +451,14 @@ var replicaWritePool = sync.Pool{New: func() any { return new(replicaWrite) }}
 // applyFrame lands a MsgBatchWriteInternal frame, every record under its one
 // stamp, or a MsgStreamPush frame, whose version-prefixed values each keep
 // their own version, and acks it on cw. The records are copied out of the
-// frame buffer.
+// frame buffer. A key-range page is counted as it arrives: the progress a
+// node waiting for a push watches (see requestPush).
 func (n *Node) applyFrame(cw *connWriter, typ uint8, m wire.BatchWriteReq) {
 	rw := replicaWritePool.Get().(*replicaWrite)
 	rw.n, rw.cw, rw.id, rw.del, rw.heal = n, cw, m.ID, m.Del, typ == wire.MsgStreamPush
+	if rw.heal && m.Version == wire.ArcPage {
+		n.arcPages.Add(1)
+	}
 	rw.fbShard = n.shardOf(m.Keys[0])
 	rw.layout(m.Keys, m.Version, m.Values, true)
 	rw.submit()

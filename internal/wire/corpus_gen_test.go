@@ -47,7 +47,7 @@ func TestGenerateCorpus(t *testing.T) {
 	// One page of a range move: version-prefixed values, the second empty.
 	v0 := append(binary.LittleEndian.AppendUint64(nil, 7), "v0"...)
 	v1 := binary.LittleEndian.AppendUint64(nil, 8)
-	page := must(AppendBatchWriteReq(nil, MsgStreamPush, BatchWriteReq{ID: 5,
+	page := must(AppendBatchWriteReq(nil, MsgStreamPush, BatchWriteReq{ID: 5, Version: ArcPage,
 		Keys: []string{"k0", "k1"}, Values: [][]byte{v0, v1}}))
 	writeEntry(dir+"seed-stream-page", page[5:])
 	digest := must(AppendBatchReadReq(nil, MsgBatchReadInternal, BatchReadReq{ID: 6, CL: LevelQuorum,

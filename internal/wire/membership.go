@@ -78,13 +78,20 @@ type JoinReq struct {
 
 // StreamReq asks the receiver to push the live keys it holds inside the
 // token arc (Start, End] (wrapping when Start ≥ End) to node To, as
-// MsgStreamPush pages. Epoch must match the receiver's current topology.
+// MsgStreamPush pages marked ArcPage. Epoch must match the receiver's current
+// topology.
 type StreamReq struct {
 	ID         uint64
 	Epoch      uint64
 	Start, End int64
 	To         int32
 }
+
+// ArcPage is the frame Version of a MsgStreamPush page of a key-range move.
+// A stream push's values carry their own versions, so the frame Version is
+// free to mark the page; a read repair's write-back leaves it zero. A node
+// waiting for a push counts the marked pages landing as the push's progress.
+const ArcPage uint64 = 1
 
 // StreamChunk answers a StreamReq once the push is over: StreamOK when every
 // page was acked, StreamWrongEpoch (nothing pushed) or StreamPushFailed

@@ -100,7 +100,7 @@ const (
 	// MsgBatchWriteResp), but the values are raw version-prefixed storage
 	// bytes and the receiver applies each pair under the last-write-wins
 	// guard — a streamed pre-move value must never clobber a newer
-	// dual-routed write.
+	// dual-routed write. A key-range page sets the frame Version to ArcPage.
 	MsgStreamPush
 )
 
