@@ -47,7 +47,7 @@ func TestCubicBatchAccountingMatchesPointLoop(t *testing.T) {
 	if math.Abs(bs-ps) > 1e-9*math.Max(math.Abs(bs), 1) {
 		t.Fatalf("score after weighted feedback = %v, point loop = %v", bs, ps)
 	}
-	if q1, q2 := batch.QueueEstimate(s), point.QueueEstimate(s); math.Abs(q1-q2) > 1e-9 {
+	if q1, q2 := batch.Signals(s).QHat, point.Signals(s).QHat; math.Abs(q1-q2) > 1e-9 {
 		t.Fatalf("q̂ after weighted feedback = %v, point loop = %v", q1, q2)
 	}
 

@@ -147,8 +147,8 @@ func TestReadAccessorsDoNotIntern(t *testing.T) {
 	if got := c3r.Outstanding(ghost); got != 0 {
 		t.Errorf("C3 Outstanding(ghost) = %v", got)
 	}
-	if got := c3r.QueueEstimate(ghost); got != 1 {
-		t.Errorf("C3 QueueEstimate(ghost) = %v, want 1", got)
+	if got := c3r.Signals(ghost).QHat; got != 1 {
+		t.Errorf("C3 Signals(ghost).QHat = %v, want 1", got)
 	}
 	if got := c3r.Score(ghost, 0); !math.IsInf(got, -1) {
 		t.Errorf("C3 Score(ghost) = %v, want -Inf", got)

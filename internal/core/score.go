@@ -155,16 +155,6 @@ func (c *CubicRanker) OnAbandonN(s ServerID, n int, now int64) {
 	}
 }
 
-// QueueEstimate reports q̂ = 1 + os·w + q̄ for server s (1 for unseen
-// servers). It is a pure read and does not intern s.
-func (c *CubicRanker) QueueEstimate(s ServerID) float64 {
-	st := c.stateRO(s)
-	if st == nil {
-		return 1
-	}
-	return 1 + st.outstanding*c.cfg.ConcurrencyWeight + st.qbar.Value()
-}
-
 // Outstanding reports the number of requests in flight to s from this client.
 // It is a pure read and does not intern s.
 func (c *CubicRanker) Outstanding(s ServerID) float64 {

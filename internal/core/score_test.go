@@ -134,8 +134,8 @@ func TestQueueEstimateFormula(t *testing.T) {
 	r.OnSendN(1, 1, 0)
 	r.OnSendN(1, 1, 0) // outstanding = 2
 	// q̂ = 1 + 2·7 + 3 = 18
-	if got := r.QueueEstimate(1); math.Abs(got-18) > 1e-12 {
-		t.Fatalf("QueueEstimate = %v, want 18", got)
+	if got := r.Signals(1).QHat; math.Abs(got-18) > 1e-12 {
+		t.Fatalf("Signals(1).QHat = %v, want 18", got)
 	}
 	if got := r.Outstanding(1); got != 2 {
 		t.Fatalf("Outstanding = %v, want 2", got)

@@ -155,104 +155,3 @@ func TestEWMABoundedByInputsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestDecayingHalfLife(t *testing.T) {
-	d := NewDecaying(1000)
-	d.Add(10, 0)
-	d.Add(0, 1000) // exactly one half-life later: v = 0.5*10 + 0.5*0 = 5
-	if got := d.Value(); math.Abs(got-5) > 1e-9 {
-		t.Fatalf("Value = %v, want 5", got)
-	}
-}
-
-func TestDecayingLongGapForgets(t *testing.T) {
-	d := NewDecaying(1000)
-	d.Add(100, 0)
-	d.Add(1, 100_000) // 100 half-lives later, old value weight ~2^-100
-	if got := d.Value(); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("Value = %v, want ~1", got)
-	}
-}
-
-func TestDecayingOutOfOrderSample(t *testing.T) {
-	d := NewDecaying(1000)
-	d.Add(10, 5000)
-	d.Add(20, 4000) // earlier timestamp: treated as dt=0, weight of old = 1
-	if got := d.Value(); math.Abs(got-10) > 1e-9 {
-		t.Fatalf("Value = %v, want 10 (old value fully kept at dt=0)", got)
-	}
-}
-
-func TestWindowRateBasic(t *testing.T) {
-	w := NewWindowRate(100)
-	w.Add(0)
-	w.Add(10)
-	w.Add(99)
-	if got := w.Rate(50); got != 0 {
-		t.Fatalf("Rate mid-first-window = %v, want 0 (no completed window)", got)
-	}
-	if got := w.Rate(100); got != 3 {
-		t.Fatalf("Rate after first window = %v, want 3", got)
-	}
-	w.Add(150)
-	if got := w.Rate(210); got != 1 {
-		t.Fatalf("Rate after second window = %v, want 1", got)
-	}
-}
-
-func TestWindowRateEmptyGapReportsZero(t *testing.T) {
-	w := NewWindowRate(100)
-	w.Add(0)
-	// Jump 5 windows ahead: the last completed window is empty.
-	if got := w.Rate(550); got != 0 {
-		t.Fatalf("Rate after gap = %v, want 0", got)
-	}
-}
-
-func TestWindowRateAddN(t *testing.T) {
-	w := NewWindowRate(100)
-	w.AddN(0, 5)
-	w.AddN(20, 2.5)
-	if got := w.Rate(120); got != 7.5 {
-		t.Fatalf("Rate = %v, want 7.5", got)
-	}
-}
-
-// Property: WindowRate never reports more events than were added in total.
-func TestWindowRateNeverExceedsTotalProperty(t *testing.T) {
-	f := func(offsets []uint16) bool {
-		w := NewWindowRate(1000)
-		var now int64
-		total := 0.0
-		for _, o := range offsets {
-			now += int64(o)
-			w.Add(now)
-			total++
-			if w.Rate(now) > total {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestConstructorsPanicOnNonPositive(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"NewDecaying(0)":    func() { NewDecaying(0) },
-		"NewDecaying(-1)":   func() { NewDecaying(-1) },
-		"NewWindowRate(0)":  func() { NewWindowRate(0) },
-		"NewWindowRate(-5)": func() { NewWindowRate(-5) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}

@@ -168,7 +168,7 @@ func TestBatchZeroResidualUnderHedgeAndDelay(t *testing.T) {
 	}
 	hedges := uint64(0)
 	for _, n := range c.Nodes {
-		hedges += n.HedgesIssued()
+		hedges += n.StatsSnapshot().HedgesSent
 	}
 	settleOutstanding(t, c.Nodes, 5, 3*time.Second)
 	t.Logf("hedges issued (keys duplicated): %d", hedges)
@@ -284,7 +284,7 @@ func TestMultiPutAllReplicasDown(t *testing.T) {
 			t.Fatalf("key %q acked with its whole group down", keys[i])
 		}
 	}
-	if coordinator.WriteFailures() == 0 {
+	if coordinator.StatsSnapshot().WriteFails == 0 {
 		t.Fatal("coordinator did not count the failed batch writes")
 	}
 }
@@ -332,11 +332,11 @@ func TestPointGetAllReplicasDownFails(t *testing.T) {
 		c.Nodes[i].Close()
 	}
 	cl := pinnedClient(t, coordinator)
-	before := coordinator.QuorumFailures()
+	before := coordinator.StatsSnapshot().QuorumFails
 	if _, ok, err := cl.Get(key); !errors.Is(err, ErrQuorumUnavailable) || ok {
 		t.Fatalf("Get with its whole group down = %v,%v, want ErrQuorumUnavailable", ok, err)
 	}
-	if d := coordinator.QuorumFailures() - before; d != 0 {
+	if d := coordinator.StatsSnapshot().QuorumFails - before; d != 0 {
 		t.Fatalf("a failed CL=ONE read counted %d quorum failures", d)
 	}
 	settleOutstanding(t, c.Nodes[:1], 5, 3*time.Second)
@@ -508,7 +508,7 @@ func TestBatchAccountingUsesWeights(t *testing.T) {
 			c.Inspect(func(r core.Ranker) {
 				if cr, ok := r.(*core.CubicRanker); ok {
 					for p := 0; p < 5; p++ {
-						q := cr.QueueEstimate(core.ServerID(p))
+						q := cr.Signals(core.ServerID(p)).QHat
 						if q < 1 || q != q {
 							t.Fatalf("node %d q̂ toward %d = %v", n.ID(), p, q)
 						}

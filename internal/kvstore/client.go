@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"c3/internal/ring"
 	"c3/internal/wire"
 )
 
@@ -22,11 +21,6 @@ type Client struct {
 	conns []*rpcConn
 
 	next atomic.Uint64
-
-	// tokenRing, when set, routes each key to its primary replica as
-	// coordinator (the Astyanax-style token-aware client of the paper's
-	// §7, which avoids overloaded non-replica coordinators).
-	tokenRing *ring.Ring
 }
 
 // Dial connects a client to the cluster at addrs (connections are
@@ -67,24 +61,8 @@ func (c *Client) conn(i int) (*rpcConn, error) {
 	return p, nil
 }
 
-// DialTokenAware returns a Client that coordinates every operation at the
-// key's primary replica instead of round-robining, given the cluster's
-// replication factor.
-func DialTokenAware(addrs []string, rf int) (*Client, error) {
-	c, err := Dial(addrs)
-	if err != nil {
-		return nil, err
-	}
-	c.tokenRing = ring.New(len(addrs), rf)
-	return c, nil
-}
-
-// pick chooses the coordinator for a key: its primary replica when token
-// aware, round-robin otherwise.
-func (c *Client) pick(key string) int {
-	if c.tokenRing != nil {
-		return int(c.tokenRing.PrimaryFor([]byte(key)))
-	}
+// pick chooses the next coordinator, round-robin over the nodes.
+func (c *Client) pick() int {
 	return int(c.next.Add(1)-1) % len(c.addrs)
 }
 
@@ -103,7 +81,7 @@ func (c *Client) Get(key string) ([]byte, bool, error) {
 func (c *Client) GetAt(key string, lvl Level) ([]byte, bool, error) {
 	var lastErr error
 	for attempt := 0; attempt < len(c.addrs); attempt++ {
-		p, err := c.conn(c.pick(key))
+		p, err := c.conn(c.pick())
 		if err != nil {
 			lastErr = err
 			continue
@@ -162,7 +140,7 @@ func (c *Client) DeleteAt(key string, lvl Level) error {
 func (c *Client) writeAt(key string, val []byte, lvl Level, del bool) error {
 	var lastErr error
 	for attempt := 0; attempt < len(c.addrs); attempt++ {
-		p, err := c.conn(c.pick(key))
+		p, err := c.conn(c.pick())
 		if err != nil {
 			lastErr = err
 			continue
@@ -221,7 +199,7 @@ func (c *Client) MultiGetAt(keys []string, lvl Level) (vals [][]byte, found []bo
 func (c *Client) multiGetChunk(lvl Level, keys []string, vals [][]byte, found []bool) error {
 	var lastErr error
 	for attempt := 0; attempt < len(c.addrs); attempt++ {
-		p, err := c.conn(c.pick(keys[0]))
+		p, err := c.conn(c.pick())
 		if err != nil {
 			lastErr = err
 			continue
@@ -301,7 +279,7 @@ func (c *Client) MultiPutAt(keys []string, vals [][]byte, lvl Level) (oks []bool
 func (c *Client) multiPutChunk(lvl Level, keys []string, vals [][]byte, oks []bool) error {
 	var lastErr error
 	for attempt := 0; attempt < len(c.addrs); attempt++ {
-		p, err := c.conn(c.pick(keys[0]))
+		p, err := c.conn(c.pick())
 		if err != nil {
 			lastErr = err
 			continue

@@ -181,14 +181,6 @@ func (n *Node) stampVersion() uint64 {
 	}
 }
 
-// ReadRepairs reports version-guarded repair write-backs this coordinator has
-// issued (quorum reconciliation plus background repair probes).
-func (n *Node) ReadRepairs() uint64 { return n.repairs.Load() }
-
-// QuorumFailures reports coordinated operations that failed their requested
-// consistency level (unavailable or timed out) despite any partial acks.
-func (n *Node) QuorumFailures() uint64 { return n.quorumFails.Load() }
-
 // SetDropWrites makes the node reject the write legs it is sent without
 // applying them — a fault-injection hook for consistency tests and the
 // staleness benchmark: a coordinator's leg (its own local leg included) or a

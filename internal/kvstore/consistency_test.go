@@ -145,7 +145,7 @@ func TestQuorumReadRepairsStaleReplica(t *testing.T) {
 	}
 	repairs := uint64(0)
 	for _, n := range c.Nodes {
-		repairs += n.ReadRepairs()
+		repairs += n.StatsSnapshot().Repairs
 	}
 	if repairs == 0 {
 		t.Fatal("replica converged without any recorded read repair")
@@ -217,7 +217,8 @@ func TestQuorumUnavailableTypedErrors(t *testing.T) {
 	// a write no replica acknowledged: the request counts one quorum
 	// failure and no write failure.
 	coord := c.Nodes[0]
-	writeFails, quorumFails := coord.WriteFailures(), coord.QuorumFailures()
+	before := coord.StatsSnapshot()
+	writeFails, quorumFails := before.WriteFails, before.QuorumFails
 	oks, err := cl.MultiPutAt([]string{"b1", "b2"}, [][]byte{[]byte("v"), []byte("v")}, Quorum)
 	if !errors.Is(err, ErrQuorumUnavailable) {
 		t.Fatalf("quorum MultiPut with majority down: err = %v", err)
@@ -227,13 +228,13 @@ func TestQuorumUnavailableTypedErrors(t *testing.T) {
 			t.Fatalf("key %d acked at quorum with majority down", i)
 		}
 	}
-	if got := coord.QuorumFailures(); got <= quorumFails {
+	if got := coord.StatsSnapshot().QuorumFails; got <= quorumFails {
 		t.Fatalf("quorum failures %d -> %d: the failed batch was not counted", quorumFails, got)
 	}
 	waitFor(t, 5*time.Second, "the local replica to apply the batch", func() bool {
 		return coord.Store().Has("b1") && coord.Store().Has("b2")
 	})
-	if got := coord.WriteFailures(); got != writeFails {
+	if got := coord.StatsSnapshot().WriteFails; got != writeFails {
 		t.Fatalf("write failures %d -> %d: keys the coordinator's own replica applied were counted as unacknowledged", writeFails, got)
 	}
 }
@@ -275,7 +276,7 @@ func TestHintedHandoffHealsDownReplica(t *testing.T) {
 	}
 	// The failed fan-out legs bank hints on the two live coordinators.
 	waitFor(t, 5*time.Second, "hints banked", func() bool {
-		return c.Nodes[0].HintsStored()+c.Nodes[1].HintsStored() >= nKeys
+		return c.Nodes[0].StatsSnapshot().HintsStored+c.Nodes[1].StatsSnapshot().HintsStored >= nKeys
 	})
 
 	n2 := restartNode(t, addrs, 2, Config{Seed: 26})
@@ -287,9 +288,9 @@ func TestHintedHandoffHealsDownReplica(t *testing.T) {
 				return false
 			}
 		}
-		return c.Nodes[0].HintsPending()+c.Nodes[1].HintsPending() == 0
+		return c.Nodes[0].StatsSnapshot().HintsPending+c.Nodes[1].StatsSnapshot().HintsPending == 0
 	})
-	if rep := c.Nodes[0].HintsReplayed() + c.Nodes[1].HintsReplayed(); rep < nKeys {
+	if rep := c.Nodes[0].StatsSnapshot().HintsReplayed + c.Nodes[1].StatsSnapshot().HintsReplayed; rep < nKeys {
 		t.Fatalf("replayed %d hints, want ≥ %d", rep, nKeys)
 	}
 }
@@ -320,7 +321,7 @@ func TestHintsSurviveCoordinatorRestart(t *testing.T) {
 		}
 	}
 	waitFor(t, 5*time.Second, "hints banked on node 0", func() bool {
-		return c.Nodes[0].HintsStored() >= nKeys
+		return c.Nodes[0].StatsSnapshot().HintsStored >= nKeys
 	})
 
 	// Hard-crash the coordinator holding the debt, then bring it back over
@@ -328,14 +329,14 @@ func TestHintsSurviveCoordinatorRestart(t *testing.T) {
 	c.Nodes[0].Crash()
 	n0 := restartNode(t, addrs, 0, cfg)
 	c.Nodes[0] = n0
-	if n0.HintsPending() == 0 {
+	if n0.StatsSnapshot().HintsPending == 0 {
 		t.Fatal("restarted coordinator recovered no hints from disk")
 	}
 
 	n2 := restartNode(t, addrs, 2, cfg)
 	c.Nodes[2] = n2
 	waitFor(t, 15*time.Second, "recovered hints replayed", func() bool {
-		return n0.HintsPending() == 0
+		return n0.StatsSnapshot().HintsPending == 0
 	})
 	// The replica converges from hints plus its own recovered storage.
 	for i := 0; i < nKeys; i++ {
@@ -371,7 +372,7 @@ func TestHintCapBoundsDebtAndFailsQuorum(t *testing.T) {
 		}
 	}
 	waitFor(t, 5*time.Second, "hint queue full", func() bool {
-		return c.Nodes[0].HintsDropped() > 0
+		return c.Nodes[0].StatsSnapshot().HintsDropped > 0
 	})
 
 	// A quorum write covering the dead, debt-saturated replica is refused
@@ -400,7 +401,7 @@ func TestHintCapBoundsDebtAndFailsQuorum(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if got := c.Nodes[0].HintsPending(); got > cfg.HintCap {
+	if got := c.Nodes[0].StatsSnapshot().HintsPending; got > cfg.HintCap {
 		t.Fatalf("hint debt %d exceeds cap %d", got, cfg.HintCap)
 	}
 }

@@ -273,7 +273,7 @@ func runDurableChaos(t *testing.T, seed uint64, shards int) {
 		c.Nodes[id].Crash()
 		time.Sleep(time.Duration(20+rng.Uint64()%60) * time.Millisecond)
 		c.Nodes[id] = restartNode(t, addrs, id, cfg)
-		if got := c.Nodes[id].Shards(); got != shards {
+		if got := c.Nodes[id].Store().ShardCount(); got != shards {
 			t.Fatalf("node %d recovered with %d shards, want %d", id, got, shards)
 		}
 	}

@@ -86,11 +86,16 @@ func (b *respBackend) Set(key, val []byte) error {
 // readable at the backend's level just before the tombstone landed — the
 // best a leaderless store can answer for Redis's "number of keys removed"
 // (the check and the delete are not atomic; concurrent writers can race).
+// An existence check that misses the level fails the DEL before anything is
+// written, as GET fails: the count it would answer is unknown.
 func (b *respBackend) Del(key []byte) (bool, error) {
 	if err := checkKV(key, nil); err != nil {
 		return false, err
 	}
-	existed := b.exists(key)
+	existed, err := b.exists(key)
+	if err != nil {
+		return false, err
+	}
 	if err := b.write(key, nil, true); err != nil {
 		return false, err
 	}
@@ -99,10 +104,13 @@ func (b *respBackend) Del(key []byte) (bool, error) {
 
 // exists reads key at the backend's level for the found bit alone, through
 // the ladder with every leg a digest: versions only.
-func (b *respBackend) exists(key []byte) bool {
+func (b *respBackend) exists(key []byte) (bool, error) {
 	var vb [wire.VersionPrefix]byte
 	_, found, status := b.n.pointRead(uint8(b.lvl), pooledString(key), vb[:0], readVersions)
-	return found && status == wire.StatusOK
+	if err := readStatusErr(status); err != nil {
+		return false, err
+	}
+	return found, nil
 }
 
 func (b *respBackend) write(key, val []byte, del bool) error {
@@ -141,7 +149,9 @@ func (b *respBackend) writeSync(g *writeGather) error {
 // MGet coordinates a batch read into r: r.Vals[i]/r.Found[i] report
 // keys[i]. A missing key has Found[i] false and Vals[i] nil; a present empty
 // value has Found[i] true and Vals[i] a zero-length non-nil slice. The values
-// share r.Buf, so a caller reusing r allocates nothing per call.
+// share r.Buf, so a caller reusing r allocates nothing per call. A sub-batch
+// that missed the level fails the whole reply, as GET fails, rather than
+// answering its keys as misses.
 func (b *respBackend) MGet(keys [][]byte, r *resp.MGetReply) error {
 	if len(keys) > wire.MaxBatchKeys {
 		return errBatchTooLarge
@@ -160,6 +170,10 @@ func (b *respBackend) MGet(keys [][]byte, r *resp.MGetReply) error {
 	*sk = (*sk)[:0]
 	keyViewsPool.Put(sk)
 	g.run()
+	if err := readStatusErr(g.status); err != nil {
+		g.release()
+		return err
+	}
 	total := 0
 	for i := range keys {
 		v, _, _ := g.value(g.at[i])

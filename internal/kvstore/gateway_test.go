@@ -167,6 +167,63 @@ func TestGatewayQuorum(t *testing.T) {
 	}
 }
 
+// TestGatewayMGetFailsMissedLevel: with two of three replicas down, a
+// QUORUM MGET answers the error a GET answers, not its keys as misses.
+func TestGatewayMGetFailsMissedLevel(t *testing.T) {
+	c, rc := startGateway(t, 3, Config{Seed: 98}, Quorum)
+	do(t, rc, "SET", "qk", "qv")
+	c.Nodes[1].Close()
+	c.Nodes[2].Close()
+	for _, cmd := range [][]string{{"GET", "qk"}, {"MGET", "qk"}} {
+		r, err := rc.Do(cmd...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Kind != '-' || !strings.Contains(r.Str, "quorum read unavailable") {
+			t.Fatalf("%s with 2 of 3 replicas down = %s, want the quorum read error",
+				cmd[0], renderReply(r))
+		}
+	}
+}
+
+// TestGatewayDelFailsMissedLevel: a QUORUM DEL whose existence check times
+// out answers that error and writes no tombstone, instead of answering 0 and
+// deleting anyway.
+func TestGatewayDelFailsMissedLevel(t *testing.T) {
+	c, rc := startGateway(t, 3, Config{Seed: 99, ReadBudget: 60 * time.Millisecond}, Quorum)
+	do(t, rc, "SET", "dk", "dv")
+	c.Nodes[1].SetSlowdown(300 * time.Millisecond)
+	c.Nodes[2].SetSlowdown(300 * time.Millisecond)
+	r, err := rc.Do("DEL", "dk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Kind != '-' || !strings.Contains(r.Str, "timed out") {
+		t.Fatalf("DEL with both peers slowed past the read budget = %s, want the read timeout",
+			renderReply(r))
+	}
+	c.Nodes[1].SetSlowdown(0)
+	c.Nodes[2].SetSlowdown(0)
+	// The slowed reads drain; then the key must still read back.
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		r, err := rc.Do("GET", "dk")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Err() == nil {
+			if r.IsNil || r.Str != "dv" {
+				t.Fatalf("GET after the failed DEL = %s, want dv", renderReply(r))
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("GET after the failed DEL still fails: %s", renderReply(r))
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
 // TestGatewayOneReadRepairs: a CL=ONE GET through the gateway keeps the
 // ladder's background read repair. Node 2 drops a write; GETs at ONE then
 // probe the other replicas' versions and write the newest value back to it.

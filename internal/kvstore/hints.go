@@ -38,7 +38,7 @@ import (
 // phantom outstanding load and never feeds failure penalties into EWMAs from
 // the background path.
 
-// defaultHintCap is the per-target queue bound when Config.HintCap is zero.
+// defaultHintCap is the per-target queue bound when Config.HintCap is ≤ 0.
 const defaultHintCap = 512
 
 // Replay backoff: first retry after hintBackoffMin, doubling to
@@ -77,13 +77,10 @@ type hintStore struct {
 }
 
 // openHints builds the node's hint store, recovering any per-target logs
-// found under storeDir from a previous incarnation. capacity < 0 disables
-// handoff entirely (returns nil); 0 means defaultHintCap.
+// found under storeDir from a previous incarnation. capacity ≤ 0 means
+// defaultHintCap.
 func openHints(n *Node, storeDir string, capacity int) (*hintStore, error) {
-	if capacity < 0 {
-		return nil, nil
-	}
-	if capacity == 0 {
+	if capacity <= 0 {
 		capacity = defaultHintCap
 	}
 	h := &hintStore{
@@ -340,53 +337,10 @@ func (h *hintStore) close() {
 }
 
 // hintWrite banks a write leg that never reached replica s — one hint per
-// key, all under the coordinator's stamp ver — if handoff is enabled and the
-// target's queue has room. vals may alias a pooled buffer; add copies them
-// synchronously.
+// key, all under the coordinator's stamp ver — if the target's queue has
+// room. vals may alias a pooled buffer; add copies them synchronously.
 func (n *Node) hintWrite(s core.ServerID, keys []string, ver uint64, vals [][]byte, del bool) {
-	if n.hints == nil {
-		return
-	}
 	for i := range keys {
 		n.hints.add(s, keys[i], ver, vals[i], del)
 	}
-}
-
-// hintFull reports whether target's hint queue is at cap (always false when
-// handoff is disabled: there is no debt to bound).
-func (n *Node) hintFull(s core.ServerID) bool {
-	return n.hints != nil && n.hints.full(s)
-}
-
-// HintsPending reports the number of banked writes awaiting replay.
-func (n *Node) HintsPending() int {
-	if n.hints == nil {
-		return 0
-	}
-	return n.hints.pending()
-}
-
-// HintsStored reports writes banked as hints by this coordinator.
-func (n *Node) HintsStored() uint64 {
-	if n.hints == nil {
-		return 0
-	}
-	return n.hints.stored.Load()
-}
-
-// HintsReplayed reports banked writes delivered to their recovered target.
-func (n *Node) HintsReplayed() uint64 {
-	if n.hints == nil {
-		return 0
-	}
-	return n.hints.replayed.Load()
-}
-
-// HintsDropped reports hints refused because a target's queue was at cap (or
-// voided because the topology retired the target).
-func (n *Node) HintsDropped() uint64 {
-	if n.hints == nil {
-		return 0
-	}
-	return n.hints.dropped.Load()
 }

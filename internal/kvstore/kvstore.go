@@ -85,9 +85,9 @@ type Config struct {
 	DataDir string
 	// HintCap bounds the hinted-handoff queue per down peer (records, not
 	// bytes): writes toward an unreachable replica are banked up to this many
-	// hints and replayed with backoff once the peer returns. Zero means the
-	// default (512); negative disables handoff entirely. When a peer is down
-	// AND its hint queue is full, quorum-level writes covering it fail with
+	// hints and replayed with backoff once the peer returns. A value ≤ 0
+	// means the default (512); handoff is always on. When a peer is down AND
+	// its hint queue is full, quorum-level writes covering it fail with
 	// StatusQuorumUnavailable instead of growing the debt without bound.
 	HintCap int
 	// Shards partitions the node's storage and request handling into
@@ -205,7 +205,7 @@ type Node struct {
 	digestFetches atomic.Uint64
 
 	hlc        atomic.Uint64 // HLC version-stamp state (see stampVersion)
-	hints      *hintStore    // per-peer handoff queues; nil when disabled
+	hints      *hintStore    // per-peer handoff queues
 	dropWrites atomic.Bool   // fault injection: fail write legs (SetDropWrites)
 
 	rngMu sync.Mutex
@@ -385,9 +385,7 @@ func newNode(id core.ServerID, t *topology, ln net.Listener, cfg Config) (*Node,
 	}
 	n.wg.Add(1)
 	go n.acceptLoop()
-	if n.hints != nil {
-		n.hints.kickAll() // resume delivery of hints recovered from disk
-	}
+	n.hints.kickAll() // resume delivery of hints recovered from disk
 	return n, nil
 }
 
@@ -400,36 +398,12 @@ func (n *Node) ID() int { return int(n.id) }
 // Store exposes the underlying sharded LSM engine (diagnostics).
 func (n *Node) Store() *lsm.Sharded { return n.store }
 
-// Shards reports the node's effective shard count (a durable directory's
-// persisted count wins over the config).
-func (n *Node) Shards() int { return n.store.ShardCount() }
-
 // ReadsServed reports reads served by this node's storage.
 func (n *Node) ReadsServed() uint64 { return n.served.Load() }
-
-// ReadsCoordinated reports reads coordinated by this node.
-func (n *Node) ReadsCoordinated() uint64 { return n.coord.Load() }
-
-// BackpressureWaits reports coordinator reads that waited for a rate token.
-func (n *Node) BackpressureWaits() uint64 { return n.waited.Load() }
 
 // SetSlowdown injects extra artificial latency per local read — the live
 // analogue of the paper's tc-based degradation in Fig. 13.
 func (n *Node) SetSlowdown(d time.Duration) { n.slowNs.Store(int64(d)) }
-
-// HedgesIssued reports speculative read duplicates this coordinator fired —
-// the numerator of the duplicate-load overhead a deployment watches. The
-// count lives in the selector (PickHedgeN records it, in keys); failovers
-// after an error go through PickNextN and are not counted.
-func (n *Node) HedgesIssued() uint64 { return n.sels.HedgesSent() }
-
-// HedgeWins reports coordinated reads that were answered by their hedge
-// rather than their primary replica.
-func (n *Node) HedgeWins() uint64 { return n.hedgeWins.Load() }
-
-// WriteFailures reports coordinated writes that no replica acknowledged,
-// counting each key of a batch.
-func (n *Node) WriteFailures() uint64 { return n.writeFails.Load() }
 
 // OutstandingToward reports the selector's in-flight accounting toward a
 // peer, summed over shards. Quiescent clusters must report zero for every
@@ -451,20 +425,10 @@ func (n *Node) SendRateToward(peer int) float64 {
 // descriptors leak).
 func (n *Node) Close() {
 	n.teardownNetwork()
-	n.stopHints()
+	n.hints.stop()
 	n.wg.Wait()
-	if n.hints != nil {
-		n.hints.close()
-	}
+	n.hints.close()
 	n.store.Close()
-}
-
-// stopHints makes the hint store refuse hints and replays, so nothing adds
-// to the WaitGroup once the node starts waiting on it.
-func (n *Node) stopHints() {
-	if n.hints != nil {
-		n.hints.stop()
-	}
 }
 
 // Crash tears the node down the way SIGKILL would — no flush, no final
@@ -474,14 +438,12 @@ func (n *Node) stopHints() {
 // chaos tests drive this. Production shutdown is Close.
 func (n *Node) Crash() {
 	n.teardownNetwork()
-	n.stopHints()
+	n.hints.stop()
 	// Fail the store first: handlers blocked waiting on a WAL commit group
 	// must unblock (with errors) before wg.Wait can return.
 	n.store.Crash()
 	n.wg.Wait()
-	if n.hints != nil {
-		n.hints.close()
-	}
+	n.hints.close()
 }
 
 // teardownNetwork severs the listener and every connection, once.

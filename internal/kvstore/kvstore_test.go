@@ -115,7 +115,7 @@ func TestConcurrentClients(t *testing.T) {
 	// Reads must have been coordinated across multiple nodes.
 	coords := 0
 	for _, n := range c.Nodes {
-		if n.ReadsCoordinated() > 0 {
+		if n.StatsSnapshot().ReadsCoordinated > 0 {
 			coords++
 		}
 	}
@@ -212,7 +212,7 @@ func TestBackpressureEngagesUnderTinyRates(t *testing.T) {
 	elapsed := time.Since(start)
 	waits := uint64(0)
 	for _, n := range c.Nodes {
-		waits += n.BackpressureWaits()
+		waits += n.StatsSnapshot().ReadsWaited
 	}
 	if waits == 0 {
 		t.Fatalf("no backpressure waits despite 0.6 req/δ limit (took %v)", elapsed)
@@ -251,6 +251,96 @@ func TestNodeCloseIsClean(t *testing.T) {
 	c.Close() // double close must be safe
 }
 
+// TestStatsSnapshotAfterShutdown: StatsSnapshot is the one reader of the
+// coordinator and hint counters, so it must answer after Close and after
+// Crash, keeping the counts the node had. Nodes 0 and 1 each coordinate a
+// hedge, a quorum failure, a write failure, a repair and a banked hint; then
+// node 0 closes and node 1 crashes.
+func TestStatsSnapshotAfterShutdown(t *testing.T) {
+	c, _ := startTestCluster(t, 3, Config{Seed: 36, ReadRepair: -1, DataDir: t.TempDir()})
+	keys := ladderKeys("snap", 10)
+	coords := c.Nodes[:2]
+	pinned := make([]*Client, len(coords))
+	for i, coord := range coords {
+		pinned[i] = pinnedClient(t, coord)
+		cl := pinned[i]
+		putAll(t, cl, keys, "v-")
+		for j := 0; j < 300; j++ { // rank the local replica best; train the hedge delay
+			cl.GetAt(keys[j%len(keys)], Quorum)
+		}
+		coord.SetSlowdown(20 * time.Millisecond)
+		hedges := coord.StatsSnapshot().HedgesSent
+		for j := 0; coord.StatsSnapshot().HedgesSent == hedges; j++ {
+			if j == 200 {
+				t.Fatalf("node %d: 200 reads of a slowed local replica sent no hedge", i)
+			}
+			cl.GetAt(keys[j%len(keys)], Quorum)
+		}
+		coord.SetSlowdown(0)
+
+		// An ALL write that node 2 refuses misses its level; the ALL read
+		// after it repairs node 2. The write answers on node 2's refusal,
+		// so the read waits until the other legs have landed.
+		stale := fmt.Sprintf("snap-stale-%d", i)
+		c.Nodes[2].SetDropWrites(true)
+		if err := cl.PutAt(stale, []byte("v"), All); err == nil {
+			t.Fatalf("node %d: ALL write acked with node 2 refusing it", i)
+		}
+		c.Nodes[2].SetDropWrites(false)
+		waitFor(t, 3*time.Second, "the ALL write's legs to nodes 0 and 1", func() bool {
+			_, _, ok0 := c.Nodes[0].Store().GetVersioned(nil, stale)
+			_, _, ok1 := c.Nodes[1].Store().GetVersioned(nil, stale)
+			return ok0 && ok1
+		})
+		if _, ok, err := cl.GetAt(stale, All); err != nil || !ok {
+			t.Fatalf("node %d: ALL read = %v,%v", i, ok, err)
+		}
+
+		// A write every replica refuses fails outright.
+		for _, n := range c.Nodes {
+			n.SetDropWrites(true)
+		}
+		if err := cl.PutAt(fmt.Sprintf("snap-lost-%d", i), []byte("v"), One); err == nil {
+			t.Fatalf("node %d: write acked with every replica refusing it", i)
+		}
+		for _, n := range c.Nodes {
+			n.SetDropWrites(false)
+		}
+	}
+	// A write toward a down replica is banked as a hint.
+	c.Nodes[2].Close()
+	for i, cl := range pinned {
+		if err := cl.PutAt(fmt.Sprintf("snap-hint-%d", i), []byte("v"), One); err != nil {
+			t.Fatalf("node %d: write with one replica down: %v", i, err)
+		}
+	}
+	settleOutstanding(t, coords, 3, 3*time.Second)
+
+	before := []NodeStats{coords[0].StatsSnapshot(), coords[1].StatsSnapshot()}
+	for i, st := range before {
+		for name, v := range map[string]uint64{
+			"hedges_sent": st.HedgesSent, "quorum_fails": st.QuorumFails,
+			"write_fails": st.WriteFails, "repairs": st.Repairs,
+			"hints_stored": st.HintsStored, "hints_pending": uint64(st.HintsPending),
+		} {
+			if v == 0 {
+				t.Fatalf("node %d: %s = 0 before shutdown", i, name)
+			}
+		}
+	}
+	coords[0].Close()
+	coords[1].Crash()
+	for i, coord := range coords {
+		after := coord.StatsSnapshot()
+		b := before[i]
+		if after.HedgesSent != b.HedgesSent || after.QuorumFails != b.QuorumFails ||
+			after.WriteFails != b.WriteFails || after.Repairs != b.Repairs ||
+			after.HintsStored != b.HintsStored || after.HintsPending != b.HintsPending {
+			t.Fatalf("node %d: snapshot after shutdown %+v, before %+v", i, after, b)
+		}
+	}
+}
+
 func TestStartNodeBadID(t *testing.T) {
 	if _, err := StartNode(5, []string{"127.0.0.1:0"}, Config{}); err == nil {
 		t.Fatal("out-of-range node id accepted")
@@ -260,49 +350,5 @@ func TestStartNodeBadID(t *testing.T) {
 func TestClientDialNoAddrs(t *testing.T) {
 	if _, err := Dial(nil); err == nil {
 		t.Fatal("empty address list accepted")
-	}
-}
-
-func TestTokenAwareClient(t *testing.T) {
-	c, _ := startTestCluster(t, 5, Config{Seed: 14})
-	cl, err := DialTokenAware(c.Addrs(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cl.Close)
-	for i := 0; i < 40; i++ {
-		key := fmt.Sprintf("tok-%d", i)
-		if err := cl.Put(key, []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-		// Writes ack at the first replica (CL=ONE), which need not be
-		// the primary the token-aware read will consult; allow the
-		// fan-out a moment to land.
-		var val []byte
-		var ok bool
-		var err error
-		for attempt := 0; attempt < 50; attempt++ {
-			val, ok, err = cl.Get(key)
-			if err != nil {
-				t.Fatalf("Get(%s): %v", key, err)
-			}
-			if ok {
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		if !ok || string(val) != "v" {
-			t.Fatalf("Get(%s) = %q,%v", key, val, ok)
-		}
-	}
-	// Multiple nodes must have coordinated (keys hash across the ring).
-	coords := 0
-	for _, n := range c.Nodes {
-		if n.ReadsCoordinated() > 0 {
-			coords++
-		}
-	}
-	if coords < 2 {
-		t.Fatalf("token-aware client used only %d coordinators", coords)
 	}
 }

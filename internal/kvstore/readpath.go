@@ -652,8 +652,8 @@ func (g *readGather) fetched(li int, c *call) {
 }
 
 // finish decides sub-batch si. A failed one reports every key absent, sets
-// the gather's status (a point read's verdict) and, above CL=ONE, counts one
-// quorum failure.
+// the gather's status (the verdict of a point read and of a RESP MGET) and,
+// above CL=ONE, counts one quorum failure.
 func (g *readGather) finish(si int, status uint8) {
 	sb := &g.subs[si]
 	sb.phase = phaseDone

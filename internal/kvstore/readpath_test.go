@@ -174,7 +174,8 @@ func TestQuorumHedgeRescuesSlowResponder(t *testing.T) {
 	for i := 0; i < 300; i++ { // rank the local replica best; train the hedge delay
 		pinned.GetAt(keys[i%len(keys)], Quorum)
 	}
-	hedges, wins := coord.HedgesIssued(), coord.HedgeWins()
+	before := coord.StatsSnapshot()
+	hedges, wins := before.HedgesSent, before.HedgeWins
 	coord.SetSlowdown(20 * time.Millisecond)
 	defer coord.SetSlowdown(0)
 	for i := 0; i < 10; i++ {
@@ -188,9 +189,9 @@ func TestQuorumHedgeRescuesSlowResponder(t *testing.T) {
 			t.Fatalf("GetAt(%s) = %q,%v,%v", k, v, ok, err)
 		}
 	}
-	if coord.HedgesIssued() == hedges || coord.HedgeWins() == wins {
+	if after := coord.StatsSnapshot(); after.HedgesSent == hedges || after.HedgeWins == wins {
 		t.Fatalf("hedges %d -> %d, wins %d -> %d: the slow responder was not hedged",
-			hedges, coord.HedgesIssued(), wins, coord.HedgeWins())
+			hedges, after.HedgesSent, wins, after.HedgeWins)
 	}
 }
 

@@ -119,10 +119,10 @@ func (n *Node) StatsSnapshot() NodeStats {
 		DigestReads:   n.digestReads.Load(),
 		DigestFetches: n.digestFetches.Load(),
 
-		HintsPending:  n.HintsPending(),
-		HintsStored:   n.HintsStored(),
-		HintsReplayed: n.HintsReplayed(),
-		HintsDropped:  n.HintsDropped(),
+		HintsPending:  n.hints.pending(),
+		HintsStored:   n.hints.stored.Load(),
+		HintsReplayed: n.hints.replayed.Load(),
+		HintsDropped:  n.hints.dropped.Load(),
 	}
 
 	st.Peers = n.peerSignals(topo)

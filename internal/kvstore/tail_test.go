@@ -111,7 +111,7 @@ func TestWriteFailsWhenAllReplicasDown(t *testing.T) {
 	if !errors.Is(err, ErrWriteFailed) {
 		t.Fatalf("Put error = %v, want ErrWriteFailed", err)
 	}
-	if coordinator.WriteFailures() == 0 {
+	if coordinator.StatsSnapshot().WriteFails == 0 {
 		t.Fatal("coordinator did not count the failed write")
 	}
 }
@@ -192,7 +192,7 @@ func TestRepairProbeAccountingSurvivesCrash(t *testing.T) {
 	qhat := func() (q float64) {
 		coordinator.sels.Each(func(c *core.Client) {
 			c.Inspect(func(r core.Ranker) {
-				if e := r.(*core.CubicRanker).QueueEstimate(core.ServerID(2)); e > q {
+				if e := r.(*core.CubicRanker).Signals(core.ServerID(2)).QHat; e > q {
 					q = e
 				}
 			})
@@ -227,7 +227,7 @@ func TestRepairProbeFailuresAreNotQuorumFailures(t *testing.T) {
 	pinned := pinnedClient(t, coord)
 	c.Nodes[1].Close()
 	c.Nodes[2].Close()
-	before := coord.QuorumFailures()
+	before := coord.StatsSnapshot().QuorumFails
 	for i := 0; i < 50; i++ {
 		k := keys[i%len(keys)]
 		if v, ok, err := pinned.Get(k); err != nil || !ok || string(v) != "v-"+k {
@@ -235,7 +235,7 @@ func TestRepairProbeFailuresAreNotQuorumFailures(t *testing.T) {
 		}
 	}
 	settleOutstanding(t, c.Nodes[:1], 3, 5*time.Second)
-	if d := coord.QuorumFailures() - before; d != 0 {
+	if d := coord.StatsSnapshot().QuorumFails - before; d != 0 {
 		t.Fatalf("failed background probes counted %d quorum failures", d)
 	}
 }
@@ -286,7 +286,7 @@ func TestLateProbeStillRepairs(t *testing.T) {
 	defer c.Nodes[2].SetSlowdown(0)
 	coord := c.Nodes[0]
 	pinned := pinnedClient(t, coord)
-	before := coord.ReadRepairs()
+	before := coord.StatsSnapshot().Repairs
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		t0 := time.Now()
@@ -305,7 +305,7 @@ func TestLateProbeStillRepairs(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if coord.ReadRepairs() == before {
+	if coord.StatsSnapshot().Repairs == before {
 		t.Fatal("node 2 was healed, but not by the coordinator's read repair")
 	}
 	settleOutstanding(t, c.Nodes, 3, 3*time.Second)
@@ -336,7 +336,7 @@ func TestClientDigestFlagIgnored(t *testing.T) {
 			t.Fatalf("digest-flagged client read of %s = %q,%v,%v, want its value", k, resp.Value, resp.Found, err)
 		}
 	}
-	if coord.HedgesIssued() == 0 {
+	if coord.StatsSnapshot().HedgesSent == 0 {
 		t.Fatal("no hedge fired: the racing legs went unexercised")
 	}
 }
@@ -483,7 +483,8 @@ func TestHedgedReadCutsTailUnderSlowReplica(t *testing.T) {
 				maxLatency = d
 			}
 		}
-		return maxLatency, c.Nodes[0].HedgesIssued(), c.Nodes[0].HedgeWins()
+		st := c.Nodes[0].StatsSnapshot()
+		return maxLatency, st.HedgesSent, st.HedgeWins
 	}
 
 	hedgedMax, hedges, wins := run(false)

@@ -231,7 +231,7 @@ func (n *Node) coordinateWrite(g *writeGather, lvl Level) {
 	subs, fans := partitionWrite(t, g, sbuf[:0], fbuf[:0])
 	refused := false
 	for _, s := range fans {
-		if lvl != One && s != n.id && n.hintFull(s) {
+		if lvl != One && s != n.id && n.hints.full(s) {
 			if _, up := n.peerReady(s); !up {
 				refused = true
 				break

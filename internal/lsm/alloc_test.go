@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // The hot write path's allocation profile, pinned: one ApplyMulti of the
@@ -22,7 +23,7 @@ func TestApplyMultiAllocBudget(t *testing.T) {
 		budget float64
 	}{
 		{"inmem", Options{}, 0},
-		{"durable", Options{NoSync: true}, 0},
+		{"durable", Options{SyncInterval: time.Hour}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.name == "durable" {
@@ -68,7 +69,7 @@ func TestCompactAllocBudget(t *testing.T) {
 	const runs, budget = 5, 80
 	for _, n := range []int{1000, 4000} {
 		t.Run(fmt.Sprintf("keys=%d", n), func(t *testing.T) {
-			s := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, FlushBytes: 1 << 30, MaxRuns: 100})
+			s := mustOpen(t, Options{Dir: t.TempDir(), SyncInterval: time.Hour, FlushBytes: 1 << 30, MaxRuns: 100})
 			defer s.Close()
 			val := make([]byte, 100)
 			for r := 0; r < runs; r++ {

@@ -425,7 +425,7 @@ func TestCrashPointFlushDuringCompaction(t *testing.T) {
 // ahead, and Close returns.
 func TestCompactionFailureDoesNotWedgeFlushes(t *testing.T) {
 	const maxRuns = 2
-	s := mustOpen(t, Options{Dir: t.TempDir(), NoSync: true, FlushBytes: 64, MaxRuns: maxRuns})
+	s := mustOpen(t, Options{Dir: t.TempDir(), SyncInterval: time.Hour, FlushBytes: 64, MaxRuns: maxRuns})
 	val := strings.Repeat("v", 100) // every write crosses FlushBytes
 	mustPut(t, s, "oldest", val)
 	s.mu.Lock()
@@ -486,7 +486,7 @@ func TestCompactionFailureDoesNotWedgeFlushes(t *testing.T) {
 // reopened store finds the merged run, not the inputs and a merge to redo.
 func TestCloseKeepsCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, Options{Dir: dir, NoSync: true, FlushBytes: 1 << 30, MaxRuns: 2})
+	s := mustOpen(t, Options{Dir: dir, SyncInterval: time.Hour, FlushBytes: 1 << 30, MaxRuns: 2})
 	for gen := 0; gen < 2; gen++ {
 		mustPut(t, s, fmt.Sprintf("gen%d", gen), "v")
 		s.Flush()

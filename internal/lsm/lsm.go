@@ -49,17 +49,13 @@ type Options struct {
 	// live there and Open recovers whatever state the directory holds.
 	// Empty keeps the store purely in memory.
 	Dir string
-	// NoSync skips the per-group fsync (data still reaches the OS on every
-	// commit, and Close fsyncs). For measuring the cost of durability and
-	// for tests where a machine crash is out of scope.
-	NoSync bool
 	// SyncInterval selects the WAL sync policy. Zero (the default) is
 	// strict group commit: every commit group fsyncs before acking, so
 	// acked writes survive power loss. A positive interval is periodic
 	// sync — Cassandra's default commitlog trade: acks wait only for
 	// write(2), so they survive process death (kill -9), and a background
 	// fsync runs at most every SyncInterval to bound the power-loss
-	// window. Ignored when NoSync is set.
+	// window.
 	SyncInterval time.Duration
 
 	// hook, when set (package-internal, tests only), is called at named
@@ -264,7 +260,7 @@ func Open(opts Options) (*Store, error) {
 		s.walNums = []uint64{num}
 	}
 	cur := s.walNums[len(s.walNums)-1]
-	if s.wal, err = openWAL(s.dir, cur, opts.NoSync, opts.SyncInterval); err != nil {
+	if s.wal, err = openWAL(s.dir, cur, opts.SyncInterval); err != nil {
 		s.releaseRuns()
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"c3/internal/sim"
 )
@@ -145,7 +146,7 @@ func TestConcurrentCompactionModel(t *testing.T) {
 		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
 			opts := Options{FlushBytes: 2 << 10, MaxRuns: 2}
 			if durable {
-				opts.Dir, opts.NoSync = t.TempDir(), true
+				opts.Dir, opts.SyncInterval = t.TempDir(), time.Hour
 			}
 			s := mustOpen(t, opts)
 			defer s.Close()
@@ -165,7 +166,15 @@ func TestConcurrentCompactionModel(t *testing.T) {
 				go func(w int) {
 					defer writing.Done()
 					rng := sim.RNG(uint64(w), 5)
-					for b := 0; b < batches; b++ {
+					// Past its batches, writer 0 keeps writing until a
+					// compaction has published, sleeping before each extra
+					// batch so the compacting goroutine gets scheduled:
+					// without that the writers can finish (one CPU, no
+					// fsync to wait on) before it or a reader first runs.
+					for b := 0; b < batches || (w == 0 && b < batches+5000 && s.Stats().Compactions == 0); b++ {
+						if b >= batches {
+							time.Sleep(time.Millisecond)
+						}
 						n := 1 + rng.IntN(6)
 						keys := make([]string, 0, n)
 						vers := make([]uint64, 0, n)

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -111,7 +112,7 @@ func TestRunsDoNotPinDeadGenerations(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		for _, cycles := range []int{100, 400} {
 			t.Run(fmt.Sprintf("durable=%v/cycles=%d", durable, cycles), func(t *testing.T) {
-				opts := Options{NoSync: true}
+				opts := Options{SyncInterval: time.Hour}
 				if durable {
 					opts.Dir = t.TempDir()
 				}

@@ -77,17 +77,15 @@ func syncDir(dir string) error {
 // committer with ErrClosed.
 //
 // Sync policy, from strictest to loosest:
-//   - strict (syncEvery == 0, nosync false): every commit group fsyncs
-//     before its waiters release. Acked writes survive power loss.
+//   - strict (syncEvery == 0): every commit group fsyncs before its waiters
+//     release. Acked writes survive power loss.
 //   - periodic (syncEvery > 0): waiters release after write(2); a background
 //     loop fsyncs at most every syncEvery. Acked writes survive process
 //     death (the page cache outlives SIGKILL); power loss can take back at
 //     most the last syncEvery window. This is Cassandra's default
 //     commitlog_sync: periodic trade.
-//   - nosync: never fsync except on clean close. Tests only.
 type wal struct {
 	dir       string
-	nosync    bool
 	syncEvery time.Duration
 
 	mu      sync.Mutex
@@ -124,14 +122,13 @@ type wal struct {
 
 // openWAL opens (creating if needed) WAL file num for appending and starts
 // the committer (plus the background sync loop when periodic).
-func openWAL(dir string, num uint64, nosync bool, syncEvery time.Duration) (*wal, error) {
+func openWAL(dir string, num uint64, syncEvery time.Duration) (*wal, error) {
 	f, err := os.OpenFile(filepath.Join(dir, walName(num)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	w := &wal{
 		dir:       dir,
-		nosync:    nosync,
 		syncEvery: syncEvery,
 		f:         f,
 		num:       num,
@@ -151,7 +148,7 @@ func openWAL(dir string, num uint64, nosync bool, syncEvery time.Duration) (*wal
 	return w, nil
 }
 
-func (w *wal) periodic() bool { return !w.nosync && w.syncEvery > 0 }
+func (w *wal) periodic() bool { return w.syncEvery > 0 }
 
 // appendWALRecord encodes one record onto b.
 func appendWALRecord(b []byte, op byte, key string, val []byte) []byte {
@@ -273,7 +270,7 @@ func (w *wal) commitOnce() {
 			_, err = f.Write(buf)
 			w.dirty = w.dirty || err == nil
 		}
-		if err == nil && !w.nosync && !w.periodic() {
+		if err == nil && !w.periodic() {
 			//lint:allow lockscope ioMu is the WAL's dedicated I/O lock; fsync under it is the group-commit design — the hot-path mu was released above
 			err = f.Sync()
 			w.dirty = err != nil
@@ -410,7 +407,7 @@ func (w *wal) close() error {
 	<-w.texit
 	err := w.werr
 	if serr := w.f.Sync(); err == nil {
-		err = serr // final fsync even in nosync mode: clean exits keep the tail
+		err = serr // final fsync even in periodic mode: clean exits keep the tail
 	}
 	if cerr := w.f.Close(); err == nil {
 		err = cerr

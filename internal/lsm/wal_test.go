@@ -23,7 +23,7 @@ func logOne(t *testing.T, w *wal, key string) uint64 {
 // failure stays durable, the group that hit it and everything after it fail
 // with the one sticky error, and the wedged log refuses new records.
 func TestWALGroupErrorsAreSticky(t *testing.T) {
-	w, err := openWAL(t.TempDir(), 1, true, 0)
+	w, err := openWAL(t.TempDir(), 1, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestWALGroupErrorsAreSticky(t *testing.T) {
 // ErrClosed, at once, even while the committer is stuck in a write; the group
 // being written keeps its own outcome.
 func TestWALCrashReleasesWaiters(t *testing.T) {
-	w, err := openWAL(t.TempDir(), 1, true, 0)
+	w, err := openWAL(t.TempDir(), 1, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestWALCrashReleasesWaiters(t *testing.T) {
 // the background fsync of an earlier one is still in flight completes
 // without waiting for it.
 func TestWALCommitsDuringPeriodicFsync(t *testing.T) {
-	w, err := openWAL(t.TempDir(), 1, false, time.Millisecond)
+	w, err := openWAL(t.TempDir(), 1, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,29 +43,6 @@ func New(n, rf int) *Ring {
 	return r
 }
 
-// NewWithTokens builds a ring from explicit (token, owner) pairs, for
-// clusters with non-uniform ownership. It panics on duplicate tokens.
-func NewWithTokens(tokens map[int64]core.ServerID, rf int) *Ring {
-	if len(tokens) == 0 {
-		panic("ring: no tokens")
-	}
-	owners := map[core.ServerID]bool{}
-	r := &Ring{rf: rf}
-	for t, o := range tokens {
-		r.tokens = append(r.tokens, t)
-		owners[o] = true
-	}
-	if rf < 1 || rf > len(owners) {
-		panic(fmt.Sprintf("ring: replication factor %d outside [1, %d]", rf, len(owners)))
-	}
-	sort.Slice(r.tokens, func(i, j int) bool { return r.tokens[i] < r.tokens[j] })
-	r.owners = make([]core.ServerID, len(r.tokens))
-	for i, t := range r.tokens {
-		r.owners[i] = tokens[t]
-	}
-	return r
-}
-
 // Nodes reports the number of ring positions.
 func (r *Ring) Nodes() int { return len(r.tokens) }
 
@@ -108,11 +85,6 @@ func (r *Ring) ReplicasForToken(t int64, dst []core.ServerID) []core.ServerID {
 		i++
 	}
 	return dst
-}
-
-// PrimaryFor reports the first replica for a key.
-func (r *Ring) PrimaryFor(key []byte) core.ServerID {
-	return r.owners[r.primaryIndex(Token(key))]
 }
 
 // Groups enumerates the distinct replica groups of the ring in primary-token

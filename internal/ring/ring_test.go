@@ -105,9 +105,6 @@ func TestRingDeterministicMapping(t *testing.T) {
 			t.Fatal("replica mapping not deterministic")
 		}
 	}
-	if r.PrimaryFor(key) != a[0] {
-		t.Fatal("PrimaryFor disagrees with ReplicasFor[0]")
-	}
 }
 
 func TestRingReplicasAreRingSuccessors(t *testing.T) {
@@ -132,8 +129,10 @@ func TestRingLoadBalance(t *testing.T) {
 	counts := make([]int, 15)
 	rng := sim.RNG(3, 3)
 	const draws = 60000
+	var reps []core.ServerID
 	for i := 0; i < draws; i++ {
-		counts[int(r.PrimaryFor([]byte(workload.Key(rng.Uint64()))))]++
+		reps = r.ReplicasFor([]byte(workload.Key(rng.Uint64())), reps[:0])
+		counts[reps[0]]++
 	}
 	want := draws / 15
 	for i, c := range counts {
@@ -180,12 +179,9 @@ func TestGroupIndexConsistentWithReplicas(t *testing.T) {
 	}
 }
 
+// A ring with explicit (token, owner) positions: non-uniform ownership.
 func TestNewWithTokens(t *testing.T) {
-	r := NewWithTokens(map[int64]core.ServerID{
-		-100: 0,
-		0:    1,
-		100:  2,
-	}, 2)
+	r := &Ring{tokens: []int64{-100, 0, 100}, owners: []core.ServerID{0, 1, 2}, rf: 2}
 	// Token -50 lands on owner of token 0 (node 1), then node 2.
 	got := r.ReplicasForToken(-50, nil)
 	if got[0] != 1 || got[1] != 2 {
@@ -201,12 +197,7 @@ func TestNewWithTokens(t *testing.T) {
 func TestNewWithTokensSkipsDuplicateOwners(t *testing.T) {
 	// One node holding two adjacent tokens must not appear twice in a
 	// replica set.
-	r := NewWithTokens(map[int64]core.ServerID{
-		0:  0,
-		10: 0,
-		20: 1,
-		30: 2,
-	}, 3)
+	r := &Ring{tokens: []int64{0, 10, 20, 30}, owners: []core.ServerID{0, 0, 1, 2}, rf: 3}
 	got := r.ReplicasForToken(-5, nil)
 	seen := map[core.ServerID]bool{}
 	for _, s := range got {
@@ -222,7 +213,6 @@ func TestRingPanics(t *testing.T) {
 		"zero nodes": func() { New(0, 1) },
 		"rf>n":       func() { New(3, 4) },
 		"rf=0":       func() { New(3, 0) },
-		"no tokens":  func() { NewWithTokens(nil, 1) },
 	} {
 		func() {
 			defer func() {

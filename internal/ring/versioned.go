@@ -3,7 +3,6 @@ package ring
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -100,16 +99,6 @@ func (v *Versioned) Tokens() []int64 { return v.tokens }
 // Contains reports whether id is a member.
 func (v *Versioned) Contains(id core.ServerID) bool {
 	return slices.Contains(v.ids, id)
-}
-
-// TokenOf reports the token owned by id.
-func (v *Versioned) TokenOf(id core.ServerID) (int64, bool) {
-	for i, m := range v.ids {
-		if m == id {
-			return v.tokens[i], true
-		}
-	}
-	return 0, false
 }
 
 // MaxID reports the largest member id (the seed for assigning a fresh one).
@@ -257,14 +246,4 @@ func (v *Versioned) Diff(next *Versioned) []Change {
 		out = out[:n-1]
 	}
 	return out
-}
-
-// MovedFraction reports the share of the token space (0..1) whose replica
-// set differs between v and next — the movement a transition must stream.
-func (v *Versioned) MovedFraction(next *Versioned) float64 {
-	total := uint64(0)
-	for _, c := range v.Diff(next) {
-		total += c.Width()
-	}
-	return float64(total) / math.Pow(2, 64)
 }

@@ -21,7 +21,6 @@ type Event struct {
 	t      int64 // virtual time, ns
 	seq    uint64
 	fn     func()
-	idx    int // heap index, -1 when not queued
 	cancel bool
 }
 
@@ -35,12 +34,6 @@ func (e *Event) Cancel() {
 	}
 }
 
-// Cancelled reports whether Cancel was called.
-func (e *Event) Cancelled() bool { return e != nil && e.cancel }
-
-// Time reports the virtual time the event is (or was) scheduled for.
-func (e *Event) Time() int64 { return e.t }
-
 type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }
@@ -50,21 +43,13 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq // FIFO among simultaneous events
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx, h[j].idx = i, j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*Event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.idx = -1
 	*h = old[:n-1]
 	return e
 }
@@ -72,11 +57,9 @@ func (h *eventHeap) Pop() any {
 // Sim is the simulation executive. The zero value is not usable; construct
 // with New.
 type Sim struct {
-	now     int64
-	seq     uint64
-	events  eventHeap
-	stopped bool
-	fired   uint64
+	now    int64
+	seq    uint64
+	events eventHeap
 }
 
 // New returns a simulator with the clock at zero.
@@ -116,55 +99,18 @@ func (s *Sim) AfterDur(d time.Duration, fn func()) *Event {
 	return s.After(int64(d), fn)
 }
 
-// Stop makes the current Run/RunUntil call return after the in-flight event
-// completes. Pending events remain queued.
-func (s *Sim) Stop() { s.stopped = true }
-
-// Pending reports the number of events currently queued (including
-// cancelled-but-not-yet-collected entries).
-func (s *Sim) Pending() int { return len(s.events) }
-
-// Fired reports the number of events executed so far.
-func (s *Sim) Fired() uint64 { return s.fired }
-
-// step pops and runs a single event. It reports false when the queue is empty
-// or only cancelled entries remain.
-func (s *Sim) step(limit int64) bool {
+// Run executes events in time order until the queue is empty. Cancelled
+// entries are dropped as they surface.
+func (s *Sim) Run() {
 	for len(s.events) > 0 {
-		top := s.events[0]
-		if top.cancel {
-			heap.Pop(&s.events)
+		e := heap.Pop(&s.events).(*Event)
+		if e.cancel {
 			continue
 		}
-		if limit >= 0 && top.t > limit {
-			return false
-		}
-		heap.Pop(&s.events)
-		s.now = top.t
-		fn := top.fn
-		top.fn = nil
-		s.fired++
+		s.now = e.t
+		fn := e.fn
+		e.fn = nil
 		fn()
-		return true
-	}
-	return false
-}
-
-// Run executes events until the queue is empty or Stop is called.
-func (s *Sim) Run() {
-	s.stopped = false
-	for !s.stopped && s.step(-1) {
-	}
-}
-
-// RunUntil executes events with time ≤ t, then advances the clock to t.
-// Events scheduled later remain queued.
-func (s *Sim) RunUntil(t int64) {
-	s.stopped = false
-	for !s.stopped && s.step(t) {
-	}
-	if !s.stopped && t > s.now {
-		s.now = t
 	}
 }
 

@@ -1,15 +1,14 @@
 // Package stats implements the measurement toolkit used by every experiment:
-// percentile summaries, ECDFs, histograms, windowed load time series, moving
-// medians, and confidence intervals. All of it is stdlib-only and
-// allocation-conscious; latency samples for a full experiment run (millions
-// of points) are held as flat float64 slices.
+// percentile summaries, windowed load time series, moving medians, and
+// confidence intervals. All of it is stdlib-only and allocation-conscious;
+// latency samples for a full experiment run (millions of points) are held as
+// flat float64 slices.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Sample accumulates observations and answers distribution queries.
@@ -113,51 +112,6 @@ func percentileSorted(xs []float64, p float64) float64 {
 	return xs[lo]*(1-frac) + xs[hi]*frac
 }
 
-// Median reports the 50th percentile.
-func (s *Sample) Median() float64 { return s.Percentile(50) }
-
-// ECDFPoint is one point of an empirical CDF: fraction F of observations ≤ X.
-type ECDFPoint struct {
-	X float64
-	F float64
-}
-
-// ECDF reports the empirical CDF reduced to at most n evenly spaced points
-// (in rank space). n ≤ 1 yields a single point at the maximum.
-func (s *Sample) ECDF(n int) []ECDFPoint {
-	if s.n == 0 {
-		return nil
-	}
-	s.sort()
-	if n > s.n {
-		n = s.n
-	}
-	if n < 1 {
-		n = 1
-	}
-	out := make([]ECDFPoint, 0, n)
-	for i := 0; i < n; i++ {
-		var idx int
-		if n == 1 {
-			idx = s.n - 1
-		} else {
-			idx = i * (s.n - 1) / (n - 1)
-		}
-		out = append(out, ECDFPoint{X: s.xs[idx], F: float64(idx+1) / float64(s.n)})
-	}
-	return out
-}
-
-// FractionBelow reports the fraction of observations ≤ x.
-func (s *Sample) FractionBelow(x float64) float64 {
-	if s.n == 0 {
-		return 0
-	}
-	s.sort()
-	i := sort.SearchFloat64s(s.xs, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(s.n)
-}
-
 // Summary is a fixed set of distribution statistics, matching the metrics the
 // paper reports (mean, median, 95th, 99th, 99.9th).
 type Summary struct {
@@ -221,71 +175,6 @@ func MeanCI95(runs []float64) (mean, half float64) {
 	}
 	sd := math.Sqrt(ss / float64(n-1))
 	return mean, 1.96 * sd / math.Sqrt(float64(n))
-}
-
-// Histogram is a fixed-width linear histogram over [lo, hi); out-of-range
-// observations land in clamped edge buckets.
-type Histogram struct {
-	lo, hi  float64
-	width   float64
-	buckets []int
-	n       int
-}
-
-// NewHistogram returns a histogram with nb buckets over [lo, hi).
-// It panics on degenerate bounds or a non-positive bucket count.
-func NewHistogram(lo, hi float64, nb int) *Histogram {
-	if !(hi > lo) || nb <= 0 {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{lo: lo, hi: hi, width: (hi - lo) / float64(nb), buckets: make([]int, nb)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.lo) / h.width)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.buckets) {
-		i = len(h.buckets) - 1
-	}
-	h.buckets[i]++
-	h.n++
-}
-
-// Count reports total observations.
-func (h *Histogram) Count() int { return h.n }
-
-// Bucket reports the count of bucket i.
-func (h *Histogram) Bucket(i int) int { return h.buckets[i] }
-
-// NumBuckets reports the number of buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
-// BucketLow reports the inclusive lower bound of bucket i.
-func (h *Histogram) BucketLow(i int) float64 { return h.lo + float64(i)*h.width }
-
-// String renders an ASCII bar chart, one row per non-empty bucket.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	maxC := 0
-	for _, c := range h.buckets {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	for i, c := range h.buckets {
-		if c == 0 {
-			continue
-		}
-		bar := 0
-		if maxC > 0 {
-			bar = c * 50 / maxC
-		}
-		fmt.Fprintf(&b, "%10.2f |%-50s| %d\n", h.BucketLow(i), strings.Repeat("#", bar), c)
-	}
-	return b.String()
 }
 
 // Windowed counts events into consecutive fixed-width time windows. It backs

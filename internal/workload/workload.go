@@ -20,7 +20,7 @@ const (
 	OpUpdate
 	// OpMultiGet is a multi-key read: the front-end fetches a batch of keys
 	// in one operation (a photo page's tags, a feed's items). The batch size
-	// is drawn separately from a BatchSizer.
+	// is drawn separately, from a GeometricBatch.
 	OpMultiGet
 )
 
@@ -63,13 +63,6 @@ func (m Mix) Choose(r *rand.Rand) Op {
 		return OpRead
 	}
 	return OpUpdate
-}
-
-// WithMultiGets returns the mix with frac of its reads issued as multi-key
-// reads.
-func (m Mix) WithMultiGets(frac float64) Mix {
-	m.MultiFrac = frac
-	return m
 }
 
 // Zipfian generates keys in [0, N) following a Zipfian distribution with
@@ -191,24 +184,6 @@ type KeyChooser interface {
 	N() uint64
 }
 
-// BatchSizer draws the key count of a multi-key operation.
-type BatchSizer interface {
-	// Keys reports how many keys the next batch carries (always ≥ 1).
-	Keys(r *rand.Rand) int
-}
-
-// FixedBatch always draws the same batch size — the controlled setting of
-// the batch benchmark's sweep (4, 16, 64 keys).
-type FixedBatch int
-
-// Keys implements BatchSizer.
-func (f FixedBatch) Keys(*rand.Rand) int {
-	if f < 1 {
-		return 1
-	}
-	return int(f)
-}
-
 // GeometricBatch draws batch sizes from a geometric distribution with the
 // given mean — the long-tailed page sizes of real multi-key front-ends (most
 // pages small, a few large). Sizes are capped at Max when it is positive.
@@ -217,8 +192,8 @@ type GeometricBatch struct {
 	Max  int
 }
 
-// Keys implements BatchSizer: the number of Bernoulli(1/Mean) trials until
-// the first success — mean Mean, minimum 1.
+// Keys draws the key count of the next batch: the number of Bernoulli(1/Mean)
+// trials until the first success — mean Mean, minimum 1.
 func (g GeometricBatch) Keys(r *rand.Rand) int {
 	if g.Mean <= 1 {
 		return 1

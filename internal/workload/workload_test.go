@@ -174,7 +174,8 @@ func TestOpString(t *testing.T) {
 }
 
 func TestMixMultiGetFraction(t *testing.T) {
-	m := ReadHeavy.WithMultiGets(0.3)
+	m := ReadHeavy
+	m.MultiFrac = 0.3
 	r := sim.RNG(7, 7)
 	const n = 100000
 	var reads, multis, updates int
@@ -202,21 +203,14 @@ func TestMixMultiGetFraction(t *testing.T) {
 func TestMixZeroMultiFracPreservesSequences(t *testing.T) {
 	r1 := sim.RNG(8, 8)
 	r2 := sim.RNG(8, 8)
-	plain := ReadHeavy
-	zeroMulti := ReadHeavy.WithMultiGets(0)
 	for i := 0; i < 10000; i++ {
-		if plain.Choose(r1) != zeroMulti.Choose(r2) {
-			t.Fatalf("op stream diverged at %d", i)
+		want := OpUpdate
+		if r2.Float64() < ReadHeavy.ReadFrac {
+			want = OpRead // one draw per op: the single-key stream
 		}
-	}
-}
-
-func TestFixedBatch(t *testing.T) {
-	if FixedBatch(16).Keys(nil) != 16 {
-		t.Fatal("fixed batch size wrong")
-	}
-	if FixedBatch(0).Keys(nil) != 1 {
-		t.Fatal("degenerate fixed batch must clamp to 1")
+		if got := ReadHeavy.Choose(r1); got != want {
+			t.Fatalf("op %d = %v, want %v: a single-key mix drew extra randomness", i, got, want)
+		}
 	}
 }
 
